@@ -6,9 +6,11 @@ GO ?= go
 
 all: build vet test
 
-# The CI gate: vet, formatting, the race-sensitive subset, and docs
-# consistency (every flag the docs mention must exist in cqabench -h,
-# every documented /v1/ and /debug/ endpoint must be registered).
+# The CI gate: vet, formatting, the race-sensitive subset, the
+# benchmark module (perfbench is its own Go module, so ./... above never
+# compiles it), and docs consistency (every flag the docs mention must
+# exist in cqabench -h, every documented /v1/ and /debug/ endpoint must
+# be registered).
 check:
 	$(GO) vet ./...
 	@fmtout=$$(gofmt -l .); if [ -n "$$fmtout" ]; then \
@@ -22,6 +24,7 @@ check:
 	$(GO) test -race -run 'TestKernel|TestGolden' ./internal/cqa/...
 	$(GO) test -race -run 'TestSubstream|TestParallel' ./internal/mt ./internal/estimator ./internal/cqa ./internal/server
 	$(GO) test -race ./internal/audit/...
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 	$(GO) build -o /tmp/cqabench-docscheck ./cmd/cqabench
 	$(GO) run ./cmd/docscheck -bin /tmp/cqabench-docscheck \
 		-endpoints-dir internal/server,internal/obs \

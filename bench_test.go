@@ -503,44 +503,85 @@ func kernelPair() *synopsis.Admissible {
 	return pair
 }
 
-// BenchmarkKernels compares, per scheme, the plain scan kernel against the
-// first-member-indexed one, one draw at a time and in estimator-sized
-// batches, on the large-|H| pair where the kernel selector picks the
-// index. samples/sec is the headline throughput number EXPERIMENTS.md
-// quotes; all variants draw from identical PRNG streams.
-func BenchmarkKernels(b *testing.B) {
-	pair := kernelPair()
-	kernels := []struct {
-		name string
-		s    estimator.BatchSampler
-	}{
-		{"Natural/plain", sampler.NewNatural(pair)},
-		{"Natural/indexed", sampler.NewNaturalIndexed(pair)},
-		{"KL/plain", sampler.NewKL(pair)},
-		{"KL/indexed", sampler.NewKLIndexed(pair)},
-		{"KLM/plain", sampler.NewKLM(pair)},
-		{"KLM/indexed", sampler.NewKLMIndexed(pair)},
+// wideKernelPair builds the regime the plain kernels are selected for,
+// with the shape of a 45-block Boolean synopsis: 444 four-member images
+// over 45 blocks (26 of size 1, 8 of size 2, 5 of size 3, 2 of size 4,
+// 4 of size 5), every image starting with the same fact of a size-2
+// block, so the first-member index has a single candidate list holding
+// every image.
+func wideKernelPair() *synopsis.Admissible {
+	pair := &synopsis.Admissible{BlockSizes: []int32{
+		2, 1, 5, 2, 1, 1, 1, 2, 1, 2, 2, 1, 1, 1, 1, 3, 2, 1, 1, 4, 3, 3, 1,
+		1, 5, 3, 1, 1, 4, 1, 5, 1, 2, 1, 1, 3, 1, 5, 1, 1, 1, 1, 1, 1, 2,
+	}}
+	add := func(ms ...synopsis.Member) { pair.Images = append(pair.Images, ms) }
+	for bk := int32(6); bk < int32(len(pair.BlockSizes)); bk++ {
+		for f := int32(0); f < pair.BlockSizes[bk]; f++ {
+			for x := int32(0); x < 5; x++ {
+				add(synopsis.Member{Block: 0}, synopsis.Member{Block: 2, Fact: x}, synopsis.Member{Block: 3}, synopsis.Member{Block: bk, Fact: f})
+			}
+			add(synopsis.Member{Block: 0}, synopsis.Member{Block: 4}, synopsis.Member{Block: 5}, synopsis.Member{Block: bk, Fact: f})
+		}
 	}
-	for _, k := range kernels {
-		b.Run(k.name+"/single", func(b *testing.B) {
-			src := mt.New(1)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				_ = k.s.Sample(src)
-			}
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "samples/sec")
-		})
-		b.Run(k.name+"/batch", func(b *testing.B) {
-			src := mt.New(1)
-			buf := make([]float64, 256)
-			b.ReportAllocs()
-			drawn := 0
-			for i := 0; i < b.N; i += len(buf) {
-				k.s.SampleBatch(src, buf)
-				drawn += len(buf)
-			}
-			b.ReportMetric(float64(drawn)/b.Elapsed().Seconds(), "samples/sec")
-		})
+	for x := int32(0); x < 5; x++ {
+		add(synopsis.Member{Block: 0}, synopsis.Member{Block: 1}, synopsis.Member{Block: 2, Fact: x}, synopsis.Member{Block: 3})
+	}
+	add(synopsis.Member{Block: 0}, synopsis.Member{Block: 1}, synopsis.Member{Block: 4}, synopsis.Member{Block: 5})
+	pair.Canonicalize()
+	if err := pair.Validate(); err != nil {
+		panic(err)
+	}
+	return pair
+}
+
+// BenchmarkKernels compares, per scheme, the plain kernel (bit-sliced
+// coverage test) against the first-member-indexed one, one draw at a
+// time and in estimator-sized batches, on two shapes: the large-|H|
+// pair where the kernel selector picks the index ("huge"), and the
+// Boolean-synopsis shape where it keeps the plain kernel ("wide").
+// samples/sec is the headline throughput number EXPERIMENTS.md quotes;
+// all variants draw from identical PRNG streams.
+func BenchmarkKernels(b *testing.B) {
+	pairs := []struct {
+		name string
+		pair *synopsis.Admissible
+	}{
+		{"huge", kernelPair()},
+		{"wide", wideKernelPair()},
+	}
+	for _, p := range pairs {
+		kernels := []struct {
+			name string
+			s    estimator.BatchSampler
+		}{
+			{"Natural/plain", sampler.NewNatural(p.pair)},
+			{"Natural/indexed", sampler.NewNaturalIndexed(p.pair)},
+			{"KL/plain", sampler.NewKL(p.pair)},
+			{"KL/indexed", sampler.NewKLIndexed(p.pair)},
+			{"KLM/plain", sampler.NewKLM(p.pair)},
+			{"KLM/indexed", sampler.NewKLMIndexed(p.pair)},
+		}
+		for _, k := range kernels {
+			b.Run(p.name+"/"+k.name+"/single", func(b *testing.B) {
+				src := mt.New(1)
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					_ = k.s.Sample(src)
+				}
+				b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "samples/sec")
+			})
+			b.Run(p.name+"/"+k.name+"/batch", func(b *testing.B) {
+				src := mt.New(1)
+				buf := make([]float64, 256)
+				b.ReportAllocs()
+				drawn := 0
+				for i := 0; i < b.N; i += len(buf) {
+					k.s.SampleBatch(src, buf)
+					drawn += len(buf)
+				}
+				b.ReportMetric(float64(drawn)/b.Elapsed().Seconds(), "samples/sec")
+			})
+		}
 	}
 }
 
@@ -570,10 +611,11 @@ func BenchmarkIntraQueryParallel(b *testing.B) {
 	for _, w := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			b.ReportAllocs()
+			kl := sampler.NewKL(pair)
 			p := estimator.Parallel{
 				Seed:       mt.DefaultSeed,
 				Workers:    w,
-				NewSampler: func() estimator.Sampler { return sampler.NewKL(pair) },
+				NewSampler: func() estimator.Sampler { return kl.Fork() },
 			}
 			var samples int64
 			for i := 0; i < b.N; i++ {

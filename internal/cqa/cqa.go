@@ -212,10 +212,9 @@ type tupleResult struct {
 
 // newKernelSampler builds the scheme's sampler for the kernel choice,
 // returning the sampler and the estimate weight (|S•|/|db(B)| for the
-// symbolic-space schemes, 1 otherwise). It is the parallel pool's
-// per-worker factory, so it must be safe to call concurrently — all
-// constructors only read the (immutable) pair.
-func newKernelSampler(pair *synopsis.Admissible, scheme Scheme, kernel sampler.Kernel) (estimator.Sampler, float64) {
+// symbolic-space schemes, 1 otherwise). The parallel pool's workers
+// draw from its forks, which share its compiled plan.
+func newKernelSampler(pair *synopsis.Admissible, scheme Scheme, kernel sampler.Kernel) (sampler.Sampler, float64) {
 	switch scheme {
 	case Natural:
 		if kernel == sampler.Indexed {
@@ -261,7 +260,7 @@ func apxRelativeFreq(ctx context.Context, pair *synopsis.Admissible, scheme Sche
 	kernel := sampler.SelectKernel(pair)
 	sp := parent.StartChild("sampler.init." + kernel.String())
 	var (
-		s      estimator.Sampler
+		s      sampler.Sampler
 		space  estimator.SymbolicSpace
 		weight = 1.0
 	)
@@ -291,7 +290,7 @@ func apxRelativeFreq(ctx context.Context, pair *synopsis.Admissible, scheme Sche
 		p := estimator.Parallel{
 			Seed:       rootSeed,
 			Workers:    workers,
-			NewSampler: func() estimator.Sampler { s, _ := newKernelSampler(pair, scheme, kernel); return s },
+			NewSampler: func() estimator.Sampler { return s.Fork() },
 		}
 		r, err = estimator.MonteCarloParallel(ctx, p, opts.Eps, opts.Delta, opts.Budget)
 	default:

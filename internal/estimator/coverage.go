@@ -51,6 +51,7 @@ func SelfAdjustingCoverageContext(ctx context.Context, space SymbolicSpace, eps,
 	n := int64(math.Ceil(8 * (1 + eps) * float64(m) * math.Log(3/delta) /
 		((1 - eps*eps/8) * eps * eps)))
 
+	bound := mt.NewBound(m) // the walk's Intn(m), compiled
 	var steps, total, trials int64
 outer:
 	for {
@@ -78,7 +79,7 @@ outer:
 					Phase:    "coverage",
 				})
 			}
-			j := src.Intn(m)
+			j := bound.Draw(src)
 			if space.InSet(j) {
 				break
 			}

@@ -8,6 +8,7 @@ package mt
 type Alias struct {
 	prob  []float64
 	alias []int32
+	bound Bound // Intn(len(prob)), compiled
 }
 
 // NewAlias builds an alias table from non-negative weights. Weights need
@@ -32,6 +33,7 @@ func NewAlias(weights []float64) *Alias {
 	a := &Alias{
 		prob:  make([]float64, n),
 		alias: make([]int32, n),
+		bound: NewBound(n),
 	}
 	// Scaled probabilities; mean 1.
 	scaled := make([]float64, n)
@@ -76,7 +78,7 @@ func (a *Alias) Len() int { return len(a.prob) }
 
 // Draw returns an index distributed according to the table's weights.
 func (a *Alias) Draw(src *Source) int {
-	i := src.Intn(len(a.prob))
+	i := a.bound.Draw(src)
 	if src.Float64() < a.prob[i] {
 		return i
 	}

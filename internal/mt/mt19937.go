@@ -100,6 +100,11 @@ func (s *Source) Uint64() uint64 {
 	}
 	x := s.state[s.index]
 	s.index++
+	return temper(x)
+}
+
+// temper is MT19937-64's output scrambling of one state word.
+func temper(x uint64) uint64 {
 	x ^= (x >> 29) & 0x5555555555555555
 	x ^= (x << 17) & 0x71D67FFFEDA60000
 	x ^= (x << 37) & 0xFFF7EEE000000000

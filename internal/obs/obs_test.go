@@ -80,3 +80,41 @@ func TestDefaultHelpers(t *testing.T) {
 		t.Errorf("histogram: got %d observations, want 1", got)
 	}
 }
+
+// Looking up a series that exists must not allocate: the pipeline asks
+// for several labeled series per answer tuple.
+func TestLookupHitDoesNotAllocate(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("c_total", L("scheme", "KL"), L("kernel", "plain")).Inc()
+	r.Gauge("g", L("scheme", "KL")).Set(1)
+	r.Histogram("h_seconds", L("b", "2"), L("a", "1")).Observe(1)
+	r.Counter("bare_total").Inc()
+	allocs := testing.AllocsPerRun(100, func() {
+		r.Counter("c_total", L("kernel", "plain"), L("scheme", "KL")).Inc()
+		r.Gauge("g", L("scheme", "KL")).Set(2)
+		r.Histogram("h_seconds", L("a", "1"), L("b", "2")).Observe(2)
+		r.Counter("bare_total").Inc()
+	})
+	if allocs != 0 {
+		t.Fatalf("lookups of existing series allocated %.1f times per run", allocs)
+	}
+	// The hits landed on the registered series, in either label order.
+	if v := r.Counter("c_total", L("scheme", "KL"), L("kernel", "plain")).Value(); v != 102 {
+		t.Fatalf("c_total = %d, want 102", v)
+	}
+	if n := len(r.snapshot()); n != 4 {
+		t.Fatalf("%d series, want 4", n)
+	}
+}
+
+// The series key keeps its rendering: name{k="v",...}, keys sorted,
+// values quoted as by %q.
+func TestSeriesKeyFormat(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("x_total", L("z", "a\"b\n"), L("a", "é")).Inc()
+	for key := range r.entries {
+		if want := `x_total{a="é",z="a\"b\n"}`; key != want {
+			t.Fatalf("key %s, want %s", key, want)
+		}
+	}
+}

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -72,19 +72,24 @@ type entry struct {
 // labelString renders the sorted label set as {k="v",...}, or "" when
 // unlabeled.
 func labelString(labels []Label) string {
+	return string(appendLabels(nil, labels))
+}
+
+// appendLabels appends labelString(labels) to b.
+func appendLabels(b []byte, labels []Label) []byte {
 	if len(labels) == 0 {
-		return ""
+		return b
 	}
-	var b strings.Builder
-	b.WriteByte('{')
+	b = append(b, '{')
 	for i, l := range labels {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		fmt.Fprintf(&b, "%s=%q", l.Key, l.Value)
+		b = append(b, l.Key...)
+		b = append(b, '=')
+		b = strconv.AppendQuote(b, l.Value)
 	}
-	b.WriteByte('}')
-	return b.String()
+	return append(b, '}')
 }
 
 // Registry holds a set of named metrics. The zero value is not usable;
@@ -103,15 +108,24 @@ func NewRegistry() *Registry {
 // kind on first use. Asking for an existing name+labels with a different
 // kind panics: it is a programming error that would silently corrupt the
 // export otherwise.
+//
+// The hot path, a series that exists, allocates nothing: up to eight
+// labels are sorted and the key is rendered in stack buffers.
 func (r *Registry) get(name string, kind metricKind, labels []Label) *entry {
-	sorted := append([]Label(nil), labels...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Key < sorted[j].Key })
-	key := name + labelString(sorted)
+	var lb [8]Label
+	sorted := append(lb[:0], labels...)
+	for i := 1; i < len(sorted); i++ { // insertion sort by key
+		for j := i; j > 0 && sorted[j].Key < sorted[j-1].Key; j-- {
+			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
+		}
+	}
+	var kb [128]byte
+	key := appendLabels(append(kb[:0], name...), sorted)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	e, ok := r.entries[key]
+	e, ok := r.entries[string(key)]
 	if !ok {
-		e = &entry{name: name, labels: sorted, kind: kind}
+		e = &entry{name: name, labels: append([]Label(nil), sorted...), kind: kind}
 		switch kind {
 		case counterKind:
 			e.counter = &Counter{}
@@ -120,10 +134,10 @@ func (r *Registry) get(name string, kind metricKind, labels []Label) *entry {
 		case histogramKind:
 			e.hist = newHistogram()
 		}
-		r.entries[key] = e
+		r.entries[string(key)] = e
 	}
 	if e.kind != kind {
-		panic(fmt.Sprintf("obs: metric %s registered as %s, requested as %s", key, e.kind, kind))
+		panic(fmt.Sprintf("obs: metric %s registered as %s, requested as %s", string(key), e.kind, kind))
 	}
 	return e
 }

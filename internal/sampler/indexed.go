@@ -22,12 +22,11 @@ type firstIndex struct {
 	lists  [][][]int32
 }
 
-func newFirstIndex(flat *synopsis.FlatImages) *firstIndex {
+func newFirstIndex(images []synopsis.Image) *firstIndex {
 	ix := &firstIndex{}
 	pos := make(map[int32]int)
-	n := flat.NumImages()
-	for i := 0; i < n; i++ {
-		first := flat.Image(i)[0]
+	for i, img := range images {
+		first := img[0]
 		k, ok := pos[first.Block]
 		if !ok {
 			k = len(ix.blocks)
@@ -46,36 +45,39 @@ func newFirstIndex(flat *synopsis.FlatImages) *firstIndex {
 // NaturalIndexed is SampleNatural accelerated by the first-member index:
 // same distribution, expected value, and PRNG stream consumption as
 // Natural. The win appears on low-coverage synopses with many images
-// over large blocks, where the plain scan rejects all |H| images per
-// draw while the index visits Σ_b |H_b|/size(b) candidates in
-// expectation; the plain scan stays faster on small synopses where its
-// early exit dominates (SelectKernel encodes the crossover).
+// over large blocks, where the plain kernel must reject every image
+// per draw while the index visits Σ_b |H_b|/size(b) candidates in
+// expectation; the plain kernel stays faster on small synopses and
+// where many images share their first member (SelectKernel encodes
+// the crossover).
 type NaturalIndexed struct {
-	sizes  []int32
-	flat   *synopsis.FlatImages
+	*plan
 	chosen []int32
-	ix     *firstIndex
 }
 
 // NewNaturalIndexed builds the indexed sampler. It is a drop-in
 // replacement for NewNatural.
 func NewNaturalIndexed(pair *synopsis.Admissible) *NaturalIndexed {
-	flat := pair.Flatten()
-	return &NaturalIndexed{
-		sizes:  pair.BlockSizes,
-		flat:   flat,
-		chosen: make([]int32, pair.NumBlocks()),
-		ix:     newFirstIndex(flat),
-	}
+	p := newPlan(pair).withIndex()
+	return &NaturalIndexed{plan: p, chosen: p.scratch()}
+}
+
+// withIndex adds the first-member index for an indexed kernel.
+func (p *plan) withIndex() *plan {
+	p.ix = newFirstIndex(p.images)
+	return p
+}
+
+// Fork returns a NaturalIndexed sampler sharing n's plan.
+func (n *NaturalIndexed) Fork() Sampler {
+	return &NaturalIndexed{plan: n.plan, chosen: n.scratch()}
 }
 
 // Sample draws I ∈ db(B) uniformly and returns 1 if some image covers it.
 func (n *NaturalIndexed) Sample(src *mt.Source) float64 { return n.sample(src) }
 
 func (n *NaturalIndexed) sample(src *mt.Source) float64 {
-	for b, sz := range n.sizes {
-		n.chosen[b] = int32(src.Intn(int(sz)))
-	}
+	src.Fill(&n.fill, n.chosen)
 	for k, b := range n.ix.blocks {
 		lists := n.ix.lists[k]
 		f := n.chosen[b]
@@ -83,7 +85,7 @@ func (n *NaturalIndexed) sample(src *mt.Source) float64 {
 			continue
 		}
 		for _, i := range lists[f] {
-			if n.flat.Covers(int(i), n.chosen) {
+			if n.images[i].Within(n.chosen) {
 				return 1
 			}
 		}
@@ -108,15 +110,16 @@ func (n *NaturalIndexed) GoodFactor() float64 { return 1 }
 // consumption as KL.
 type KLIndexed struct {
 	*Symbolic
-	ix *firstIndex
 }
 
 // NewKLIndexed builds the indexed Karp–Luby sampler. It is a drop-in
 // replacement for NewKL.
 func NewKLIndexed(pair *synopsis.Admissible) *KLIndexed {
-	s := NewSymbolic(pair)
-	return &KLIndexed{Symbolic: s, ix: newFirstIndex(s.flat)}
+	return &KLIndexed{newSymbolic(newPlan(pair).withSymbolic(pair).withIndex())}
 }
+
+// Fork returns a KLIndexed sampler sharing k's plan.
+func (k *KLIndexed) Fork() Sampler { return &KLIndexed{k.fork()} }
 
 // Sample draws (i, I) from S• and returns 1 iff no j < i has H_j ⊆ I.
 func (k *KLIndexed) Sample(src *mt.Source) float64 { return k.sample(src) }
@@ -134,7 +137,7 @@ func (k *KLIndexed) sample(src *mt.Source) float64 {
 			if j >= i {
 				break
 			}
-			if k.flat.Covers(int(j), k.chosen) {
+			if k.images[j].Within(k.chosen) {
 				return 0
 			}
 		}
@@ -161,15 +164,16 @@ func (k *KLIndexed) GoodFactor() float64 { return 1 / k.weight }
 // consumption as KLM.
 type KLMIndexed struct {
 	*Symbolic
-	ix *firstIndex
 }
 
 // NewKLMIndexed builds the indexed Karp–Luby–Madras sampler. It is a
 // drop-in replacement for NewKLM.
 func NewKLMIndexed(pair *synopsis.Admissible) *KLMIndexed {
-	s := NewSymbolic(pair)
-	return &KLMIndexed{Symbolic: s, ix: newFirstIndex(s.flat)}
+	return &KLMIndexed{newSymbolic(newPlan(pair).withSymbolic(pair).withIndex())}
 }
+
+// Fork returns a KLMIndexed sampler sharing k's plan.
+func (k *KLMIndexed) Fork() Sampler { return &KLMIndexed{k.fork()} }
 
 // Sample draws (i, I) from S• and returns 1/k with k = |{j : H_j ⊆ I}|
 // (k ≥ 1: the drawn image's own first member is kept by construction).
@@ -185,7 +189,7 @@ func (k *KLMIndexed) sample(src *mt.Source) float64 {
 			continue
 		}
 		for _, j := range lists[f] {
-			if k.flat.Covers(int(j), k.chosen) {
+			if k.images[j].Within(k.chosen) {
 				cnt++
 			}
 		}

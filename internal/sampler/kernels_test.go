@@ -1,6 +1,8 @@
 package sampler
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -73,17 +75,6 @@ func TestIndexedKernelsProperty(t *testing.T) {
 	}
 }
 
-// Sampler is the minimal draw interface the kernels share (mirrors
-// estimator.Sampler without importing it, to avoid a test-only cycle).
-type Sampler interface {
-	Sample(src *mt.Source) float64
-}
-
-type batchSampler interface {
-	Sampler
-	SampleBatch(src *mt.Source, dst []float64)
-}
-
 // Every kernel's SampleBatch must be byte-identical to the same number of
 // one-at-a-time Sample calls: same values, same stream consumption
 // (checked by comparing the sources' subsequent output), across uneven
@@ -94,13 +85,13 @@ func TestSampleBatchMatchesSequential(t *testing.T) {
 		"huge":  hugePair(),
 	}
 	for pname, pair := range pairs {
-		kernels := map[string]func() batchSampler{
-			"Natural":        func() batchSampler { return NewNatural(pair) },
-			"NaturalIndexed": func() batchSampler { return NewNaturalIndexed(pair) },
-			"KL":             func() batchSampler { return NewKL(pair) },
-			"KLIndexed":      func() batchSampler { return NewKLIndexed(pair) },
-			"KLM":            func() batchSampler { return NewKLM(pair) },
-			"KLMIndexed":     func() batchSampler { return NewKLMIndexed(pair) },
+		kernels := map[string]func() Sampler{
+			"Natural":        func() Sampler { return NewNatural(pair) },
+			"NaturalIndexed": func() Sampler { return NewNaturalIndexed(pair) },
+			"KL":             func() Sampler { return NewKL(pair) },
+			"KLIndexed":      func() Sampler { return NewKLIndexed(pair) },
+			"KLM":            func() Sampler { return NewKLM(pair) },
+			"KLMIndexed":     func() Sampler { return NewKLMIndexed(pair) },
 		}
 		for kname, mk := range kernels {
 			t.Run(pname+"/"+kname, func(t *testing.T) {
@@ -139,9 +130,15 @@ func TestSelectKernel(t *testing.T) {
 		t.Fatalf("small pair selected %v, want Plain", k)
 	}
 	// Huge low-coverage pair: candidate verification is far cheaper than
-	// scanning 3000 images.
+	// testing 3000 images.
 	if k := SelectKernel(hugePair()); k != Indexed {
 		t.Fatalf("huge pair selected %v, want Indexed", k)
+	}
+	// Wide Boolean shape: every image starts with the same member, so
+	// the index has one candidate list holding all 444 images, while
+	// the sliced test handles them 64 at a time.
+	if k := SelectKernel(widePair()); k != Plain {
+		t.Fatalf("wide pair selected %v, want Plain", k)
 	}
 	// Determinism: repeated calls agree.
 	p := hugePair()
@@ -214,7 +211,7 @@ func BenchmarkKLMIndexedSampleHuge(b *testing.B) {
 }
 
 func BenchmarkSampleBatchHuge(b *testing.B) {
-	kernels := map[string]batchSampler{
+	kernels := map[string]Sampler{
 		"NaturalIndexed": NewNaturalIndexed(hugePair()),
 		"KLIndexed":      NewKLIndexed(hugePair()),
 		"KLMIndexed":     NewKLMIndexed(hugePair()),
@@ -228,5 +225,258 @@ func BenchmarkSampleBatchHuge(b *testing.B) {
 				s.SampleBatch(src, buf)
 			}
 		})
+	}
+}
+
+// wordPair builds a pair of exactly n images for the cross-word
+// equivalence test. Blocks come in runs: two of size 1, then three with
+// sizes drawn from {2, 3, 4, 5, 24}, 24 being the most likely. The first
+// images chain through the blocks five at a time so that every block is
+// touched; the rest have three to five members over random blocks, at
+// least three of them in blocks larger than 1. No image is then in
+// every database, and the union of the images stays well below all of
+// db(B) even at n = 444.
+func wordPair(n int, seed uint64) *synopsis.Admissible {
+	src := mt.New(seed)
+	sizes := []int32{2, 3, 4, 5, 24, 24, 24, 24}
+	nb := 5 * (2 + n/40) // whole runs, so that every chain has a block larger than 1
+	if n == 1 {
+		// One image over every block: keep it likely enough to be hit.
+		nb, sizes = 5, sizes[:3]
+	}
+	pair := &synopsis.Admissible{}
+	for b := 0; b < nb; b++ {
+		sz := int32(1)
+		if b%5 >= 2 {
+			sz = sizes[src.Intn(len(sizes))]
+		}
+		pair.BlockSizes = append(pair.BlockSizes, sz)
+	}
+	seen := map[string]bool{}
+	add := func(img synopsis.Image) {
+		if key := fmt.Sprint(img); !seen[key] {
+			seen[key] = true
+			pair.Images = append(pair.Images, img)
+		}
+	}
+	member := func(b int) synopsis.Member {
+		return synopsis.Member{Block: int32(b), Fact: int32(src.Intn(int(pair.BlockSizes[b])))}
+	}
+	if n == 1 {
+		var img synopsis.Image
+		for b := 0; b < nb; b++ {
+			img = append(img, member(b))
+		}
+		add(img)
+	}
+	for b := 0; b < nb && len(pair.Images) < n; b += 5 {
+		var img synopsis.Image
+		for k := b; k < b+5 && k < nb; k++ {
+			img = append(img, member(k))
+		}
+		add(img)
+	}
+	for len(pair.Images) < n {
+		var img synopsis.Image
+		wide := 0 // members in blocks of size > 1
+		for b := 0; b < nb; b++ {
+			if src.Intn(nb) < 4 {
+				img = append(img, member(b))
+				if pair.BlockSizes[b] > 1 {
+					wide++
+				}
+			}
+		}
+		if wide >= 3 && len(img) <= 5 {
+			add(img)
+		}
+	}
+	pair.Canonicalize()
+	if err := pair.Validate(); err != nil {
+		panic(err)
+	}
+	if pair.NumImages() != n {
+		panic(fmt.Sprintf("wordPair: %d images, want %d", pair.NumImages(), n))
+	}
+	return pair
+}
+
+// reference draws with the Admissible reference semantics: Intn per
+// block, then FirstCover and CoverCount over the pair's images.
+type reference struct {
+	pair   *synopsis.Admissible
+	alias  *mt.Alias
+	chosen []int32
+}
+
+func newReference(pair *synopsis.Admissible) *reference {
+	w := make([]float64, pair.NumImages())
+	for i := range w {
+		w[i] = pair.ImageWeight(i)
+	}
+	return &reference{pair: pair, alias: mt.NewAlias(w), chosen: make([]int32, pair.NumBlocks())}
+}
+
+func (r *reference) fill(src *mt.Source) {
+	for b, sz := range r.pair.BlockSizes {
+		r.chosen[b] = int32(src.Intn(int(sz)))
+	}
+}
+
+func (r *reference) natural(src *mt.Source) float64 {
+	r.fill(src)
+	if r.pair.FirstCover(r.chosen) >= 0 {
+		return 1
+	}
+	return 0
+}
+
+// symbolic draws (i, I) and returns i.
+func (r *reference) symbolic(src *mt.Source) int {
+	i := r.alias.Draw(src)
+	r.fill(src)
+	for _, m := range r.pair.Images[i] {
+		r.chosen[m.Block] = m.Fact
+	}
+	return i
+}
+
+// Every kernel must match the reference draw for draw on pairs whose
+// images fill one to seven 64-image words, including partial last
+// words, blocks of sizes 1 to 24 and runs of size-1 blocks. KL's drawn
+// image must land in every word, and the streams must end at the same
+// position.
+func TestKernelsMatchReferenceAcrossWords(t *testing.T) {
+	const draws = 4000
+	for _, n := range []int{1, 63, 64, 65, 130, 444} {
+		pair := wordPair(n, uint64(n))
+		ref := newReference(pair)
+		words := (n + 63) / 64
+		kernels := []struct {
+			name string
+			s    Sampler
+			want func(*mt.Source) float64
+		}{
+			{"Natural", NewNatural(pair), ref.natural},
+			{"NaturalIndexed", NewNaturalIndexed(pair), ref.natural},
+			{"KL", NewKL(pair), func(src *mt.Source) float64 {
+				if i := ref.symbolic(src); ref.pair.FirstCover(ref.chosen) == i {
+					return 1
+				}
+				return 0
+			}},
+			{"KLIndexed", NewKLIndexed(pair), nil},
+			{"KLM", NewKLM(pair), func(src *mt.Source) float64 {
+				ref.symbolic(src)
+				return 1 / float64(ref.pair.CoverCount(ref.chosen))
+			}},
+			{"KLMIndexed", NewKLMIndexed(pair), nil},
+		}
+		for k, kern := range kernels {
+			if kern.want == nil {
+				kern.want = kernels[k-1].want
+			}
+			t.Run(fmt.Sprintf("H=%d/%s", n, kern.name), func(t *testing.T) {
+				s1, s2 := mt.New(21), mt.New(21)
+				var hits float64
+				for d := 0; d < draws; d++ {
+					want, got := kern.want(s1), kern.s.Sample(s2)
+					if want != got {
+						t.Fatalf("draw %d: reference %v, kernel %v", d, want, got)
+					}
+					hits += got
+				}
+				if hits == 0 || (kern.name == "Natural" && hits == draws) {
+					t.Fatalf("%v hits in %d draws: the pair does not exercise the coverage test", hits, draws)
+				}
+				for i := 0; i < 4; i++ {
+					if a, b := s1.Uint64(), s2.Uint64(); a != b {
+						t.Fatalf("streams diverged after %d draws: %x vs %x", draws, a, b)
+					}
+				}
+			})
+		}
+		// The symbolic draw itself, and InSet, match the reference; the
+		// drawn image lands in every word.
+		t.Run(fmt.Sprintf("H=%d/Symbolic", n), func(t *testing.T) {
+			s := NewSymbolic(pair)
+			s1, s2 := mt.New(22), mt.New(22)
+			seen := make([]bool, words)
+			for d := 0; d < draws; d++ {
+				i, j := ref.symbolic(s1), s.Draw(s2)
+				if i != j {
+					t.Fatalf("draw %d: reference image %d, Symbolic %d", d, i, j)
+				}
+				seen[i/64] = true
+				for probe := 0; probe < n; probe += 1 + n/16 {
+					if ref.pair.Covers(probe, ref.chosen) != s.InSet(probe) {
+						t.Fatalf("draw %d: InSet(%d) disagrees with the reference", d, probe)
+					}
+				}
+			}
+			for w, ok := range seen {
+				if !ok {
+					t.Fatalf("no draw landed in word %d of %d", w, words)
+				}
+			}
+			if a, b := s1.Uint64(), s2.Uint64(); a != b {
+				t.Fatalf("streams diverged: %x vs %x", a, b)
+			}
+		})
+	}
+}
+
+// planOf returns the compiled plan a kernel draws through.
+func planOf(s Sampler) *plan {
+	switch k := s.(type) {
+	case *Natural:
+		return k.plan
+	case *NaturalIndexed:
+		return k.plan
+	case *KL:
+		return k.plan
+	case *KLM:
+		return k.plan
+	case *KLIndexed:
+		return k.plan
+	case *KLMIndexed:
+		return k.plan
+	}
+	return nil
+}
+
+// A fork shares its parent's plan, draws identically, and can run
+// concurrently with it and with other forks (run under -race).
+func TestForkSharesPlan(t *testing.T) {
+	pair := wordPair(130, 5)
+	for _, s := range []Sampler{
+		NewNatural(pair), NewNaturalIndexed(pair),
+		NewKL(pair), NewKLIndexed(pair),
+		NewKLM(pair), NewKLMIndexed(pair),
+	} {
+		want := make([]float64, 512)
+		s.SampleBatch(mt.New(3), want)
+		forks := []Sampler{s, s.Fork(), s.Fork(), s.Fork()}
+		got := make([][]float64, len(forks))
+		var wg sync.WaitGroup
+		for i, f := range forks {
+			if planOf(f) == nil || planOf(f) != planOf(s) {
+				t.Fatalf("%T: fork does not share the plan", s)
+			}
+			got[i] = make([]float64, len(want))
+			wg.Add(1)
+			go func(f Sampler, dst []float64) {
+				defer wg.Done()
+				f.SampleBatch(mt.New(3), dst)
+			}(f, got[i])
+		}
+		wg.Wait()
+		for i := range forks {
+			for d := range want {
+				if got[i][d] != want[d] {
+					t.Fatalf("%T fork %d draw %d: %v, want %v", s, i, d, got[i][d], want[d])
+				}
+			}
+		}
 	}
 }

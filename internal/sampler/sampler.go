@@ -11,16 +11,20 @@
 //     the number of images covering I; same goodness, lower variance,
 //     higher per-sample cost (Lemma 4.7).
 //
-// Every sampler exists in two kernels with identical distribution and
-// identical MT19937-64 stream consumption: the plain scan over the flat
-// image layout (this file) and a first-member index-accelerated variant
-// (indexed.go). SelectKernel picks between them from synopsis shape.
-// All kernels implement batched drawing (SampleBatch) with tight,
-// allocation-free inner loops; a batch of n draws is byte-identical to n
-// one-at-a-time Sample calls on the same stream.
+// Every sampler compiles its pair once into a plan: a draw plan for the
+// per-block choices (mt.Fill) and a coverage test. Every sampler exists
+// in two kernels with identical distribution and identical MT19937-64
+// stream consumption: the plain one (this file), which tests coverage on
+// a bit-sliced index of the images (sliced.go), and a first-member
+// index-accelerated variant (indexed.go). SelectKernel picks
+// between them from synopsis shape. All kernels implement batched drawing
+// (SampleBatch) with tight, allocation-free inner loops; a batch of n
+// draws is byte-identical to n one-at-a-time Sample calls on the same
+// stream.
 //
-// All samplers reuse internal scratch buffers: one instance serves one
-// estimation loop at a time.
+// A sampler reuses internal scratch buffers: one instance serves one
+// estimation loop at a time. Fork returns another sampler sharing the
+// compiled plan, for another goroutine.
 package sampler
 
 import (
@@ -28,22 +32,81 @@ import (
 	"cqabench/internal/synopsis"
 )
 
+// Sampler is what every kernel implements: the estimators' Sampler and
+// BatchSampler, plus Fork.
+type Sampler interface {
+	Sample(src *mt.Source) float64
+	SampleBatch(src *mt.Source, dst []float64)
+	GoodFactor() float64
+	// Fork returns a sampler that draws identically and shares this
+	// one's compiled plan but owns its scratch, so it may run
+	// concurrently with this one.
+	Fork() Sampler
+}
+
+// plan is a pair compiled for one kernel. It is built once per pair and
+// shared, read-only, by the kernel and its forks.
+type plan struct {
+	blocks int
+	fill   mt.Fill          // one uniform fact per block
+	images []synopsis.Image // the pair's images, shared with it
+	// The coverage test: sliced for the plain kernels of a pair with
+	// more than one image, ix for the indexed kernels. A one-image
+	// pair's plain kernels and Cover use neither.
+	sliced *sliced
+	ix     *firstIndex
+	// The symbolic space S•, for KL, KLM and Cover: the alias table
+	// drawing image i with probability |I^i|/|S•|, and |S•|/|db(B)|.
+	alias  *mt.Alias
+	weight float64
+}
+
+// newPlan compiles the draw plan shared by every kernel. Plain kernels
+// add the sliced index where it applies, indexed ones the first-member
+// index, and symbolic-space samplers the alias table.
+func newPlan(pair *synopsis.Admissible) *plan {
+	return &plan{blocks: pair.NumBlocks(), fill: mt.NewFill(pair.BlockSizes), images: pair.Images}
+}
+
+// withSliced adds the bit-sliced index for a plain kernel. A one-image
+// pair keeps the direct member check, which is cheaper there.
+func (p *plan) withSliced(pair *synopsis.Admissible) *plan {
+	if slicedCover(pair.NumImages()) {
+		p.sliced = newSliced(pair)
+	}
+	return p
+}
+
+// withSymbolic adds the symbolic space.
+func (p *plan) withSymbolic(pair *synopsis.Admissible) *plan {
+	weights := make([]float64, pair.NumImages())
+	for i := range weights {
+		weights[i] = pair.ImageWeight(i)
+	}
+	p.alias = mt.NewAlias(weights)
+	p.weight = pair.SymbolicWeight()
+	return p
+}
+
+// scratch returns a fresh database buffer for the plan. It starts at
+// all zeros, which is all a size-1 block's entry ever holds.
+func (p *plan) scratch() []int32 { return make([]int32, p.blocks) }
+
 // Natural is Sampler 1: SampleNatural.
 type Natural struct {
-	sizes  []int32
-	flat   *synopsis.FlatImages
+	*plan
 	chosen []int32
 }
 
 // NewNatural returns a natural-space sampler for the pair, which must be
 // admissible (Validate'd by the caller; the synopsis builder guarantees it).
 func NewNatural(pair *synopsis.Admissible) *Natural {
-	return &Natural{
-		sizes:  pair.BlockSizes,
-		flat:   pair.Flatten(),
-		chosen: make([]int32, pair.NumBlocks()),
-	}
+	p := newPlan(pair).withSliced(pair)
+	return &Natural{plan: p, chosen: p.scratch()}
 }
+
+// Fork returns a Natural sampler sharing n's plan.
+func (n *Natural) Fork() Sampler { return &Natural{plan: n.plan, chosen: n.scratch()} }
 
 // Sample draws I ∈ db(B) uniformly and returns 1 if some H ∈ H satisfies
 // H ⊆ I, else 0. Its expected value is exactly R(H,B).
@@ -52,10 +115,14 @@ func (n *Natural) Sample(src *mt.Source) float64 { return n.sample(src) }
 // sample is the concrete (devirtualized) draw shared by Sample and
 // SampleBatch.
 func (n *Natural) sample(src *mt.Source) float64 {
-	for b, sz := range n.sizes {
-		n.chosen[b] = int32(src.Intn(int(sz)))
+	src.Fill(&n.fill, n.chosen)
+	var hit bool
+	if n.sliced != nil {
+		hit = n.sliced.any(n.chosen)
+	} else {
+		hit = n.images[0].Within(n.chosen)
 	}
-	if n.flat.FirstCover(n.chosen) >= 0 {
+	if hit {
 		return 1
 	}
 	return 0
@@ -76,36 +143,29 @@ func (n *Natural) GoodFactor() float64 { return 1 }
 // probability |I^i|/|S•| via a Walker alias table, then I uniformly from
 // I^i by fixing H_i's members and choosing the remaining blocks uniformly.
 type Symbolic struct {
-	sizes  []int32
-	flat   *synopsis.FlatImages
-	alias  *mt.Alias
-	weight float64 // |S•| / |db(B)|
+	*plan
 	chosen []int32
 }
 
-// NewSymbolic prepares the symbolic sampling space for the pair.
+// NewSymbolic prepares the symbolic sampling space for the pair. It
+// builds no coverage index: Cover, its one direct user, tests single
+// images through InSet.
 func NewSymbolic(pair *synopsis.Admissible) *Symbolic {
-	weights := make([]float64, pair.NumImages())
-	for i := range weights {
-		weights[i] = pair.ImageWeight(i)
-	}
-	return &Symbolic{
-		sizes:  pair.BlockSizes,
-		flat:   pair.Flatten(),
-		alias:  mt.NewAlias(weights),
-		weight: pair.SymbolicWeight(),
-		chosen: make([]int32, pair.NumBlocks()),
-	}
+	return newSymbolic(newPlan(pair).withSymbolic(pair))
 }
 
+func newSymbolic(p *plan) *Symbolic { return &Symbolic{plan: p, chosen: p.scratch()} }
+
+// fork returns a Symbolic sharing s's plan.
+func (s *Symbolic) fork() *Symbolic { return newSymbolic(s.plan) }
+
 // Draw samples (i, I) uniformly from S•, leaving the drawn pair as the
-// sampler's current state, and returns i.
+// sampler's current state, and returns i. Every block's choice is drawn,
+// H_i's included, before H_i's members are fixed.
 func (s *Symbolic) Draw(src *mt.Source) int {
 	i := s.alias.Draw(src)
-	for b, sz := range s.sizes {
-		s.chosen[b] = int32(src.Intn(int(sz)))
-	}
-	for _, m := range s.flat.Image(i) {
+	src.Fill(&s.fill, s.chosen)
+	for _, m := range s.images[i] {
 		s.chosen[m.Block] = m.Fact
 	}
 	return i
@@ -113,11 +173,11 @@ func (s *Symbolic) Draw(src *mt.Source) int {
 
 // InSet reports whether the current I lies in I^j (i.e. H_j ⊆ I).
 func (s *Symbolic) InSet(j int) bool {
-	return s.flat.Covers(j, s.chosen)
+	return s.images[j].Within(s.chosen)
 }
 
 // NumImages returns |H|.
-func (s *Symbolic) NumImages() int { return s.flat.NumImages() }
+func (s *Symbolic) NumImages() int { return len(s.images) }
 
 // Weight returns |S•| / |db(B)|: the factor converting estimates over the
 // symbolic space into R(H,B) (Algorithms 4 and 5 use its reciprocal and
@@ -132,8 +192,11 @@ type KL struct {
 
 // NewKL returns the Karp–Luby sampler for the pair.
 func NewKL(pair *synopsis.Admissible) *KL {
-	return &KL{NewSymbolic(pair)}
+	return &KL{newSymbolic(newPlan(pair).withSymbolic(pair).withSliced(pair))}
 }
+
+// Fork returns a KL sampler sharing k's plan.
+func (k *KL) Fork() Sampler { return &KL{k.fork()} }
 
 // Sample draws (i, I) from S• and returns 1 iff no j < i has H_j ⊆ I.
 // Its expected value is Num/|S•| = R(H,B) · |db(B)|/|S•|.
@@ -141,10 +204,9 @@ func (k *KL) Sample(src *mt.Source) float64 { return k.sample(src) }
 
 func (k *KL) sample(src *mt.Source) float64 {
 	i := k.Draw(src)
-	for j := 0; j < i; j++ {
-		if k.flat.Covers(j, k.chosen) {
-			return 0
-		}
+	// A one-image pair has no sliced index, and no j < i = 0.
+	if k.sliced != nil && k.sliced.anyBelow(i, k.chosen) {
+		return 0
 	}
 	return 1
 }
@@ -166,8 +228,11 @@ type KLM struct {
 
 // NewKLM returns the Karp–Luby–Madras sampler for the pair.
 func NewKLM(pair *synopsis.Admissible) *KLM {
-	return &KLM{NewSymbolic(pair)}
+	return &KLM{newSymbolic(newPlan(pair).withSymbolic(pair).withSliced(pair))}
 }
+
+// Fork returns a KLM sampler sharing k's plan.
+func (k *KLM) Fork() Sampler { return &KLM{k.fork()} }
 
 // Sample draws (i, I) from S• and returns 1/k with k = |{j : H_j ⊆ I}|
 // (k ≥ 1 since H_i ⊆ I by construction). Its expected value equals KL's.
@@ -175,7 +240,11 @@ func (k *KLM) Sample(src *mt.Source) float64 { return k.sample(src) }
 
 func (k *KLM) sample(src *mt.Source) float64 {
 	k.Draw(src)
-	return 1 / float64(k.flat.CoverCount(k.chosen))
+	// A one-image pair has no sliced index: its image covers, alone.
+	if k.sliced == nil {
+		return 1
+	}
+	return 1 / float64(k.sliced.count(k.chosen))
 }
 
 // SampleBatch fills dst with len(dst) consecutive draws.

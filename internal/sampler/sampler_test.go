@@ -486,3 +486,34 @@ func BenchmarkNaturalIndexedSampleHuge(b *testing.B) {
 		_ = s.Sample(src)
 	}
 }
+
+// widePair has the shape of the Boolean synopsis the plain kernels are
+// selected for: 444 four-member images over 45 blocks (26 of size 1, 8
+// of size 2, 5 of size 3, 2 of size 4, 4 of size 5), every image
+// starting with the same fact of a size-2 block. Most images share
+// their first three members and differ in the last, so a coverage test
+// cannot reject them on their first member alone.
+func widePair() *synopsis.Admissible {
+	pair := &synopsis.Admissible{BlockSizes: []int32{
+		2, 1, 5, 2, 1, 1, 1, 2, 1, 2, 2, 1, 1, 1, 1, 3, 2, 1, 1, 4, 3, 3, 1,
+		1, 5, 3, 1, 1, 4, 1, 5, 1, 2, 1, 1, 3, 1, 5, 1, 1, 1, 1, 1, 1, 2,
+	}}
+	add := func(ms ...synopsis.Member) { pair.Images = append(pair.Images, ms) }
+	for b := int32(6); b < int32(len(pair.BlockSizes)); b++ {
+		for f := int32(0); f < pair.BlockSizes[b]; f++ {
+			for x := int32(0); x < 5; x++ {
+				add(synopsis.Member{Block: 0}, synopsis.Member{Block: 2, Fact: x}, synopsis.Member{Block: 3}, synopsis.Member{Block: b, Fact: f})
+			}
+			add(synopsis.Member{Block: 0}, synopsis.Member{Block: 4}, synopsis.Member{Block: 5}, synopsis.Member{Block: b, Fact: f})
+		}
+	}
+	for x := int32(0); x < 5; x++ {
+		add(synopsis.Member{Block: 0}, synopsis.Member{Block: 1}, synopsis.Member{Block: 2, Fact: x}, synopsis.Member{Block: 3})
+	}
+	add(synopsis.Member{Block: 0}, synopsis.Member{Block: 1}, synopsis.Member{Block: 4}, synopsis.Member{Block: 5})
+	pair.Canonicalize()
+	if err := pair.Validate(); err != nil {
+		panic(err)
+	}
+	return pair
+}

@@ -2,21 +2,23 @@ package sampler
 
 import "cqabench/internal/synopsis"
 
-// Kernel names a sampling-kernel family: the plain scan over the flat
-// image layout, or the first-member index-accelerated variant. Both
-// kernels of a scheme draw from the same distribution and consume the
-// PRNG stream identically; they differ only in how coverage checks are
-// evaluated, so selection is purely a performance decision.
+// Kernel names a sampling-kernel family: the plain kernel, which tests
+// coverage on a bit-sliced index of the images, or the first-member
+// index-accelerated variant. Both kernels of a scheme draw from the same
+// distribution and consume the PRNG stream identically; they differ only
+// in how coverage checks are evaluated, so selection is purely a
+// performance decision.
 type Kernel int
 
 const (
-	// Plain scans the image list per draw (early-exiting where the
-	// scheme allows). Fastest on small |H|, where index bookkeeping
-	// costs more than the scan it saves.
+	// Plain tests the drawn database against the images 64 at a time,
+	// stopping where the scheme allows. It wins wherever many images
+	// share the drawn members, and on small |H|, where index
+	// bookkeeping costs more than it saves.
 	Plain Kernel = iota
 	// Indexed verifies only the candidate images of the drawn members
 	// via the first-member inverted index. Wins on low-coverage pairs
-	// with many images over large blocks.
+	// with many images spread over many large blocks.
 	Indexed
 )
 
@@ -28,13 +30,14 @@ func (k Kernel) String() string {
 	return "plain"
 }
 
-// Kernel-selection thresholds, calibrated on the package's kernel
-// micro-benchmarks (BenchmarkKernels in the repository root): below
-// selectMinImages the plain scan's early exit always wins; above it the
-// index is chosen when its expected per-draw work — one lookup per
-// distinct first block plus the expected candidate verifications — is at
-// most half the plain scan's |H| image visits. The 2x margin accounts
-// for the index's extra indirection per visited candidate.
+// Kernel-selection thresholds, calibrated on the kernel micro-benchmarks
+// (BenchmarkKernels in the repository root): below selectMinImages the
+// plain kernel is kept; above it the index is chosen when its expected
+// per-draw work — one lookup per distinct first block plus the expected
+// candidate verifications — is at most half of |H|. The plain kernel's
+// cost grows with |H| too, 64 images per word; the thresholds pick the
+// faster kernel on both benchmark shapes, the 3000-image pair of large
+// blocks (indexed) and the 444-image Boolean shape (plain).
 const (
 	selectMinImages  = 48
 	selectCostMargin = 2.0
@@ -48,6 +51,14 @@ const (
 func SelectKernel(pair *synopsis.Admissible) Kernel {
 	return selectKernel(pair.ShapeOf())
 }
+
+// slicedMinImages is the smallest |H| whose plain kernels test coverage
+// on the bit-sliced index. A one-image pair keeps the direct member
+// check, which costs less than one sliced word on that shape.
+const slicedMinImages = 2
+
+// slicedCover applies the shape rule above to a pair's |H|.
+func slicedCover(images int) bool { return images >= slicedMinImages }
 
 func selectKernel(sh synopsis.Shape) Kernel {
 	if sh.Images < selectMinImages {

@@ -160,7 +160,14 @@ func (a *Admissible) SymbolicSize() *big.Int {
 // Covers reports whether image i is contained in the database of db(B)
 // described by chosen, where chosen[b] is the member kept from block b.
 func (a *Admissible) Covers(i int, chosen []int32) bool {
-	for _, m := range a.Images[i] {
+	return a.Images[i].Within(chosen)
+}
+
+// Within reports whether the image is contained in the database of
+// db(B) described by chosen, where chosen[b] is the member kept from
+// block b.
+func (img Image) Within(chosen []int32) bool {
+	for _, m := range img {
 		if chosen[m.Block] != m.Fact {
 			return false
 		}
