@@ -23,6 +23,7 @@ check:
 	$(GO) test -race -run 'TestBatched|TestReserve' ./internal/estimator/...
 	$(GO) test -race -run 'TestKernel|TestGolden' ./internal/cqa/...
 	$(GO) test -race -run 'TestSubstream|TestParallel' ./internal/mt ./internal/estimator ./internal/cqa ./internal/server
+	$(GO) test -race -count=10 -run 'TestParallel(Matches|Deterministic|Preserves|Budget|Default|Context)|TestConvergenceParallel|TestSetGolden' ./internal/cqa
 	$(GO) test -race ./internal/audit/...
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 	$(GO) build -o /tmp/cqabench-docscheck ./cmd/cqabench

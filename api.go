@@ -13,18 +13,16 @@ import (
 )
 
 // This file extends the root API with the library's second tier:
-// synopses, automatic scheme selection, parallel execution, streaming,
-// serialization, schema DSL, and CQ reasoning. The core flows live in
-// cqabench.go.
+// synopses, automatic scheme selection, streaming, serialization, schema
+// DSL, and CQ reasoning. The core flows live in cqabench.go.
 //
-// The context-first functions (BuildSynopsisContext, ApproximateContext,
-// ApproximateParallelContext, AutoAnswersContext) are the primary API:
-// they validate Options up front (ErrInvalidOptions), poll ctx at the
-// samplers' chunk boundaries — cancellation is observed within about one
-// 256-draw chunk and reported wrapping ErrCanceled — and leave every
-// estimate, sample count and PRNG stream position of an uncancelled run
-// bit-identical to the context-free path. The context-free forms are
-// thin context.Background() wrappers kept for existing callers.
+// Approximation is two calls: BuildSynopsisContext runs the
+// preprocessing step once, and ApproximateContext runs one scheme over
+// the result. Both poll ctx — cancellation is observed within about one
+// 256-draw chunk and reported wrapping ErrCanceled — and
+// ApproximateContext validates Options up front (ErrInvalidOptions). A
+// live context never perturbs an estimate, a sample count or the PRNG
+// stream position.
 
 // Synopsis is the encoded (Σ,Q)-synopsis set of a database-query pair:
 // one admissible pair per answer tuple with positive relative frequency.
@@ -39,61 +37,22 @@ func BuildSynopsisContext(ctx context.Context, db *Database, q *Query) (*Synopsi
 	return synopsis.BuildContext(ctx, db, q)
 }
 
-// BuildSynopsis is BuildSynopsisContext with context.Background().
-func BuildSynopsis(db *Database, q *Query) (*Synopsis, error) {
-	return synopsis.Build(db, q)
-}
-
-// ApproximateContext runs one scheme over a prebuilt synopsis: one
+// ApproximateContext runs ApxCQA[scheme] over a prebuilt synopsis: one
 // relative-frequency estimation per answer tuple, stopping early —
 // within about one sampling chunk — when ctx is canceled or its
 // deadline expires (the error then wraps ErrCanceled). Invalid opts are
 // rejected with ErrInvalidOptions before any sampling; budget
-// exhaustion wraps ErrBudget.
+// exhaustion wraps ErrBudget. Options.TupleWorkers fans the tuples over
+// a pool and Options.SamplingWorkers each tuple's draws; results are
+// deterministic for a fixed seed whatever the pool sizes.
 func ApproximateContext(ctx context.Context, set *Synopsis, scheme Scheme, opts Options) ([]TupleFreq, Stats, error) {
 	return cqa.ApxAnswersFromSetContext(ctx, set, scheme, opts)
 }
 
-// ApproximateFromSynopsis is ApproximateContext with
-// context.Background().
-func ApproximateFromSynopsis(set *Synopsis, scheme Scheme, opts Options) ([]TupleFreq, Stats, error) {
-	return cqa.ApxAnswersFromSet(set, scheme, opts)
-}
-
-// ApproximateParallelContext fans the per-tuple estimations over a
-// worker pool (workers <= 0 selects GOMAXPROCS). Results are
-// deterministic for a fixed seed regardless of the worker count, and
-// every worker observes ctx cancellation within about one sampling
-// chunk. Tuple-level fan-out composes with the intra-query substream
-// pool selected by Options.SamplingWorkers: both derive the same
-// per-tuple root seeds, so a tuple's result is identical whichever
-// pool (or both) computed it.
-func ApproximateParallelContext(ctx context.Context, set *Synopsis, scheme Scheme, opts Options, workers int) ([]TupleFreq, Stats, error) {
-	return cqa.ApxAnswersParallelContext(ctx, set, scheme, opts, workers)
-}
-
-// ApproximateParallel is ApproximateParallelContext with
-// context.Background().
-func ApproximateParallel(set *Synopsis, scheme Scheme, opts Options, workers int) ([]TupleFreq, Stats, error) {
-	return cqa.ApxAnswersParallel(set, scheme, opts, workers)
-}
-
 // SelectScheme picks the indicated scheme for a synopsis per the paper's
 // take-home messages: Natural for Boolean / near-zero-balance queries,
-// KLM otherwise.
+// KLM otherwise. Pass its pick to ApproximateContext.
 func SelectScheme(set *Synopsis) Scheme { return cqa.SelectScheme(set) }
-
-// AutoAnswersContext approximates with the automatically selected scheme
-// and reports which one ran, under the same cancellation and validation
-// contract as ApproximateContext.
-func AutoAnswersContext(ctx context.Context, set *Synopsis, opts Options) ([]TupleFreq, Stats, Scheme, error) {
-	return cqa.AutoAnswersContext(ctx, set, opts)
-}
-
-// AutoAnswers is AutoAnswersContext with context.Background().
-func AutoAnswers(set *Synopsis, opts Options) ([]TupleFreq, Stats, Scheme, error) {
-	return cqa.AutoAnswers(set, opts)
-}
 
 // StreamSynopses emits one entry (answer tuple + admissible pair) at a
 // time in ascending tuple order, holding only one encoded synopsis alive

@@ -1,6 +1,7 @@
 package cqabench_test
 
 import (
+	"context"
 	"errors"
 	"math"
 	"strings"
@@ -12,18 +13,21 @@ import (
 func TestSynopsisAPI(t *testing.T) {
 	db := exampleDB(t)
 	q := cqabench.MustParseQuery("Q(n) :- Employee(i, n, 'IT')", db)
-	set, err := cqabench.BuildSynopsis(db, q)
+	ctx := context.Background()
+	set, err := cqabench.BuildSynopsisContext(ctx, db, q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if set.OutputSize() != 3 {
 		t.Fatalf("output size = %d", set.OutputSize())
 	}
-	res, _, err := cqabench.ApproximateFromSynopsis(set, cqabench.KL, cqabench.DefaultOptions())
+	res, _, err := cqabench.ApproximateContext(ctx, set, cqabench.KL, cqabench.DefaultOptions())
 	if err != nil || len(res) != 3 {
 		t.Fatalf("from-synopsis: %v, %v", res, err)
 	}
-	par, _, err := cqabench.ApproximateParallel(set, cqabench.KL, cqabench.DefaultOptions(), 4)
+	opts := cqabench.DefaultOptions()
+	opts.TupleWorkers = 4
+	par, _, err := cqabench.ApproximateContext(ctx, set, cqabench.KL, opts)
 	if err != nil || len(par) != 3 {
 		t.Fatalf("parallel: %v, %v", par, err)
 	}
@@ -32,12 +36,9 @@ func TestSynopsisAPI(t *testing.T) {
 			t.Fatal("frequency out of range")
 		}
 	}
-	auto, _, scheme, err := cqabench.AutoAnswers(set, cqabench.DefaultOptions())
+	auto, _, err := cqabench.ApproximateContext(ctx, set, cqabench.SelectScheme(set), cqabench.DefaultOptions())
 	if err != nil || len(auto) != 3 {
 		t.Fatalf("auto: %v", err)
-	}
-	if scheme != cqabench.SelectScheme(set) {
-		t.Fatal("auto scheme mismatch")
 	}
 }
 
@@ -136,13 +137,14 @@ func TestAnswersAPI(t *testing.T) {
 func TestParallelBudgetViaAPI(t *testing.T) {
 	db := exampleDB(t)
 	q := cqabench.MustParseQuery("Q(n) :- Employee(i, n, d)", db)
-	set, err := cqabench.BuildSynopsis(db, q)
+	set, err := cqabench.BuildSynopsisContext(context.Background(), db, q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts := cqabench.DefaultOptions()
 	opts.Budget.MaxSamples = 1
-	_, _, err = cqabench.ApproximateParallel(set, cqabench.Natural, opts, 2)
+	opts.TupleWorkers = 2
+	_, _, err = cqabench.ApproximateContext(context.Background(), set, cqabench.Natural, opts)
 	if err == nil {
 		t.Fatal("budget not enforced through API")
 	}

@@ -84,7 +84,7 @@ func runScheme(b *testing.B, sets []*synopsis.Set, s cqa.Scheme) {
 	b.Helper()
 	opts := benchOpts()
 	for _, set := range sets {
-		if _, _, err := cqa.ApxAnswersFromSet(set, s, opts); err != nil && !errors.Is(err, estimator.ErrBudget) {
+		if _, _, err := cqa.ApxAnswersFromSetContext(context.Background(), set, s, opts); err != nil && !errors.Is(err, estimator.ErrBudget) {
 			b.Fatal(err)
 		}
 	}
@@ -362,7 +362,7 @@ func BenchmarkAblation_SynopsisVsWholeDB(b *testing.B) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := cqa.ApxAnswersFromSet(set, cqa.Natural, opts); err != nil {
+			if _, _, err := cqa.ApxAnswersFromSetContext(context.Background(), set, cqa.Natural, opts); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -399,14 +399,18 @@ func BenchmarkAblation_SynopsisSharing(b *testing.B) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := cqa.ApxAnswersFromSet(set, cqa.KLM, opts); err != nil {
+			if _, _, err := cqa.ApxAnswersFromSetContext(context.Background(), set, cqa.KLM, opts); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("Rebuilt", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := cqa.ApxAnswers(db, q, cqa.KLM, opts); err != nil {
+			set, err := synopsis.Build(db, q)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, _, err := cqa.ApxAnswersFromSetContext(context.Background(), set, cqa.KLM, opts); err != nil {
 				b.Fatal(err)
 			}
 		}

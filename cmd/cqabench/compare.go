@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -76,7 +77,7 @@ func cmdCompare(args []string) error {
 			opts.Budget.Deadline = time.Now().Add(*timeout)
 		}
 		start := time.Now()
-		res, stats, err := cqa.ApxAnswersFromSet(set, scheme, opts)
+		res, stats, err := cqa.ApxAnswersFromSetContext(context.Background(), set, scheme, opts)
 		c := column{name: scheme.String()}
 		switch {
 		case errors.Is(err, estimator.ErrBudget):

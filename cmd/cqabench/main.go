@@ -16,6 +16,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -274,8 +275,8 @@ func cmdAnswer(args []string) error {
 	eps := fs.Float64("eps", 0.1, "relative error")
 	delta := fs.Float64("delta", 0.25, "failure probability")
 	seed := fs.Uint64("seed", 5489, "PRNG seed")
-	timeout := fs.Duration("timeout", 0, "per-tuple estimation timeout (0 = none)")
-	workers := fs.Int("parallel", 0, "parallel sampling workers (0 = sequential)")
+	timeout := fs.Duration("timeout", 0, "one deadline for the whole run, counted from the start and shared by every tuple's estimation (0 = none)")
+	workers := fs.Int("parallel", 0, "tuple-level workers: 0 = one sequential loop, n = a pool of n, -1 = GOMAXPROCS")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -294,30 +295,27 @@ func cmdAnswer(args []string) error {
 	if err != nil {
 		return err
 	}
-	opts := cqa.Options{Eps: *eps, Delta: *delta, Seed: *seed}
+	opts := cqa.Options{Eps: *eps, Delta: *delta, Seed: *seed, TupleWorkers: *workers}
 	if *timeout > 0 {
 		opts.Budget.Deadline = time.Now().Add(*timeout)
 	}
-	var res []cqa.TupleFreq
-	var stats cqa.Stats
-	if *workers > 0 {
-		set, err := synopsis.Build(db, q)
-		if err != nil {
-			return err
-		}
-		res, stats, err = cqa.ApxAnswersParallel(set, scheme, opts, *workers)
-		if err != nil {
-			return err
-		}
-	} else {
-		res, stats, err = cqa.ApxAnswers(db, q, scheme, opts)
-		if err != nil {
-			return err
-		}
+	if err := opts.Validate(); err != nil {
+		return err
+	}
+	ctx := context.Background()
+	start := time.Now()
+	set, err := synopsis.BuildContext(ctx, db, q)
+	if err != nil {
+		return err
+	}
+	prep := time.Since(start)
+	res, stats, err := cqa.ApxAnswersFromSetContext(ctx, set, scheme, opts)
+	if err != nil {
+		return err
 	}
 	printAnswers(db, res)
 	fmt.Fprintf(os.Stderr, "scheme=%s tuples=%d samples=%d prep=%s run=%s\n",
-		scheme, stats.NumTuples, stats.Samples, stats.PrepTime, stats.Elapsed)
+		scheme, stats.NumTuples, stats.Samples, prep, stats.Elapsed)
 	return nil
 }
 

@@ -2,10 +2,13 @@ package main
 
 import (
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
+	"time"
 
 	"cqabench/internal/benchtrack"
 	"cqabench/internal/obs/manifest"
@@ -142,8 +145,30 @@ func TestAnswerParallelFlag(t *testing.T) {
 		t.Fatal(err)
 	}
 	query := "Q(n) :- region(k, n, c)"
-	if err := run([]string{"answer", "-benchmark", "tpch", "-in", dbPath, "-query", query, "-scheme", "KL", "-parallel", "4"}); err != nil {
-		t.Fatalf("answer -parallel: %v", err)
+	// The run report goes to stderr; the pool branch must time its
+	// synopsis build like the sequential one does.
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stderr := os.Stderr
+	os.Stderr = w
+	runErr := run([]string{"answer", "-benchmark", "tpch", "-in", dbPath, "-query", query, "-scheme", "KL", "-parallel", "4"})
+	os.Stderr = stderr
+	w.Close()
+	report, err := io.ReadAll(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if runErr != nil {
+		t.Fatalf("answer -parallel: %v", runErr)
+	}
+	m := regexp.MustCompile(`prep=(\S+)`).FindSubmatch(report)
+	if m == nil {
+		t.Fatalf("no prep time in report %q", report)
+	}
+	if prep, err := time.ParseDuration(string(m[1])); err != nil || prep <= 0 {
+		t.Fatalf("report %q: prep %q, want a positive duration", report, m[1])
 	}
 }
 

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"math"
@@ -10,6 +11,7 @@ import (
 	"cqabench/internal/mt"
 	"cqabench/internal/relation"
 	"cqabench/internal/repair"
+	"cqabench/internal/synopsis"
 )
 
 // cmdSelftest verifies an installation end to end in seconds: the PRNG
@@ -61,8 +63,12 @@ func cmdSelftest(args []string) error {
 		fmt.Sprintf("%v, %v", synExact, err))
 
 	// 3. The four schemes within the (eps, delta) band.
+	set, err := synopsis.Build(db, q)
+	if err != nil {
+		return err
+	}
 	for _, scheme := range cqa.Schemes {
-		res, _, err := cqa.ApxAnswers(db, q, scheme, cqa.DefaultOptions())
+		res, _, err := cqa.ApxAnswersFromSetContext(context.Background(), set, scheme, cqa.DefaultOptions())
 		ok := err == nil && len(res) == 1 && math.Abs(res[0].Freq-0.5) <= 0.06
 		detail := ""
 		if err != nil {

@@ -18,13 +18,13 @@
 //
 // This root package is the stable public surface; it re-exports the core
 // types and wires together the most common flows. The subsystems live in
-// internal packages documented in DESIGN.md. The context-first entry
-// points (ApproximateAnswersContext, BuildSynopsisContext,
-// ApproximateContext, ApproximateParallelContext) are the primary API:
-// they honor cancellation and deadlines within about one sampling chunk
-// and report failures through the sentinel errors ErrBudget, ErrCanceled
-// and ErrInvalidOptions. The context-free forms remain as
-// context.Background() wrappers.
+// internal packages documented in DESIGN.md. Approximation is one build
+// call and one answer call, following the paper's Section 5:
+// BuildSynopsisContext runs the preprocessing step once, and
+// ApproximateContext runs a scheme over its result, one estimation per
+// answer tuple. Both honor cancellation and deadlines — the answer call
+// within about one sampling chunk — and report failures through the
+// sentinel errors ErrBudget, ErrCanceled and ErrInvalidOptions.
 //
 // A minimal session:
 //
@@ -34,12 +34,12 @@
 //	db.MustInsert("Employee", 1, "Bob", "HR")
 //	db.MustInsert("Employee", 1, "Bob", "IT")
 //	q := cqabench.MustParseQuery("Q(d) :- Employee(1, n, d)", db)
-//	answers, _, err := cqabench.ApproximateAnswers(db, q, cqabench.KLM, cqabench.DefaultOptions())
+//	ctx := context.Background()
+//	set, err := cqabench.BuildSynopsisContext(ctx, db, q)
+//	answers, _, err := cqabench.ApproximateContext(ctx, set, cqabench.KLM, cqabench.DefaultOptions())
 package cqabench
 
 import (
-	"context"
-
 	"cqabench/internal/cq"
 	"cqabench/internal/cqa"
 	"cqabench/internal/noise"
@@ -84,7 +84,8 @@ type (
 type (
 	// Scheme selects one of the paper's approximation schemes.
 	Scheme = cqa.Scheme
-	// Options carries ε, δ, the PRNG seed and an optional budget.
+	// Options carries ε, δ, the PRNG seed, an optional budget and the
+	// tuple and sampling pool settings.
 	Options = cqa.Options
 	// TupleFreq pairs an answer tuple with its relative frequency.
 	TupleFreq = cqa.TupleFreq
@@ -150,22 +151,6 @@ func MustParseQuery(text string, db *Database) *Query {
 // DefaultOptions returns the paper's experimental setting: ε = 0.1,
 // δ = 0.25, MT19937-64 with its reference seed.
 func DefaultOptions() Options { return cqa.DefaultOptions() }
-
-// ApproximateAnswersContext runs ApxCQA[scheme] end-to-end: the synopsis
-// preprocessing step followed by one relative-frequency approximation per
-// answer tuple with positive frequency. Both phases observe ctx — the
-// build polls between homomorphisms, the estimators at their sampling
-// chunk boundaries — and cancellation surfaces wrapping ErrCanceled.
-// Invalid opts are rejected with ErrInvalidOptions before any work.
-func ApproximateAnswersContext(ctx context.Context, db *Database, q *Query, scheme Scheme, opts Options) ([]TupleFreq, Stats, error) {
-	return cqa.ApxAnswersContext(ctx, db, q, scheme, opts)
-}
-
-// ApproximateAnswers is ApproximateAnswersContext with
-// context.Background().
-func ApproximateAnswers(db *Database, q *Query, scheme Scheme, opts Options) ([]TupleFreq, Stats, error) {
-	return cqa.ApxAnswers(db, q, scheme, opts)
-}
 
 // ExactAnswers computes the exact consistent answer by inclusion–
 // exclusion over each tuple's synopsis; maxImages (0 = default 22) bounds

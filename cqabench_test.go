@@ -1,6 +1,7 @@
 package cqabench_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -35,8 +36,12 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if len(exact) != 1 || math.Abs(exact[0].Freq-0.5) > 1e-12 {
 		t.Fatalf("exact = %+v", exact)
 	}
+	set, err := cqabench.BuildSynopsisContext(context.Background(), db, q)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, scheme := range cqabench.Schemes {
-		res, stats, err := cqabench.ApproximateAnswers(db, q, scheme, cqabench.DefaultOptions())
+		res, stats, err := cqabench.ApproximateContext(context.Background(), set, scheme, cqabench.DefaultOptions())
 		if err != nil {
 			t.Fatalf("%v: %v", scheme, err)
 		}

@@ -15,17 +15,18 @@ import (
 func TestErrBudgetThroughPublicAPI(t *testing.T) {
 	db := exampleDB(t)
 	q := cqabench.MustParseQuery("Q(n) :- Employee(i, n, d)", db)
-	set, err := cqabench.BuildSynopsis(db, q)
+	set, err := cqabench.BuildSynopsisContext(context.Background(), db, q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts := cqabench.DefaultOptions()
 	opts.Budget.MaxSamples = 1
-	_, _, err = cqabench.ApproximateFromSynopsis(set, cqabench.KLM, opts)
+	_, _, err = cqabench.ApproximateContext(context.Background(), set, cqabench.KLM, opts)
 	if !errors.Is(err, cqabench.ErrBudget) {
 		t.Fatalf("sequential: error %v does not wrap cqabench.ErrBudget", err)
 	}
-	_, _, err = cqabench.ApproximateParallel(set, cqabench.KLM, opts, 2)
+	opts.TupleWorkers = 2
+	_, _, err = cqabench.ApproximateContext(context.Background(), set, cqabench.KLM, opts)
 	if !errors.Is(err, cqabench.ErrBudget) {
 		t.Fatalf("parallel: error %v does not wrap cqabench.ErrBudget", err)
 	}
@@ -34,7 +35,7 @@ func TestErrBudgetThroughPublicAPI(t *testing.T) {
 func TestErrInvalidOptionsThroughPublicAPI(t *testing.T) {
 	db := exampleDB(t)
 	q := cqabench.MustParseQuery("Q(n) :- Employee(i, n, d)", db)
-	set, err := cqabench.BuildSynopsis(db, q)
+	set, err := cqabench.BuildSynopsisContext(context.Background(), db, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,28 +45,42 @@ func TestErrInvalidOptionsThroughPublicAPI(t *testing.T) {
 		func(o *cqabench.Options) { o.Eps = 1.5 },
 		func(o *cqabench.Options) { o.Delta = 0 },
 		func(o *cqabench.Options) { o.Budget.MaxSamples = -3 },
+		func(o *cqabench.Options) { o.TupleWorkers = -2 },
+		func(o *cqabench.Options) { o.SamplingWorkers = -2 },
 	} {
-		opts := cqabench.DefaultOptions()
-		bad(&opts)
-		if _, _, err := cqabench.ApproximateContext(ctx, set, cqabench.Natural, opts); !errors.Is(err, cqabench.ErrInvalidOptions) {
-			t.Fatalf("ApproximateContext(%+v): %v", opts, err)
+		for _, workers := range []int{0, 2} {
+			opts := cqabench.DefaultOptions()
+			opts.TupleWorkers = workers
+			bad(&opts)
+			if _, _, err := cqabench.ApproximateContext(ctx, set, cqabench.Natural, opts); !errors.Is(err, cqabench.ErrInvalidOptions) {
+				t.Fatalf("ApproximateContext(%+v): %v", opts, err)
+			}
 		}
-		if _, _, err := cqabench.ApproximateParallelContext(ctx, set, cqabench.Natural, opts, 2); !errors.Is(err, cqabench.ErrInvalidOptions) {
-			t.Fatalf("ApproximateParallelContext(%+v): %v", opts, err)
-		}
-		if _, _, err := cqabench.ApproximateAnswersContext(ctx, db, q, cqabench.Natural, opts); !errors.Is(err, cqabench.ErrInvalidOptions) {
-			t.Fatalf("ApproximateAnswersContext(%+v): %v", opts, err)
-		}
-		if _, _, _, err := cqabench.AutoAnswersContext(ctx, set, opts); !errors.Is(err, cqabench.ErrInvalidOptions) {
-			t.Fatalf("AutoAnswersContext(%+v): %v", opts, err)
-		}
+	}
+}
+
+// Cancelling during the preprocessing step must abort the synopsis build
+// itself.
+func TestBuildSynopsisContextCanceled(t *testing.T) {
+	db := cqabench.NewDatabase(cqabench.MustSchema([]cqabench.RelDef{
+		{Name: "R", Attrs: []string{"k", "v"}, KeyLen: 1},
+	}, nil))
+	for k := 0; k < 3000; k++ { // >1024 homomorphisms, so the build's ctx poll fires
+		db.MustInsert("R", k, "a")
+		db.MustInsert("R", k, "b")
+	}
+	q := cqabench.MustParseQuery("Q() :- R(k, 'a')", db)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := cqabench.BuildSynopsisContext(ctx, db, q); !errors.Is(err, cqabench.ErrCanceled) && !errors.Is(err, context.Canceled) {
+		t.Fatalf("build under canceled context returned %v", err)
 	}
 }
 
 func TestErrCanceledThroughPublicAPI(t *testing.T) {
 	db := exampleDB(t)
 	q := cqabench.MustParseQuery("Q(n) :- Employee(i, n, d)", db)
-	set, err := cqabench.BuildSynopsis(db, q)
+	set, err := cqabench.BuildSynopsisContext(context.Background(), db, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,18 +95,20 @@ func TestErrCanceledThroughPublicAPI(t *testing.T) {
 	}
 }
 
-// A live context must not perturb the estimates: the context path and the
-// context-free path share the PRNG stream position draw for draw.
+// A live, cancelable context must not perturb the estimates: it and
+// context.Background() share the PRNG stream position draw for draw.
 func TestContextAPIDeterminismMatchesPlainAPI(t *testing.T) {
 	db := exampleDB(t)
 	q := cqabench.MustParseQuery("Q(n) :- Employee(i, n, d)", db)
-	set, err := cqabench.BuildSynopsis(db, q)
+	set, err := cqabench.BuildSynopsisContext(context.Background(), db, q)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	for _, scheme := range cqabench.Schemes {
-		plain, ps, err1 := cqabench.ApproximateFromSynopsis(set, scheme, cqabench.DefaultOptions())
-		withCtx, cs, err2 := cqabench.ApproximateContext(context.Background(), set, scheme, cqabench.DefaultOptions())
+		plain, ps, err1 := cqabench.ApproximateContext(context.Background(), set, scheme, cqabench.DefaultOptions())
+		withCtx, cs, err2 := cqabench.ApproximateContext(ctx, set, scheme, cqabench.DefaultOptions())
 		if err1 != nil || err2 != nil {
 			t.Fatalf("%v: %v / %v", scheme, err1, err2)
 		}

@@ -1,6 +1,7 @@
 package cqabench_test
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -59,11 +60,11 @@ func ExampleSelectScheme() {
 		db.MustInsert("R", k, 1)
 	}
 	boolean := cqabench.MustParseQuery("Q() :- R(k, 0)", db)
-	set, _ := cqabench.BuildSynopsis(db, boolean)
+	set, _ := cqabench.BuildSynopsisContext(context.Background(), db, boolean)
 	fmt.Println("boolean query:", cqabench.SelectScheme(set))
 
 	open := cqabench.MustParseQuery("Q(k) :- R(k, 0)", db)
-	set2, _ := cqabench.BuildSynopsis(db, open)
+	set2, _ := cqabench.BuildSynopsisContext(context.Background(), db, open)
 	fmt.Println("open query:", cqabench.SelectScheme(set2))
 	// Output:
 	// boolean query: Natural
@@ -92,8 +93,9 @@ func ExampleApplyNoise() {
 	// before: true after: false
 }
 
-// Answer tuples come back with their approximate relative frequencies.
-func ExampleApproximateAnswers() {
+// The synopsis is built once, then a scheme estimates every answer
+// tuple's relative frequency from it.
+func ExampleApproximateContext() {
 	db := cqabench.NewDatabase(cqabench.MustSchema([]cqabench.RelDef{
 		{Name: "Product", Attrs: []string{"sku", "price"}, KeyLen: 1},
 	}, nil))
@@ -102,7 +104,9 @@ func ExampleApproximateAnswers() {
 	db.MustInsert("Product", 2, 20)
 
 	q := cqabench.MustParseQuery("Q(p) :- Product(s, p)", db)
-	res, _, _ := cqabench.ApproximateAnswers(db, q, cqabench.KLM, cqabench.DefaultOptions())
+	ctx := context.Background()
+	set, _ := cqabench.BuildSynopsisContext(ctx, db, q)
+	res, _, _ := cqabench.ApproximateContext(ctx, set, cqabench.KLM, cqabench.DefaultOptions())
 	sort.Slice(res, func(i, j int) bool { return res[i].Tuple.Less(res[j].Tuple) })
 	for _, tf := range res {
 		fmt.Printf("price %s: %.1f\n", db.Dict.Render(tf.Tuple[0]), tf.Freq)

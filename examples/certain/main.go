@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"sort"
@@ -14,6 +15,7 @@ import (
 	"cqabench/internal/cq"
 	"cqabench/internal/cqa"
 	"cqabench/internal/relation"
+	"cqabench/internal/synopsis"
 )
 
 func main() {
@@ -69,7 +71,11 @@ func main() {
 	}
 
 	fmt.Println("\nApproximated with KLM (eps=0.1, delta=0.25):")
-	approx, stats, err := cqa.ApxAnswers(db, q, cqa.KLM, cqa.DefaultOptions())
+	set, err := synopsis.Build(db, q)
+	if err != nil {
+		log.Fatal(err)
+	}
+	approx, stats, err := cqa.ApxAnswersFromSetContext(context.Background(), set, cqa.KLM, cqa.DefaultOptions())
 	if err != nil {
 		log.Fatal(err)
 	}

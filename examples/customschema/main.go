@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -57,11 +58,13 @@ func main() {
 		fmt.Printf("  %-6s %.3f\n", db.Dict.Render(tf.Tuple[0]), tf.Freq)
 	}
 
-	set, err := cqabench.BuildSynopsis(db, q)
+	ctx := context.Background()
+	set, err := cqabench.BuildSynopsisContext(ctx, db, q)
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, stats, scheme, err := cqabench.AutoAnswers(set, cqabench.DefaultOptions())
+	scheme := cqabench.SelectScheme(set)
+	res, stats, err := cqabench.ApproximateContext(ctx, set, scheme, cqabench.DefaultOptions())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -12,6 +13,7 @@ import (
 	"cqabench/internal/cqa"
 	"cqabench/internal/relation"
 	"cqabench/internal/repair"
+	"cqabench/internal/synopsis"
 )
 
 func main() {
@@ -56,9 +58,14 @@ func main() {
 
 	// Certain answers say only "not entailed"; the relative frequency says
 	// "true in half the repairs" — the paper's motivating distinction.
+	// The synopsis is built once and shared by every scheme (Section 5).
+	set, err := synopsis.Build(db, q)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println("\nApproximation schemes (eps=0.1, delta=0.25):")
 	for _, scheme := range cqa.Schemes {
-		res, stats, err := cqa.ApxAnswers(db, q, scheme, cqa.DefaultOptions())
+		res, stats, err := cqa.ApxAnswersFromSetContext(context.Background(), set, scheme, cqa.DefaultOptions())
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -60,7 +61,7 @@ func main() {
 
 	fmt.Println("\nApproximate consistent answers (eps=0.1, delta=0.25):")
 	for _, scheme := range cqa.Schemes {
-		res, st, err := cqa.ApxAnswersFromSet(set, scheme, cqa.DefaultOptions())
+		res, st, err := cqa.ApxAnswersFromSetContext(context.Background(), set, scheme, cqa.DefaultOptions())
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -17,6 +17,7 @@
 package audit
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -28,7 +29,6 @@ import (
 
 	"cqabench/internal/cqa"
 	"cqabench/internal/estimator"
-	"cqabench/internal/mt"
 	"cqabench/internal/obs"
 	"cqabench/internal/obs/manifest"
 	"cqabench/internal/scenario"
@@ -188,19 +188,21 @@ func Run(w *scenario.Workload, cfg Config) (*Report, error) {
 				continue
 			}
 			rep.Tuples++
+			one := &synopsis.Set{Entries: []synopsis.Entry{*entry}}
 			for _, s := range schemes {
 				lbl := obs.L("scheme", s.String())
 				a := acc[s]
 				for trial := 0; trial < cfg.Trials; trial++ {
-					opts := cqa.Options{Eps: cfg.Eps, Delta: cfg.Delta, Seed: cfg.Seed}
+					// Independent deterministic streams: golden-ratio mixing
+					// over (tuple, trial), the same construction the tuple
+					// pool uses per tuple. The trial runs the tuple as a
+					// one-entry set, which draws from mt.New(opts.Seed).
+					opts := cqa.Options{Eps: cfg.Eps, Delta: cfg.Delta,
+						Seed: cfg.Seed + ord*0x9E3779B97F4A7C15 + uint64(trial)*0xBF58476D1CE4E5B9}
 					if cfg.Timeout > 0 {
 						opts.Budget.Deadline = time.Now().Add(cfg.Timeout)
 					}
-					// Independent deterministic streams: golden-ratio mixing
-					// over (tuple, trial), the same construction the parallel
-					// sampler uses per tuple.
-					src := mt.New(cfg.Seed + ord*0x9E3779B97F4A7C15 + uint64(trial)*0xBF58476D1CE4E5B9)
-					freq, samples, err := cqa.ApxRelativeFreq(entry.Pair, s, opts, src)
+					res, stats, err := cqa.ApxAnswersFromSetContext(context.Background(), one, s, opts)
 					if err != nil {
 						if errors.Is(err, estimator.ErrBudget) {
 							a.timedOut++
@@ -208,11 +210,11 @@ func Run(w *scenario.Workload, cfg Config) (*Report, error) {
 						}
 						return nil, fmt.Errorf("audit: %s on %s tuple %d: %w", s, pair.Name, i, err)
 					}
-					relErr := math.Abs(freq-exact) / exact
+					relErr := math.Abs(res[0].Freq-exact) / exact
 					a.relErrs = append(a.relErrs, relErr)
-					a.samples = append(a.samples, samples)
+					a.samples = append(a.samples, stats.Samples)
 					reg.Histogram("cqa_empirical_error", lbl).Observe(relErr)
-					reg.Histogram("cqa_samples_to_convergence", lbl).Observe(float64(samples))
+					reg.Histogram("cqa_samples_to_convergence", lbl).Observe(float64(stats.Samples))
 					if relErr > cfg.Eps+1e-12 {
 						reg.Counter("cqa_guarantee_violations_total", lbl).Inc()
 					}

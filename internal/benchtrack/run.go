@@ -1,6 +1,7 @@
 package benchtrack
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"time"
@@ -176,10 +177,11 @@ func oneRun(sets []*synopsis.Set, s cqa.Scheme, cfg RunConfig, parent *obs.Span)
 	}
 	runSpan := parent.StartChild("run:" + s.String())
 	defer runSpan.End()
+	ctx := obs.ContextWithSpan(context.Background(), runSpan)
 	start := time.Now()
 	var samples int64
 	for _, set := range sets {
-		_, stats, err := cqa.ApxAnswersFromSetTraced(set, s, opts, runSpan)
+		_, stats, err := cqa.ApxAnswersFromSetContext(ctx, set, s, opts)
 		samples += stats.Samples
 		if err != nil {
 			if errors.Is(err, estimator.ErrBudget) {

@@ -1,10 +1,6 @@
 package cqa
 
-import (
-	"context"
-
-	"cqabench/internal/synopsis"
-)
+import "cqabench/internal/synopsis"
 
 // SelectScheme implements the paper's practical recommendation (take-home
 // messages, Section 7.2): after the preprocessing step one inspects the
@@ -25,17 +21,3 @@ func SelectScheme(set *synopsis.Set) Scheme {
 // autoBalanceThreshold is the balance below which queries behave as
 // Boolean for scheme-selection purposes.
 const autoBalanceThreshold = 0.1
-
-// AutoAnswers runs ApxCQA with the scheme chosen per the paper's
-// recommendation, returning the selected scheme alongside the answers.
-func AutoAnswers(set *synopsis.Set, opts Options) ([]TupleFreq, Stats, Scheme, error) {
-	return AutoAnswersContext(context.Background(), set, opts)
-}
-
-// AutoAnswersContext is AutoAnswers with cooperative cancellation (see
-// ApxAnswersFromSetContext).
-func AutoAnswersContext(ctx context.Context, set *synopsis.Set, opts Options) ([]TupleFreq, Stats, Scheme, error) {
-	scheme := SelectScheme(set)
-	res, stats, err := ApxAnswersFromSetContext(ctx, set, scheme, opts)
-	return res, stats, scheme, err
-}

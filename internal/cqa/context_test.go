@@ -32,6 +32,9 @@ func TestOptionsValidate(t *testing.T) {
 		{"sampling workers below auto", func(o *Options) { o.SamplingWorkers = -2 }, false},
 		{"sampling workers auto", func(o *Options) { o.SamplingWorkers = -1 }, true},
 		{"sampling workers pool", func(o *Options) { o.SamplingWorkers = 8 }, true},
+		{"tuple workers below auto", func(o *Options) { o.TupleWorkers = -2 }, false},
+		{"tuple workers auto", func(o *Options) { o.TupleWorkers = -1 }, true},
+		{"tuple workers pool", func(o *Options) { o.TupleWorkers = 1 }, true},
 		{"tight valid", func(o *Options) { o.Eps = 0.999; o.Delta = 0.001 }, true},
 	}
 	for _, tc := range cases {
@@ -51,8 +54,8 @@ func TestOptionsValidate(t *testing.T) {
 	}
 }
 
-// Every public entry point must reject invalid options with
-// ErrInvalidOptions before doing any work.
+// The answer call must reject invalid options with ErrInvalidOptions
+// before doing any work, in both tuple modes.
 func TestEntryPointsValidateOptions(t *testing.T) {
 	db := employeeDB(t)
 	q := cq.MustParse("Q() :- Employee(1, n1, d), Employee(2, n2, d)", db.Dict)
@@ -60,20 +63,13 @@ func TestEntryPointsValidateOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := DefaultOptions()
-	bad.Eps = 2
-
-	if _, _, err := ApxAnswersFromSet(set, KLM, bad); !errors.Is(err, ErrInvalidOptions) {
-		t.Fatalf("ApxAnswersFromSet: %v", err)
-	}
-	if _, _, err := ApxAnswersParallel(set, KLM, bad, 2); !errors.Is(err, ErrInvalidOptions) {
-		t.Fatalf("ApxAnswersParallel: %v", err)
-	}
-	if _, _, err := ApxAnswers(db, q, KLM, bad); !errors.Is(err, ErrInvalidOptions) {
-		t.Fatalf("ApxAnswers: %v", err)
-	}
-	if _, _, _, err := AutoAnswers(set, bad); !errors.Is(err, ErrInvalidOptions) {
-		t.Fatalf("AutoAnswers: %v", err)
+	for _, workers := range []int{0, 2} {
+		bad := DefaultOptions()
+		bad.Eps = 2
+		bad.TupleWorkers = workers
+		if _, stats, err := ApxAnswersFromSetContext(context.Background(), set, KLM, bad); !errors.Is(err, ErrInvalidOptions) || stats.Samples != 0 {
+			t.Fatalf("tuple workers %d: err %v after %d samples", workers, err, stats.Samples)
+		}
 	}
 }
 
@@ -120,7 +116,7 @@ func TestApxAnswersFromSetContextCanceled(t *testing.T) {
 	}
 }
 
-func TestApxAnswersParallelContextCanceled(t *testing.T) {
+func TestParallelContextCanceled(t *testing.T) {
 	db, q := bigBlockDB(t, 8)
 	set, err := synopsis.Build(db, q)
 	if err != nil {
@@ -128,14 +124,14 @@ func TestApxAnswersParallelContextCanceled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, err = ApxAnswersParallelContext(ctx, set, KLM, DefaultOptions(), 4)
+	_, _, err = ApxAnswersFromSetContext(ctx, set, KLM, tuplePool(DefaultOptions(), 4))
 	if !errors.Is(err, estimator.ErrCanceled) {
 		t.Fatalf("parallel error %v does not wrap ErrCanceled", err)
 	}
 }
 
-// A live context must leave results bit-identical to the context-free
-// path, sequential and parallel alike.
+// A live, cancelable context must leave results bit-identical to a run
+// under context.Background().
 func TestContextFreeAndContextResultsMatch(t *testing.T) {
 	db, q := bigBlockDB(t, 4)
 	set, err := synopsis.Build(db, q)
@@ -145,7 +141,7 @@ func TestContextFreeAndContextResultsMatch(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	for _, scheme := range Schemes {
-		plain, sp, err1 := ApxAnswersFromSet(set, scheme, DefaultOptions())
+		plain, sp, err1 := ApxAnswersFromSetContext(context.Background(), set, scheme, DefaultOptions())
 		withCtx, sc, err2 := ApxAnswersFromSetContext(ctx, set, scheme, DefaultOptions())
 		if err1 != nil || err2 != nil {
 			t.Fatalf("%v: %v / %v", scheme, err1, err2)
@@ -159,17 +155,5 @@ func TestContextFreeAndContextResultsMatch(t *testing.T) {
 				t.Fatalf("%v: tuple %d freq %v != %v", scheme, i, plain[i].Freq, withCtx[i].Freq)
 			}
 		}
-	}
-}
-
-// Cancelling during the preprocessing phase must abort the synopsis
-// build itself.
-func TestApxAnswersContextCancelsBuild(t *testing.T) {
-	db, q := bigBlockDB(t, 3000) // >1024 homomorphisms, so the build's ctx poll fires
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, _, err := ApxAnswersContext(ctx, db, q, Natural, DefaultOptions())
-	if !errors.Is(err, estimator.ErrCanceled) && !errors.Is(err, context.Canceled) {
-		t.Fatalf("end-to-end run under canceled context returned %v", err)
 	}
 }

@@ -62,7 +62,7 @@ func (c ConvergenceOptions) records(i int) bool {
 // TupleTrajectory is one tuple's recorded convergence trajectory.
 type TupleTrajectory struct {
 	// Tuple is the tuple's index in the run's answer order (the same
-	// order ApxAnswersFromSet returns).
+	// order ApxAnswersFromSetContext returns).
 	Tuple int `json:"tuple"`
 	// Points is the bounded checkpoint sequence, ending with the exact
 	// final estimate and sample count.

@@ -1,6 +1,7 @@
 package cqa
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"testing"
@@ -46,7 +47,7 @@ func TestConvergenceTrajectoriesRecorded(t *testing.T) {
 	for _, scheme := range Schemes {
 		opts := DefaultOptions()
 		opts.Convergence.Enabled = true
-		res, stats, err := ApxAnswersFromSet(set, scheme, opts)
+		res, stats, err := ApxAnswersFromSetContext(context.Background(), set, scheme, opts)
 		if err != nil {
 			t.Fatalf("%v: %v", scheme, err)
 		}
@@ -72,7 +73,7 @@ func TestConvergenceMaxTuplesCap(t *testing.T) {
 	set := convergenceSet(t)
 	opts := DefaultOptions()
 	opts.Convergence = ConvergenceOptions{Enabled: true, MaxTuples: 1}
-	_, stats, err := ApxAnswersFromSet(set, Natural, opts)
+	_, stats, err := ApxAnswersFromSetContext(context.Background(), set, Natural, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +88,7 @@ func TestConvergenceMaxPointsCap(t *testing.T) {
 	// The minimum recorder capacity is 2; a tight cap must still hold the
 	// final point while never exceeding the cap.
 	opts.Convergence = ConvergenceOptions{Enabled: true, MaxPoints: 2}
-	_, stats, err := ApxAnswersFromSet(set, KL, opts)
+	_, stats, err := ApxAnswersFromSetContext(context.Background(), set, KL, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,13 +105,13 @@ func TestConvergenceMaxPointsCap(t *testing.T) {
 func TestConvergenceRecordingPreservesAnswers(t *testing.T) {
 	set := convergenceSet(t)
 	for _, scheme := range Schemes {
-		plainRes, plainStats, err := ApxAnswersFromSet(set, scheme, DefaultOptions())
+		plainRes, plainStats, err := ApxAnswersFromSetContext(context.Background(), set, scheme, DefaultOptions())
 		if err != nil {
 			t.Fatalf("%v: %v", scheme, err)
 		}
 		opts := DefaultOptions()
 		opts.Convergence.Enabled = true
-		recRes, recStats, err := ApxAnswersFromSet(set, scheme, opts)
+		recRes, recStats, err := ApxAnswersFromSetContext(context.Background(), set, scheme, opts)
 		if err != nil {
 			t.Fatalf("%v: %v", scheme, err)
 		}
@@ -130,7 +131,7 @@ func TestConvergenceParallelMatchesSequential(t *testing.T) {
 	set := convergenceSet(t)
 	opts := DefaultOptions()
 	opts.Convergence.Enabled = true
-	_, par, err := ApxAnswersParallel(set, KLM, opts, 3)
+	_, par, err := ApxAnswersFromSetContext(context.Background(), set, KLM, tuplePool(opts, 3))
 	if err != nil {
 		t.Fatal(err)
 	}

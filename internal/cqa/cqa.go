@@ -13,6 +13,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
+	"sync"
 	"time"
 
 	"cqabench/internal/cq"
@@ -93,6 +95,25 @@ type Options struct {
 	// sequentially: its adaptive walk has data-dependent control flow
 	// that cannot be pre-chunked. Values below -1 fail Validate.
 	SamplingWorkers int
+	// TupleWorkers selects how the answer loop walks the tuples. 0 (the
+	// default) is one sequential loop: every tuple draws from a single
+	// MT19937-64 stream seeded with Seed, in answer order, and the run
+	// stops at the first failing tuple. n ≥ 1 fans the tuples over a pool
+	// of n workers: tuple i draws from its own stream, seeded from Seed
+	// and i, so results do not depend on scheduling, and every tuple runs
+	// even after one fails. -1 sizes the pool automatically (GOMAXPROCS).
+	// The mode follows the setting, not the resolved pool size, so a pool
+	// of 1 draws the per-tuple streams too and results never depend on
+	// the host's core count. Values below -1 fail Validate.
+	//
+	// The two settings compose: in the parallel sampling mode each tuple's
+	// substreams are rooted at the same per-tuple seed in either tuple
+	// mode, so Natural, KL and KLM return the same estimates with or
+	// without a pool. Sequential sampling and Cover (which always samples
+	// sequentially) draw from the tuple's stream, which is the shared
+	// stream in the sequential loop and a per-tuple stream in a pool, so
+	// their estimates differ between the two tuple modes.
+	TupleWorkers int
 	// Convergence opts the run into per-tuple convergence-trajectory
 	// recording (off by default; see ConvergenceOptions).
 	Convergence ConvergenceOptions
@@ -100,7 +121,7 @@ type Options struct {
 
 // samplingPool resolves SamplingWorkers to the effective intra-query
 // pool size and mode. The pool size goes through poolWorkers, the same
-// clamp the tuple-parallel pool (ApxAnswersParallel) uses.
+// clamp the tuple pool (TupleWorkers) uses.
 func (o Options) samplingPool() (workers int, parallel bool) {
 	if o.SamplingWorkers == 0 || o.SamplingWorkers == 1 {
 		return 1, false
@@ -118,6 +139,26 @@ func SamplingPool(samplingWorkers int) (workers int, parallel bool) {
 	return Options{SamplingWorkers: samplingWorkers}.samplingPool()
 }
 
+// poolWorkers is the single worker-count clamp both pools go through:
+// the tuple pool (TupleWorkers) and the intra-query sampling pool
+// (SamplingWorkers, resolved by Options.samplingPool). Non-positive
+// requests select GOMAXPROCS; the result is always ≥ 1.
+func poolWorkers(requested int) int {
+	if requested <= 0 {
+		return runtime.GOMAXPROCS(0)
+	}
+	return requested
+}
+
+// tupleSeed derives tuple i's root seed from the run seed: a golden-
+// ratio stride keeps per-tuple streams (and, in parallel sampling mode,
+// per-tuple substream families) disjoint and deterministic. Both tuple
+// modes root a tuple's substreams here, and the tuple pool also seeds
+// the tuple's own stream with it.
+func tupleSeed(seed uint64, i int) uint64 {
+	return seed + uint64(i)*0x9E3779B97F4A7C15
+}
+
 // DefaultOptions returns the paper's experimental setting.
 func DefaultOptions() Options {
 	return Options{Eps: 0.1, Delta: 0.25, Seed: mt.DefaultSeed}
@@ -131,9 +172,9 @@ var ErrInvalidOptions = cqaerr.ErrInvalidOptions
 // Validate rejects option values the estimators cannot run with: ε and δ
 // must lie strictly inside (0, 1) — the sample-complexity constants
 // diverge or turn negative outside it — and the sample budget must be
-// non-negative. Every public entry point (and the estimation service's
-// request decoder) calls it before any sampling work starts; failures
-// wrap ErrInvalidOptions.
+// non-negative. The answer call (and the estimation service's request
+// decoder) calls it before any sampling work starts; failures wrap
+// ErrInvalidOptions.
 func (o Options) Validate() error {
 	if !(o.Eps > 0 && o.Eps < 1) {
 		return fmt.Errorf("cqa: eps %v outside (0, 1): %w", o.Eps, ErrInvalidOptions)
@@ -148,6 +189,10 @@ func (o Options) Validate() error {
 		return fmt.Errorf("cqa: sampling workers %d (want -1 auto, 0/1 sequential, or a pool size ≥ 2): %w",
 			o.SamplingWorkers, ErrInvalidOptions)
 	}
+	if o.TupleWorkers < -1 {
+		return fmt.Errorf("cqa: tuple workers %d (want -1 auto, 0 sequential, or a pool size ≥ 1): %w",
+			o.TupleWorkers, ErrInvalidOptions)
+	}
 	return o.Convergence.validate()
 }
 
@@ -159,11 +204,12 @@ type TupleFreq struct {
 
 // Stats reports the work an approximation run performed.
 type Stats struct {
-	Samples    int64
-	Elapsed    time.Duration
-	PrepTime   time.Duration // synopsis construction, when done here
-	NumTuples  int
-	NumSamples int64 // alias of Samples kept for CSV column naming
+	Samples int64
+	Elapsed time.Duration
+	// NumTuples counts the tuples the run answered: every tuple of the
+	// set, or 0 when the sequential loop stopped at a failing tuple. A
+	// tuple pool runs every tuple, so it reports them all on errors too.
+	NumTuples int
 	// GoodRatio is the samples-weighted mean of the per-tuple good-sample
 	// ratios: the estimator's raw mean in the sampler's own space (before
 	// the |S•|/|db(B)| reweighting for KL/KLM). It quantifies how often a
@@ -179,27 +225,17 @@ type Stats struct {
 	Chunks int64
 	// Stages is the wall-time breakdown of the run (sampler.init.<kernel>
 	// — the kernel suffix records the shape-based plain/indexed choice —
-	// estimate, other), from the run's span tree. Empty for parallel runs,
-	// where per-worker wall times overlap and cannot be summed.
+	// estimate, other), from the run's span tree. Empty for tuple-pool
+	// runs, where per-worker wall times overlap and cannot be summed.
 	Stages []obs.Stage
 	// Convergence holds the recorded per-tuple trajectories when
 	// Options.Convergence.Enabled was set; nil otherwise.
 	Convergence []TupleTrajectory
 }
 
-// ApxRelativeFreq approximates R(H, B) for a single admissible pair with
-// the chosen scheme: the body of ApxRelativeFreq in Algorithm 1 after the
-// preprocessing step has established H ≠ ∅.
-// When opts select the parallel sampling mode, the substream schedule
-// is rooted at opts.Seed and src is consulted only by Cover.
-func ApxRelativeFreq(pair *synopsis.Admissible, scheme Scheme, opts Options, src *mt.Source) (float64, int64, error) {
-	res, err := apxRelativeFreq(context.Background(), pair, scheme, opts, src, opts.Seed, nil)
-	return res.freq, res.samples, err
-}
-
 // tupleResult is one tuple's estimation outcome: the clamped frequency,
-// the draws performed, and the raw sampler-space mean (the good-sample
-// ratio).
+// the draws performed, the raw sampler-space mean (the good-sample
+// ratio), and the error that ended the estimation, if any.
 type tupleResult struct {
 	freq    float64
 	samples int64
@@ -208,6 +244,8 @@ type tupleResult struct {
 	// trajectory is the recorded convergence trajectory, nil unless
 	// opts.Convergence.Enabled was set for this tuple.
 	trajectory []estimator.TrajectoryPoint
+	kernel     sampler.Kernel // the shape-based choice, tallied per run
+	err        error
 }
 
 // newKernelSampler builds the scheme's sampler for the kernel choice,
@@ -239,17 +277,18 @@ func newKernelSampler(pair *synopsis.Admissible, scheme Scheme, kernel sampler.K
 	return nil, 1
 }
 
-// apxRelativeFreq is ApxRelativeFreq with stage attribution — when
-// parent is non-nil, sampler construction and estimation are recorded as
-// child spans — and cooperative cancellation: ctx is polled at the
-// estimation loops' chunk boundaries, never perturbing the PRNG stream
-// of an uncancelled run.
+// estimateTuple approximates R(H, B) for one admissible pair with the
+// chosen scheme: Algorithm 1's per-tuple relative-frequency step after
+// the preprocessing step has established H ≠ ∅. When parent is non-nil,
+// sampler construction and estimation are recorded as child spans; ctx
+// is polled at the estimation loops' chunk boundaries, never perturbing
+// the PRNG stream of an uncancelled run.
 //
 // rootSeed roots this tuple's substream schedule when opts select the
-// parallel sampling mode (for multi-tuple runs, the caller derives it
-// per tuple via tupleSeed so every tuple sees independent substreams);
-// the sequential mode and Cover draw from src and never read rootSeed.
-func apxRelativeFreq(ctx context.Context, pair *synopsis.Admissible, scheme Scheme, opts Options, src *mt.Source, rootSeed uint64, parent *obs.Span) (tupleResult, error) {
+// parallel sampling mode (the answer loop derives it per tuple via
+// tupleSeed so every tuple sees independent substreams); the sequential
+// mode and Cover draw from src and never read rootSeed.
+func estimateTuple(ctx context.Context, pair *synopsis.Admissible, scheme Scheme, opts Options, src *mt.Source, rootSeed uint64, parent *obs.Span) tupleResult {
 	var rec *estimator.Recorder
 	if opts.Convergence.Enabled {
 		rec = estimator.NewRecorder(opts.Convergence.MaxPoints)
@@ -270,14 +309,8 @@ func apxRelativeFreq(ctx context.Context, pair *synopsis.Admissible, scheme Sche
 		space = sampler.NewSymbolic(pair)
 	} else {
 		s, weight = newKernelSampler(pair, scheme, kernel)
-		if s == nil {
-			sp.End()
-			return tupleResult{}, fmt.Errorf("cqa: unknown scheme %v", scheme)
-		}
 	}
 	sp.End()
-	obs.Default().Counter("cqa_kernel_selected_total",
-		obs.L("scheme", scheme.String()), obs.L("kernel", kernel.String())).Inc()
 
 	sp = parent.StartChild("estimate")
 	var r estimator.Result
@@ -307,18 +340,26 @@ func apxRelativeFreq(ctx context.Context, pair *synopsis.Admissible, scheme Sche
 	if est < 0 {
 		est = 0
 	}
-	res := tupleResult{freq: est, samples: r.Samples, good: r.Estimate, chunks: r.Chunks}
+	res := tupleResult{freq: est, samples: r.Samples, good: r.Estimate, chunks: r.Chunks, kernel: kernel, err: err}
 	if rec != nil {
 		res.trajectory = rec.Points()
 	}
-	return res, err
+	return res
 }
 
 // recordRunMetrics publishes one scheme run's telemetry into the default
 // registry. Called on both completed and failed (budget-exhausted) runs.
-func recordRunMetrics(scheme Scheme, stats Stats, err error) {
+// kernels counts the tuples that ran on each sampler.Kernel: one lookup
+// per kernel and run, where a lookup per tuple cost about as much as a
+// one-image tuple's estimation loop.
+func recordRunMetrics(scheme Scheme, stats Stats, kernels [2]int64, err error) {
 	r := obs.Default()
 	lbl := obs.L("scheme", scheme.String())
+	for k, n := range kernels {
+		if n > 0 {
+			r.Counter("cqa_kernel_selected_total", lbl, obs.L("kernel", sampler.Kernel(k).String())).Add(n)
+		}
+	}
 	r.Histogram("cqa_scheme_latency_seconds", lbl).Observe(stats.Elapsed.Seconds())
 	r.Counter("sampler_samples_total", lbl).Add(stats.Samples)
 	r.Gauge("sampler_good_ratio", lbl).Set(stats.GoodRatio)
@@ -334,115 +375,114 @@ func recordRunMetrics(scheme Scheme, stats Stats, err error) {
 	}
 }
 
-// ApxAnswersFromSet runs ApxCQA[scheme] over a precomputed synopsis set:
-// one relative-frequency approximation per answer tuple. This is the
-// measured phase of the paper's experiments (preprocessing excluded).
-func ApxAnswersFromSet(set *synopsis.Set, scheme Scheme, opts Options) ([]TupleFreq, Stats, error) {
-	return ApxAnswersFromSetTracedContext(context.Background(), set, scheme, opts, nil)
-}
-
-// ApxAnswersFromSetContext is ApxAnswersFromSet with cooperative
-// cancellation: ctx is polled at the estimators' chunk boundaries, so an
-// abort is observed within about one 256-draw chunk and reported as an
-// error wrapping estimator.ErrCanceled. Estimates of uncancelled runs
-// are bit-identical to ApxAnswersFromSet.
+// ApxAnswersFromSetContext runs ApxCQA[scheme] over a precomputed
+// synopsis set: one relative-frequency approximation per answer tuple.
+// This is the measured phase of the paper's experiments (preprocessing
+// excluded), and the package's only answer call.
+//
+// It validates opts and the scheme before any work starts. ctx is
+// polled at the estimators' chunk boundaries, so an abort is observed
+// within about one 256-draw chunk per running tuple and reported as an
+// error wrapping estimator.ErrCanceled; tuples a pool has not started
+// yet abort before their first draw. The run's span ("cqa.<Scheme>", with
+// sampler.init.<kernel> / estimate children in the sequential loop)
+// becomes a child of the span ctx carries (obs.ContextWithSpan), which
+// is how the harness's traces and the estimation service's per-request
+// traces capture the breakdown. opts.TupleWorkers picks the sequential
+// loop or a tuple pool; both fill one result slot per tuple, and one
+// reduction in index order computes the Stats.
 func ApxAnswersFromSetContext(ctx context.Context, set *synopsis.Set, scheme Scheme, opts Options) ([]TupleFreq, Stats, error) {
-	return ApxAnswersFromSetTracedContext(ctx, set, scheme, opts, nil)
-}
-
-// ApxAnswersFromSetTraced is ApxAnswersFromSet with span attribution
-// under parent: the run's root span ("cqa.<Scheme>", with sampler.init.<kernel> /
-// estimate children) becomes a child of parent, so callers holding a
-// span tree (the harness's -trace-out plumbing) capture the run in their
-// trace. A nil parent reproduces ApxAnswersFromSet exactly.
-func ApxAnswersFromSetTraced(set *synopsis.Set, scheme Scheme, opts Options, parent *obs.Span) ([]TupleFreq, Stats, error) {
-	return ApxAnswersFromSetTracedContext(context.Background(), set, scheme, opts, parent)
-}
-
-// ApxAnswersFromSetTracedContext combines span attribution (see
-// ApxAnswersFromSetTraced) with cooperative cancellation (see
-// ApxAnswersFromSetContext). It validates opts before any work starts.
-// When parent is nil but ctx carries a span (obs.StartSpan), the run's
-// span tree attaches there instead — this is how the estimation
-// service's per-request traces capture the cqa breakdown.
-func ApxAnswersFromSetTracedContext(ctx context.Context, set *synopsis.Set, scheme Scheme, opts Options, parent *obs.Span) ([]TupleFreq, Stats, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, Stats{}, err
+	}
+	if scheme < Natural || scheme > Cover {
+		return nil, Stats{}, fmt.Errorf("cqa: unknown scheme %v", scheme)
 	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if parent == nil {
-		parent = obs.FromContext(ctx)
-	}
-	root := parent.StartChild("cqa." + scheme.String())
+	root := obs.FromContext(ctx).StartChild("cqa." + scheme.String())
 	if root == nil {
 		root = obs.NewSpan("cqa." + scheme.String())
 	}
-	src := mt.New(opts.Seed)
-	out := make([]TupleFreq, 0, len(set.Entries))
-	var stats Stats
-	stats.SamplingWorkers = 1
+	slots := make([]tupleResult, len(set.Entries))
+	estimate := func(i int, src *mt.Source, parent *obs.Span) error {
+		o := opts
+		o.Convergence.Enabled = opts.Convergence.records(i)
+		slots[i] = estimateTuple(ctx, set.Entries[i].Pair, scheme, o, src, tupleSeed(opts.Seed, i), parent)
+		return slots[i].err
+	}
+	ran := len(slots)
+	if opts.TupleWorkers == 0 {
+		src := mt.New(opts.Seed)
+		for i := range slots {
+			if estimate(i, src, root) != nil {
+				ran = i + 1
+				break
+			}
+		}
+	} else {
+		// Each tuple owns a stream seeded from its index, so results do
+		// not depend on which worker runs it. Workers record no spans:
+		// their wall times overlap.
+		var wg sync.WaitGroup
+		next := make(chan int)
+		for w := poolWorkers(opts.TupleWorkers); w > 0; w-- {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := range next {
+					estimate(i, mt.New(tupleSeed(opts.Seed, i)), nil)
+				}
+			}()
+		}
+		for i := range slots {
+			next <- i
+		}
+		close(next)
+		wg.Wait()
+	}
+	root.End()
+
+	stats := Stats{Elapsed: root.Duration(), SamplingWorkers: 1}
 	if w, par := opts.samplingPool(); par && scheme != Cover {
 		stats.SamplingWorkers = w
 	}
 	var goodSum float64 // per-tuple good ratios weighted by sample count
-	finish := func(err error) {
-		root.End()
-		stats.Elapsed = root.Duration()
+	var kernels [2]int64
+	var err error
+	for i, r := range slots[:ran] {
+		kernels[r.kernel]++
+		stats.Samples += r.samples
+		stats.Chunks += r.chunks
+		goodSum += r.good * float64(r.samples)
+		if r.trajectory != nil {
+			stats.Convergence = append(stats.Convergence, TupleTrajectory{Tuple: i, Points: r.trajectory})
+		}
+		if r.err != nil && err == nil {
+			err = fmt.Errorf("cqa: tuple %d: %w", i, r.err)
+		}
+	}
+	if stats.Samples > 0 {
+		stats.GoodRatio = goodSum / float64(stats.Samples)
+	}
+	// The sequential loop answers every tuple or none; a pool runs them
+	// all. Only the sequential loop's spans sum to its wall time.
+	if err == nil || opts.TupleWorkers != 0 {
+		stats.NumTuples = len(slots)
+	}
+	if opts.TupleWorkers == 0 {
 		stats.Stages = root.Stages()
-		stats.NumSamples = stats.Samples
-		if stats.Samples > 0 {
-			stats.GoodRatio = goodSum / float64(stats.Samples)
-		}
-		recordRunMetrics(scheme, stats, err)
 	}
-	for i := range set.Entries {
-		e := &set.Entries[i]
-		o := opts
-		o.Convergence.Enabled = opts.Convergence.records(i)
-		res, err := apxRelativeFreq(ctx, e.Pair, scheme, o, src, tupleSeed(opts.Seed, i), root)
-		stats.Samples += res.samples
-		stats.Chunks += res.chunks
-		goodSum += res.good * float64(res.samples)
-		if res.trajectory != nil {
-			stats.Convergence = append(stats.Convergence, TupleTrajectory{Tuple: i, Points: res.trajectory})
-		}
-		if err != nil {
-			finish(err)
-			return nil, stats, fmt.Errorf("cqa: tuple %d: %w", i, err)
-		}
-		out = append(out, TupleFreq{Tuple: e.Tuple, Freq: res.freq})
-	}
-	stats.NumTuples = len(out)
-	finish(nil)
-	return out, stats, nil
-}
-
-// ApxAnswers is the end-to-end ApxCQA[scheme]: it builds syn_{Σ,Q}(D)
-// (the preprocessing step) and approximates every positive-frequency
-// tuple's relative frequency.
-func ApxAnswers(db *relation.Database, q *cq.Query, scheme Scheme, opts Options) ([]TupleFreq, Stats, error) {
-	return ApxAnswersContext(context.Background(), db, q, scheme, opts)
-}
-
-// ApxAnswersContext is ApxAnswers with cooperative cancellation through
-// both phases: the synopsis build polls ctx every few thousand
-// homomorphisms, the estimation loops at every chunk boundary. Options
-// are validated before the (possibly expensive) preprocessing step.
-func ApxAnswersContext(ctx context.Context, db *relation.Database, q *cq.Query, scheme Scheme, opts Options) ([]TupleFreq, Stats, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, Stats{}, err
-	}
-	prepStart := time.Now()
-	set, err := synopsis.BuildContext(ctx, db, q)
+	recordRunMetrics(scheme, stats, kernels, err)
 	if err != nil {
-		return nil, Stats{}, err
+		return nil, stats, err
 	}
-	prep := time.Since(prepStart)
-	res, stats, err := ApxAnswersFromSetContext(ctx, set, scheme, opts)
-	stats.PrepTime = prep
-	return res, stats, err
+	out := make([]TupleFreq, len(slots))
+	for i, r := range slots {
+		out[i] = TupleFreq{Tuple: set.Entries[i].Tuple, Freq: r.freq}
+	}
+	return out, stats, nil
 }
 
 // ExactAnswersFromSet computes the exact ans_{D,Σ}(Q) from a synopsis set

@@ -1,6 +1,7 @@
 package cqa
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -24,6 +25,16 @@ func employeeDB(t testing.TB) *relation.Database {
 	db.MustInsert("Employee", 2, "Alice", "IT")
 	db.MustInsert("Employee", 2, "Tim", "IT")
 	return db
+}
+
+// apx builds q's synopsis over db and runs the answer call on it.
+func apx(t testing.TB, db *relation.Database, q *cq.Query, scheme Scheme, opts Options) ([]TupleFreq, Stats, error) {
+	t.Helper()
+	set, err := synopsis.Build(db, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ApxAnswersFromSetContext(context.Background(), set, scheme, opts)
 }
 
 func TestSchemeNames(t *testing.T) {
@@ -52,7 +63,7 @@ func TestAllSchemesOnExample(t *testing.T) {
 	q := cq.MustParse("Q() :- Employee(1, n1, d), Employee(2, n2, d)", db.Dict)
 	for _, scheme := range Schemes {
 		opts := DefaultOptions()
-		res, stats, err := ApxAnswers(db, q, scheme, opts)
+		res, stats, err := apx(t, db, q, scheme, opts)
 		if err != nil {
 			t.Fatalf("%v: %v", scheme, err)
 		}
@@ -80,7 +91,7 @@ func TestAllSchemesNonBoolean(t *testing.T) {
 		wantByName[db.Dict.Render(tf.Tuple[0])] = tf.Freq
 	}
 	for _, scheme := range Schemes {
-		res, _, err := ApxAnswers(db, q, scheme, DefaultOptions())
+		res, _, err := apx(t, db, q, scheme, DefaultOptions())
 		if err != nil {
 			t.Fatalf("%v: %v", scheme, err)
 		}
@@ -101,7 +112,7 @@ func TestEmptyAnswer(t *testing.T) {
 	db := employeeDB(t)
 	q := cq.MustParse("Q() :- Employee(9, n, d)", db.Dict)
 	for _, scheme := range Schemes {
-		res, _, err := ApxAnswers(db, q, scheme, DefaultOptions())
+		res, _, err := apx(t, db, q, scheme, DefaultOptions())
 		if err != nil {
 			t.Fatalf("%v: %v", scheme, err)
 		}
@@ -157,18 +168,19 @@ func TestBudgetPropagates(t *testing.T) {
 	q := cq.MustParse("Q() :- Employee(1, n1, d), Employee(2, n2, d)", db.Dict)
 	opts := DefaultOptions()
 	opts.Budget = estimator.Budget{MaxSamples: 3}
-	_, _, err := ApxAnswers(db, q, Natural, opts)
+	_, _, err := apx(t, db, q, Natural, opts)
 	if !errors.Is(err, estimator.ErrBudget) {
 		t.Fatalf("err = %v, want ErrBudget", err)
 	}
 }
 
-func TestApxRelativeFreqUnknownScheme(t *testing.T) {
+func TestUnknownSchemeRejected(t *testing.T) {
 	pair := &synopsis.Admissible{
 		BlockSizes: []int32{2},
 		Images:     []synopsis.Image{{{Block: 0, Fact: 0}}},
 	}
-	if _, _, err := ApxRelativeFreq(pair, Scheme(99), DefaultOptions(), nil); err == nil {
+	set := &synopsis.Set{Entries: []synopsis.Entry{{Pair: pair}}}
+	if _, _, err := ApxAnswersFromSetContext(context.Background(), set, Scheme(99), DefaultOptions()); err == nil {
 		t.Fatal("unknown scheme accepted")
 	}
 }
@@ -178,11 +190,11 @@ func TestSeedDeterminism(t *testing.T) {
 	q := cq.MustParse("Q(n) :- Employee(i, n, 'IT')", db.Dict)
 	opts := DefaultOptions()
 	opts.Seed = 77
-	a, _, err := ApxAnswers(db, q, KLM, opts)
+	a, _, err := apx(t, db, q, KLM, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := ApxAnswers(db, q, KLM, opts)
+	b, _, err := apx(t, db, q, KLM, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +242,7 @@ func TestSchemesAccuracyProperty(t *testing.T) {
 		for _, scheme := range Schemes {
 			opts := DefaultOptions()
 			opts.Seed = uint64(seed) + uint64(scheme)*7919
-			res, _, err := ApxAnswersFromSet(set, scheme, opts)
+			res, _, err := ApxAnswersFromSetContext(context.Background(), set, scheme, opts)
 			if err != nil {
 				return false
 			}

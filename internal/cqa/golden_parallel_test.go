@@ -44,7 +44,7 @@ func parallelGoldenGrid() []goldenCase {
 					opts := Options{Eps: 0.2, Delta: 0.3, Seed: seed,
 						Budget:          estimator.Budget{MaxSamples: maxSamples},
 						SamplingWorkers: workers}
-					freq, samples, err := ApxRelativeFreq(p.pair, scheme, opts, mt.New(seed))
+					freq, samples, err := runPair(p.pair, scheme, opts)
 					c := goldenCase{
 						Pair:       p.name,
 						Scheme:     scheme.String(),

@@ -1,6 +1,7 @@
 package cqa
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -115,17 +116,9 @@ func setGoldenGrid() []setGoldenCase {
 				for _, m := range setGoldenModes {
 					opts := Options{Eps: 0.25, Delta: 0.3, Seed: 7,
 						Budget:          estimator.Budget{MaxSamples: maxSamples},
-						SamplingWorkers: m.samplingWorkers}
-					var (
-						res   []TupleFreq
-						stats Stats
-						err   error
-					)
-					if m.tupleWorkers == 0 {
-						res, stats, err = ApxAnswersFromSet(s.set, scheme, opts)
-					} else {
-						res, stats, err = ApxAnswersParallel(s.set, scheme, opts, m.tupleWorkers)
-					}
+						SamplingWorkers: m.samplingWorkers,
+						TupleWorkers:    m.tupleWorkers}
+					res, stats, err := ApxAnswersFromSetContext(context.Background(), s.set, scheme, opts)
 					c := setGoldenCase{
 						Set:             s.name,
 						Scheme:          scheme.String(),

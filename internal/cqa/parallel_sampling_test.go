@@ -1,6 +1,7 @@
 package cqa
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -58,20 +59,20 @@ func TestParallelSamplingWorkerInvariance(t *testing.T) {
 			opts := Options{Eps: 0.25, Delta: 0.3, Seed: 7,
 				Budget:          estimator.Budget{MaxSamples: maxSamples},
 				SamplingWorkers: 2}
-			refRes, refStats, refErr := ApxAnswersFromSet(set, scheme, opts)
+			refRes, refStats, refErr := ApxAnswersFromSetContext(context.Background(), set, scheme, opts)
 			for _, w := range []int{4, 7, -1} {
 				o := opts
 				o.SamplingWorkers = w
-				res, stats, err := ApxAnswersFromSet(set, scheme, o)
+				res, stats, err := ApxAnswersFromSetContext(context.Background(), set, scheme, o)
 				sameRun(t, fmt.Sprintf("%v/workers=%d", scheme, w), refRes, res, refStats, stats, refErr, err)
 			}
 			if scheme != Cover && refErr == nil {
-				// The tuple-parallel pool derives the same per-tuple roots,
-				// so in parallel sampling mode the two entry points agree
-				// tuple-for-tuple. (Error paths differ by design: FromSet
-				// fail-fasts at the first exhausted tuple, the pool finishes
-				// all tuples — a pre-existing contract, untouched here.)
-				res, stats, err := ApxAnswersParallel(set, scheme, opts, 3)
+				// The tuple pool derives the same per-tuple roots, so in
+				// parallel sampling mode the two tuple modes agree
+				// tuple-for-tuple. (Error paths differ by design: the
+				// sequential loop stops at the first exhausted tuple, the
+				// pool finishes all tuples.)
+				res, stats, err := ApxAnswersFromSetContext(context.Background(), set, scheme, tuplePool(opts, 3))
 				sameRun(t, scheme.String()+"/tuple-pool", refRes, res, refStats, stats, refErr, err)
 			}
 		}
@@ -87,7 +88,7 @@ func TestParallelSamplingSequentialUntouched(t *testing.T) {
 	set := goldenSet()
 	for _, scheme := range Schemes {
 		opts := Options{Eps: 0.25, Delta: 0.3, Seed: 11}
-		seqRes, seqStats, seqErr := ApxAnswersFromSet(set, scheme, opts)
+		seqRes, seqStats, seqErr := ApxAnswersFromSetContext(context.Background(), set, scheme, opts)
 		if seqErr != nil {
 			t.Fatalf("%v: %v", scheme, seqErr)
 		}
@@ -98,12 +99,12 @@ func TestParallelSamplingSequentialUntouched(t *testing.T) {
 
 		one := opts
 		one.SamplingWorkers = 1
-		oneRes, oneStats, oneErr := ApxAnswersFromSet(set, scheme, one)
+		oneRes, oneStats, oneErr := ApxAnswersFromSetContext(context.Background(), set, scheme, one)
 		sameRun(t, scheme.String()+"/workers=1", seqRes, oneRes, seqStats, oneStats, seqErr, oneErr)
 
 		par := opts
 		par.SamplingWorkers = 4
-		parRes, parStats, parErr := ApxAnswersFromSet(set, scheme, par)
+		parRes, parStats, parErr := ApxAnswersFromSetContext(context.Background(), set, scheme, par)
 		if parErr != nil {
 			t.Fatalf("%v: %v", scheme, parErr)
 		}
@@ -136,8 +137,8 @@ func TestParallelSamplingSequentialUntouched(t *testing.T) {
 }
 
 // TestParallelSamplingAutoWorkers checks the shared clamp: -1 resolves
-// to GOMAXPROCS for the intra-query pool, exactly like workers <= 0
-// does for the tuple-parallel pool.
+// to GOMAXPROCS for the intra-query pool, exactly like TupleWorkers -1
+// does for the tuple pool.
 func TestParallelSamplingAutoWorkers(t *testing.T) {
 	o := Options{SamplingWorkers: -1}
 	if w, par := o.samplingPool(); !par || w != runtime.GOMAXPROCS(0) {

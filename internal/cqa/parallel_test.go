@@ -1,6 +1,7 @@
 package cqa
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -10,6 +11,12 @@ import (
 	"cqabench/internal/synopsis"
 )
 
+// tuplePool returns opts with the tuples fanned over a pool of workers.
+func tuplePool(opts Options, workers int) Options {
+	opts.TupleWorkers = workers
+	return opts
+}
+
 func TestParallelMatchesAccuracy(t *testing.T) {
 	db := employeeDB(t)
 	q := cq.MustParse("Q(n) :- Employee(i, n, 'IT')", db.Dict)
@@ -18,7 +25,7 @@ func TestParallelMatchesAccuracy(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, scheme := range Schemes {
-		res, stats, err := ApxAnswersParallel(set, scheme, DefaultOptions(), 4)
+		res, stats, err := ApxAnswersFromSetContext(context.Background(), set, scheme, tuplePool(DefaultOptions(), 4))
 		if err != nil {
 			t.Fatalf("%v: %v", scheme, err)
 		}
@@ -41,11 +48,11 @@ func TestParallelDeterministicAcrossWorkerCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := DefaultOptions()
-	one, _, err := ApxAnswersParallel(set, KLM, opts, 1)
+	one, _, err := ApxAnswersFromSetContext(context.Background(), set, KLM, tuplePool(opts, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	eight, _, err := ApxAnswersParallel(set, KLM, opts, 8)
+	eight, _, err := ApxAnswersFromSetContext(context.Background(), set, KLM, tuplePool(opts, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +73,7 @@ func TestParallelPreservesTupleOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, _, err := ApxAnswersParallel(set, Natural, DefaultOptions(), 3)
+	res, _, err := ApxAnswersFromSetContext(context.Background(), set, Natural, tuplePool(DefaultOptions(), 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,25 +93,49 @@ func TestParallelBudgetError(t *testing.T) {
 	}
 	opts := DefaultOptions()
 	opts.Budget = estimator.Budget{MaxSamples: 2}
-	_, stats, err := ApxAnswersParallel(set, Natural, opts, 4)
+	_, stats, err := ApxAnswersFromSetContext(context.Background(), set, Natural, tuplePool(opts, 4))
 	if !errors.Is(err, estimator.ErrBudget) {
 		t.Fatalf("err = %v, want ErrBudget", err)
 	}
 	// The failed run's stats must still carry the tuple count, so
-	// recordRunMetrics and callers see it on the error path too.
-	if stats.NumTuples != len(set.Entries) {
-		t.Fatalf("NumTuples = %d on error path, want %d", stats.NumTuples, len(set.Entries))
+	// recordRunMetrics and callers see it on the error path too. Worker
+	// wall times overlap, so a pool reports no stages.
+	if stats.NumTuples != len(set.Entries) || len(stats.Stages) != 0 {
+		t.Fatalf("pool error path: NumTuples = %d (want %d), %d stages (want 0)",
+			stats.NumTuples, len(set.Entries), len(stats.Stages))
+	}
+	// The sequential loop stops at the failing tuple, answers none, and
+	// still reports its stages (perfbench's traced run reads "other").
+	_, stats, err = ApxAnswersFromSetContext(context.Background(), set, Natural, opts)
+	if !errors.Is(err, estimator.ErrBudget) {
+		t.Fatalf("sequential err = %v, want ErrBudget", err)
+	}
+	if stats.NumTuples != 0 || len(stats.Stages) == 0 {
+		t.Fatalf("sequential error path: NumTuples = %d (want 0), %d stages (want some)",
+			stats.NumTuples, len(stats.Stages))
 	}
 }
 
+// TupleWorkers -1 sizes the pool to GOMAXPROCS; it is still the pool
+// mode, so it returns the answers of any other pool size.
 func TestParallelDefaultWorkerCount(t *testing.T) {
 	db := employeeDB(t)
-	q := cq.MustParse("Q() :- Employee(1, n, d)", db.Dict)
+	q := cq.MustParse("Q(n) :- Employee(i, n, d)", db.Dict)
 	set, err := synopsis.Build(db, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := ApxAnswersParallel(set, KL, DefaultOptions(), 0); err != nil {
+	auto, _, err := ApxAnswersFromSetContext(context.Background(), set, KL, tuplePool(DefaultOptions(), -1))
+	if err != nil {
 		t.Fatal(err)
+	}
+	two, _, err := ApxAnswersFromSetContext(context.Background(), set, KL, tuplePool(DefaultOptions(), 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range two {
+		if auto[i].Freq != two[i].Freq {
+			t.Fatalf("tuple %d: auto pool %v, pool of 2 %v", i, auto[i].Freq, two[i].Freq)
+		}
 	}
 }

@@ -86,7 +86,7 @@ func Accuracy(w *scenario.Workload, cfg Config, maxImages int) (*AccuracyReport,
 			if cfg.Timeout > 0 {
 				opts.Budget.Deadline = time.Now().Add(cfg.Timeout)
 			}
-			res, _, err := cqa.ApxAnswersFromSet(set, s, opts)
+			res, _, err := cqa.ApxAnswersFromSetContext(cfg.context(), set, s, opts)
 			if err != nil {
 				// Timeouts leave this pair unaudited for the scheme.
 				continue

@@ -236,7 +236,7 @@ func Run(w *scenario.Workload, cfg Config, level func(scenario.Pair) float64) (*
 				opts.Budget.Deadline = time.Now().Add(cfg.Timeout)
 			}
 			start := time.Now()
-			_, stats, err := cqa.ApxAnswersFromSetTracedContext(cfg.context(), set, s, opts, pairSpan)
+			_, stats, err := cqa.ApxAnswersFromSetContext(obs.ContextWithSpan(cfg.context(), pairSpan), set, s, opts)
 			elapsed := time.Since(start)
 			m := Measurement{
 				Pair:       pair.Name,

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -113,11 +114,11 @@ func TestLoadedSynopsisMatchesBuilt(t *testing.T) {
 			t.Fatalf("%s: loaded synopsis differs from built", pair.Name)
 		}
 		opts := cqa.Options{Eps: 0.25, Delta: 0.3, Seed: 5489}
-		wantAns, wantStats, err := cqa.ApxAnswersFromSet(built, cqa.KLM, opts)
+		wantAns, wantStats, err := cqa.ApxAnswersFromSetContext(context.Background(), built, cqa.KLM, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotAns, gotStats, err := cqa.ApxAnswersFromSet(loaded, cqa.KLM, opts)
+		gotAns, gotStats, err := cqa.ApxAnswersFromSetContext(context.Background(), loaded, cqa.KLM, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -284,7 +284,17 @@ func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 	} else {
 		sp = NewSpan(name)
 	}
-	return context.WithValue(ctx, spanCtxKey{}, sp), sp
+	return ContextWithSpan(ctx, sp), sp
+}
+
+// ContextWithSpan returns a context carrying sp, under which StartSpan
+// and the instrumented layers attach their spans. A nil sp leaves ctx,
+// and whatever span it already carries, unchanged.
+func ContextWithSpan(ctx context.Context, sp *Span) context.Context {
+	if sp == nil {
+		return ctx
+	}
+	return context.WithValue(ctx, spanCtxKey{}, sp)
 }
 
 // FromContext returns the span carried by ctx, or nil.

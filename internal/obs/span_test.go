@@ -93,6 +93,14 @@ func TestStartSpanContext(t *testing.T) {
 	if len(root.Stages()) == 0 || root.Stages()[0].Name != "child" {
 		t.Errorf("child not attributed to root: %v", root.Stages())
 	}
+	// ContextWithSpan: a nil span keeps the context's span, another
+	// span replaces it.
+	if FromContext(ContextWithSpan(ctx, nil)) != root {
+		t.Error("a nil span dropped the context's span")
+	}
+	if FromContext(ContextWithSpan(ctx, child)) != child {
+		t.Error("ContextWithSpan did not attach the span")
+	}
 }
 
 // TestSpanEndClampsRunningChildren is the regression test for span

@@ -67,18 +67,8 @@ type APIError struct {
 }
 
 // ErrorEnvelope is the body of every non-2xx response.
-//
-// Deprecated fields: Code and Message mirror Error.Code and
-// Error.Message for clients built against the pre-envelope flat body
-// (`{"error": "<message>", "code": "<code>"}`; the old "error" string
-// now lives at error.message). They will be dropped one release after
-// this one — parse the "error" object.
 type ErrorEnvelope struct {
 	Error APIError `json:"error"`
-	// Deprecated: use Error.Code.
-	Code string `json:"code,omitempty"`
-	// Deprecated: use Error.Message.
-	Message string `json:"message,omitempty"`
 }
 
 // writeAPIError writes the envelope, filling Retryable from the
@@ -87,7 +77,7 @@ func writeAPIError(w http.ResponseWriter, status int, e APIError) {
 	if !e.Retryable {
 		e.Retryable = retryableCodes[e.Code]
 	}
-	writeJSON(w, status, ErrorEnvelope{Error: e, Code: e.Code, Message: e.Message})
+	writeJSON(w, status, ErrorEnvelope{Error: e})
 }
 
 // writeError is the instance-less error write, for failures before any

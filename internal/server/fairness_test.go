@@ -251,9 +251,6 @@ func TestQuota429HeadersAndEnvelope(t *testing.T) {
 		e.Error.Instance != "limited" || e.Error.RetryAfterMS <= 0 {
 		t.Fatalf("quota envelope = %+v", e.Error)
 	}
-	if e.Code != "quota_exceeded" {
-		t.Fatalf("legacy code mirror = %q", e.Code)
-	}
 	reg := s.Registry()
 	if v := reg.Counter("server_quota_rejections_total",
 		obs.L("instance", "limited"), obs.L("reason", "requests")).Value(); v != 1 {

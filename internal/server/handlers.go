@@ -532,7 +532,7 @@ func (s *Server) runEstimate(ctx context.Context, in *Instance, q *cq.Query, ren
 	}
 
 	// The estimate child carries the cqa.<Scheme> span tree: the run
-	// attaches to the context's span via ApxAnswersFromSetTracedContext.
+	// attaches to the span the context carries.
 	ectx, espan := obs.StartSpan(ctx, "estimate")
 	s.reg.Counter("server_estimate_runs_total", obs.L("instance", in.Name)).Inc()
 	res, stats, err := cqa.ApxAnswersFromSetContext(ectx, set, scheme, opts)

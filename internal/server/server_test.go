@@ -111,10 +111,6 @@ func TestEstimateHandlerTable(t *testing.T) {
 				if e.Error.Message == "" {
 					t.Fatalf("error %q without a message", tc.code)
 				}
-				// Deprecated flat mirrors stay for one release.
-				if e.Code != tc.code || e.Message != e.Error.Message {
-					t.Fatalf("legacy mirror fields out of sync: %s", body)
-				}
 			}
 		})
 	}
