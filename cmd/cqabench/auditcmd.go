@@ -20,8 +20,8 @@ import (
 // every estimate against the exact relative frequency, and writes a
 // manifest-stamped calibration JSON (error distributions, observed
 // violation rate vs the promised delta, samples-to-convergence
-// histograms). Where `accuracy` takes one look, `audit` measures the
-// guarantee as a rate.
+// histograms). Its table gives each scheme's violation rate and mean and
+// max relative error.
 func cmdAudit(args []string) error {
 	fs := flag.NewFlagSet("audit", flag.ContinueOnError)
 	sf := fs.Float64("sf", 0.0002, "TPC-H scale factor")
@@ -38,6 +38,10 @@ func cmdAudit(args []string) error {
 	out := fs.String("out", filepath.Join("results", "audit.json"), "write the calibration JSON here (empty = skip)")
 	failOnViolation := fs.Bool("fail-on-violation", false, "exit non-zero when any scheme's observed violation rate exceeds delta")
 	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	levels, err := parseLevels("balance-levels", *balanceLevels)
+	if err != nil {
 		return err
 	}
 
@@ -60,7 +64,7 @@ func cmdAudit(args []string) error {
 	if err != nil {
 		return err
 	}
-	w, err := lab.BalanceScenario(*noisep, *joins, parseFloats(*balanceLevels))
+	w, err := lab.BalanceScenario(*noisep, *joins, levels)
 	if err != nil {
 		return err
 	}

@@ -27,6 +27,14 @@ func cmdExport(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	def, ok := familyLevels[*family]
+	if !ok {
+		return fmt.Errorf("unknown family %q", *family)
+	}
+	levels, err := parseLevels("levels", defaultStr(*levelsFlag, def))
+	if err != nil {
+		return err
+	}
 	labCfg := scenario.DefaultConfig()
 	labCfg.ScaleFactor = *sf
 	labCfg.Seed = *seed
@@ -38,19 +46,11 @@ func cmdExport(args []string) error {
 	var w *scenario.Workload
 	switch *family {
 	case "noise":
-		levels := parseFloats(defaultStr(*levelsFlag, "0.2,0.4,0.6,0.8,1.0"))
 		w, err = lab.NoiseScenario(*balance, *joins, levels)
 	case "balance":
-		levels := parseFloats(defaultStr(*levelsFlag, "0,0.25,0.5,0.75,1.0"))
 		w, err = lab.BalanceScenario(*noisep, *joins, levels)
 	case "joins":
-		var joinLevels []int
-		for _, v := range parseFloats(defaultStr(*levelsFlag, "1,2,3")) {
-			joinLevels = append(joinLevels, int(v))
-		}
-		w, err = lab.JoinsScenario(*noisep, *balance, joinLevels)
-	default:
-		return fmt.Errorf("unknown family %q", *family)
+		w, err = lab.JoinsScenario(*noisep, *balance, joinCounts(levels))
 	}
 	if err != nil {
 		return err

@@ -3,8 +3,10 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"time"
 
@@ -32,15 +34,22 @@ func cmdGrid(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if err := os.MkdirAll(*outDir, 0o755); err != nil {
+
+	noises, err := parseLevels("noise-levels", *noiseLevels)
+	if err != nil {
 		return err
 	}
-
-	noises := parseFloats(*noiseLevels)
-	balances := parseFloats(*balanceLevels)
-	var joins []int
-	for _, v := range parseFloats(*joinLevels) {
-		joins = append(joins, int(v))
+	balances, err := parseLevels("balance-levels", *balanceLevels)
+	if err != nil {
+		return err
+	}
+	joinFloats, err := parseLevels("join-levels", *joinLevels)
+	if err != nil {
+		return err
+	}
+	joins := joinCounts(joinFloats)
+	if err := os.MkdirAll(*outDir, 0o755); err != nil {
+		return err
 	}
 
 	labCfg := scenario.DefaultConfig()
@@ -133,53 +142,34 @@ func cmdGrid(args []string) error {
 	return nil
 }
 
-// cmdAccuracy audits the schemes' empirical (eps, delta) behaviour against
-// exact relative frequencies on a scenario.
-func cmdAccuracy(args []string) error {
-	fs := flag.NewFlagSet("accuracy", flag.ContinueOnError)
-	sf := fs.Float64("sf", 0.0002, "TPC-H scale factor")
-	seed := fs.Uint64("seed", 1, "PRNG seed")
-	eps := fs.Float64("eps", 0.1, "relative error")
-	delta := fs.Float64("delta", 0.25, "failure probability")
-	timeout := fs.Duration("timeout", 10*time.Second, "per (pair, scheme) timeout")
-	joins := fs.Int("joins", 1, "join level")
-	noisep := fs.Float64("noise", 0.4, "noise level")
-	balanceLevels := fs.String("balance-levels", "0.5,1.0", "balance targets")
-	maxImages := fs.Int("max-images", 22, "exact computation limit per component")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	labCfg := scenario.DefaultConfig()
-	labCfg.ScaleFactor = *sf
-	labCfg.Seed = *seed
-	labCfg.QueriesPerJoin = 1
-	lab, err := scenario.NewLab(labCfg)
-	if err != nil {
-		return err
-	}
-	w, err := lab.BalanceScenario(*noisep, *joins, parseFloats(*balanceLevels))
-	if err != nil {
-		return err
-	}
-	hcfg := harness.Config{
-		Opts:    cqa.Options{Eps: *eps, Delta: *delta, Seed: 5489},
-		Timeout: *timeout,
-		Schemes: cqa.Schemes,
-	}
-	rep, err := harness.Accuracy(w, hcfg, *maxImages)
-	if err != nil {
-		return err
-	}
-	fmt.Print(rep.Table())
-	return nil
+// familyLevels holds the x-axis levels of each scenario family for
+// when -levels is not set.
+var familyLevels = map[string]string{
+	"noise":   "0.2,0.4,0.6,0.8,1.0",
+	"balance": "0,0.25,0.5,0.75,1.0",
+	"joins":   "1,2,3",
 }
 
-func parseFloats(s string) []float64 {
+// parseLevels parses the comma-separated numbers given to flag name. An
+// element that is not one finite number, such as "abc", "0.5x" or an
+// empty one, is an error that names the flag and the element.
+func parseLevels(name, s string) ([]float64, error) {
 	var out []float64
 	for _, part := range strings.Split(s, ",") {
-		var v float64
-		fmt.Sscanf(strings.TrimSpace(part), "%g", &v)
+		v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
+		if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("-%s: %q is not a finite number", name, part)
+		}
 		out = append(out, v)
+	}
+	return out, nil
+}
+
+// joinCounts truncates parsed join levels to join counts.
+func joinCounts(levels []float64) []int {
+	out := make([]int, len(levels))
+	for i, v := range levels {
+		out[i] = int(v)
 	}
 	return out
 }

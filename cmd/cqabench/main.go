@@ -52,8 +52,6 @@ func run(args []string) error {
 	switch args[0] {
 	case "run":
 		return cmdRun(args[1:])
-	case "bench":
-		return cmdBench(args[1:])
 	case "gen":
 		return cmdGen(args[1:])
 	case "noise":
@@ -72,8 +70,6 @@ func run(args []string) error {
 		return cmdStats(args[1:])
 	case "grid":
 		return cmdGrid(args[1:])
-	case "accuracy":
-		return cmdAccuracy(args[1:])
 	case "audit":
 		return cmdAudit(args[1:])
 	case "report":
@@ -104,7 +100,6 @@ func usage() {
 
 subcommands:
   run       measure a scenario family with live telemetry (-metrics-addr, -progress, -trace-out)
-  bench     continuous bench: K-run medians per scheme over a fixed tier, with -compare regression gate
   gen       generate a consistent TPC-H or TPC-DS database
   noise     inject query-aware primary-key noise into a database
   answer    approximate the consistent answer of a CQ (Natural/KL/KLM/Cover)
@@ -114,7 +109,6 @@ subcommands:
   validate  run the validation scenarios (Appendix F)
   stats     inconsistency statistics and dynamic query parameters
   grid      regenerate the full appendix scenario matrix (Figures 6-13)
-  accuracy  audit empirical (eps, delta) accuracy against exact frequencies
   audit     calibrate the (eps, delta) guarantee over repeated trials (JSON + violation gate)
   report    run all scenario families and emit a markdown report
   export    write one scenario family to a directory (schema + dbs + manifest)
@@ -372,6 +366,13 @@ func cmdQuerygen(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	var targets []float64
+	if *balances != "" {
+		var err error
+		if targets, err = parseLevels("balances", *balances); err != nil {
+			return err
+		}
+	}
 	if *in == "" {
 		return fmt.Errorf("querygen requires -in")
 	}
@@ -387,16 +388,8 @@ func cmdQuerygen(args []string) error {
 		return err
 	}
 	fmt.Println(q.Render(db.Dict))
-	if *balances == "" {
+	if targets == nil {
 		return nil
-	}
-	var targets []float64
-	for _, s := range strings.Split(*balances, ",") {
-		var b float64
-		if _, err := fmt.Sscanf(strings.TrimSpace(s), "%g", &b); err != nil {
-			return fmt.Errorf("bad balance %q: %w", s, err)
-		}
-		targets = append(targets, b)
 	}
 	res, err := qgen.DQG(db, q, targets, qgen.DQGConfig{Iterations: *iterations, Seed: *seed})
 	if err != nil {
@@ -437,6 +430,14 @@ func cmdFigure(args []string) error {
 	if err != nil {
 		return err
 	}
+	// Figure 5 takes no levels; the others vary theirs along the x-axis.
+	figureLevels := map[int]string{1: familyLevels["noise"], 2: familyLevels["balance"], 3: "0.2,0.6,1.0", 4: familyLevels["joins"]}
+	var levels []float64
+	if def, ok := figureLevels[*id]; ok {
+		if levels, err = parseLevels("levels", defaultStr(*levelsFlag, def)); err != nil {
+			return err
+		}
+	}
 	cache, err := openCache()
 	if err != nil {
 		return err
@@ -471,23 +472,10 @@ func cmdFigure(args []string) error {
 		hcfg.Trace = traceRoot
 	}
 
-	parseLevels := func(def []float64) []float64 {
-		if *levelsFlag == "" {
-			return def
-		}
-		var out []float64
-		for _, s := range strings.Split(*levelsFlag, ",") {
-			var v float64
-			fmt.Sscanf(strings.TrimSpace(s), "%g", &v)
-			out = append(out, v)
-		}
-		return out
-	}
-
 	var fig *harness.Figure
 	switch *id {
 	case 1:
-		w, err := lab.NoiseScenario(*balance, *joins, parseLevels([]float64{0.2, 0.4, 0.6, 0.8, 1.0}))
+		w, err := lab.NoiseScenario(*balance, *joins, levels)
 		if err != nil {
 			return err
 		}
@@ -497,7 +485,7 @@ func cmdFigure(args []string) error {
 		}
 		fmt.Print(fig.Table())
 	case 2:
-		w, err := lab.BalanceScenario(*noisep, *joins, parseLevels([]float64{0, 0.25, 0.5, 0.75, 1.0}))
+		w, err := lab.BalanceScenario(*noisep, *joins, levels)
 		if err != nil {
 			return err
 		}
@@ -507,13 +495,9 @@ func cmdFigure(args []string) error {
 		}
 		fmt.Print(fig.Table())
 	case 3:
-		return figurePreprocess(lab, parseLevels([]float64{0.2, 0.6, 1.0}))
+		return figurePreprocess(lab, levels)
 	case 4:
-		var joinLevels []int
-		for _, lv := range parseLevels([]float64{1, 2, 3}) {
-			joinLevels = append(joinLevels, int(lv))
-		}
-		w, err := lab.JoinsScenario(*noisep, *balance, joinLevels)
+		w, err := lab.JoinsScenario(*noisep, *balance, joinCounts(levels))
 		if err != nil {
 			return err
 		}
@@ -623,6 +607,10 @@ func cmdValidate(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	levels, err := parseLevels("levels", *levelsFlag)
+	if err != nil {
+		return err
+	}
 	var base *relation.Database
 	var vqs []scenario.ValidationQuery
 	switch *benchmark {
@@ -634,12 +622,6 @@ func cmdValidate(args []string) error {
 		vqs = scenario.TPCDSValidationQueries()
 	default:
 		return fmt.Errorf("unknown benchmark %q", *benchmark)
-	}
-	var levels []float64
-	for _, s := range strings.Split(*levelsFlag, ",") {
-		var v float64
-		fmt.Sscanf(strings.TrimSpace(s), "%g", &v)
-		levels = append(levels, v)
 	}
 	hcfg := harness.Config{Opts: cqa.DefaultOptions(), Timeout: *timeout, Schemes: cqa.Schemes}
 	for _, vq := range vqs {

@@ -5,12 +5,12 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strings"
 	"testing"
 	"time"
 
-	"cqabench/internal/benchtrack"
 	"cqabench/internal/obs/manifest"
 	"cqabench/internal/obs/trace"
 )
@@ -95,6 +95,60 @@ func TestSubcommandFlagErrors(t *testing.T) {
 	}
 }
 
+func TestParseLevels(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want []float64
+		bad  string // the element the error must quote; "" = valid input
+	}{
+		{in: "0.2, 0.6,1", want: []float64{0.2, 0.6, 1}},
+		{in: "0,1e-1", want: []float64{0, 0.1}},
+		{in: "0.5,abc", bad: `"abc"`},
+		{in: "0.5x", bad: `"0.5x"`},
+		{in: ",", bad: `""`},
+		{in: "", bad: `""`},
+		{in: "0.5,NaN", bad: `"NaN"`},
+		{in: "Inf", bad: `"Inf"`},
+	} {
+		got, err := parseLevels("levels", tc.in)
+		if tc.bad == "" {
+			if err != nil || !reflect.DeepEqual(got, tc.want) {
+				t.Errorf("parseLevels(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), "-levels") || !strings.Contains(err.Error(), tc.bad) {
+			t.Errorf("parseLevels(%q) = %v, %v; want an error naming -levels and %s", tc.in, got, err, tc.bad)
+		}
+	}
+}
+
+// TestLevelFlagsRejectMalformed: every command that takes a level list
+// refuses a malformed element before doing any work, naming the flag.
+// The small sizes only bound the work a command does if it accepts the
+// list.
+func TestLevelFlagsRejectMalformed(t *testing.T) {
+	for _, bad := range []string{"0.5,abc", "0.5x"} {
+		for _, tc := range []struct {
+			flag string
+			args []string
+		}{
+			{"-levels", []string{"figure", "-id", "1", "-sf", "0.0002", "-queries", "1", "-timeout", "1s"}},
+			{"-levels", []string{"run", "-sf", "0.0002", "-queries", "1", "-timeout", "1s", "-metrics-out", ""}},
+			{"-noise-levels", []string{"grid", "-sf", "0.0002", "-timeout", "1s", "-families", "noise", "-out", t.TempDir()}},
+			{"-levels", []string{"export", "-family", "balance", "-sf", "0.0002", "-out", t.TempDir()}},
+			{"-balance-levels", []string{"audit", "-sf", "0.0002", "-trials", "1", "-out", ""}},
+			{"-levels", []string{"validate", "-benchmark", "tpcds", "-sf", "0.0002", "-template", "82", "-timeout", "1s"}},
+			{"-balances", []string{"querygen"}},
+		} {
+			args := append(tc.args, tc.flag, bad)
+			if err := run(args); err == nil || !strings.Contains(err.Error(), tc.flag+":") {
+				t.Errorf("%v: err %v, want an error naming %s", args, err, tc.flag)
+			}
+		}
+	}
+}
+
 func TestFigureSmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a full scenario")
@@ -113,12 +167,34 @@ func TestValidateSingleTemplate(t *testing.T) {
 	}
 }
 
-func TestAccuracySubcommand(t *testing.T) {
+func TestAuditSubcommand(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a full audit")
 	}
-	if err := run([]string{"accuracy", "-sf", "0.0002", "-balance-levels", "1.0", "-eps", "0.2", "-delta", "0.3"}); err != nil {
-		t.Fatalf("accuracy: %v", err)
+	out := filepath.Join(t.TempDir(), "audit.json")
+	if err := run([]string{"audit", "-sf", "0.0002", "-balance-levels", "1.0", "-trials", "1",
+		"-eps", "0.2", "-delta", "0.3", "-out", out, "-fail-on-violation"}); err != nil {
+		t.Fatalf("audit: %v", err)
+	}
+	var cal struct {
+		Manifest *manifest.RunManifest `json:"manifest"`
+		Report   struct {
+			Schemes []struct {
+				Estimates int `json:"estimates"`
+			} `json:"schemes"`
+		} `json:"report"`
+	}
+	data, err := os.ReadFile(out)
+	if err != nil || json.Unmarshal(data, &cal) != nil {
+		t.Fatalf("calibration JSON: %v", err)
+	}
+	if cal.Manifest == nil || cal.Manifest.Tool != "cqabench audit" || len(cal.Report.Schemes) != 4 {
+		t.Fatalf("calibration: manifest %+v, %d schemes", cal.Manifest, len(cal.Report.Schemes))
+	}
+	for _, s := range cal.Report.Schemes {
+		if s.Estimates == 0 {
+			t.Fatalf("a scheme audited nothing: %+v", cal.Report.Schemes)
+		}
 	}
 }
 
@@ -394,87 +470,12 @@ func TestRunTraceOutAndManifest(t *testing.T) {
 	}
 }
 
-// TestBenchCompareGate is the CLI acceptance scenario: bench writes a
-// provenance-stamped result and history line, -compare passes against an
-// identical baseline and exits nonzero against a doctored ≥2× one.
-func TestBenchCompareGate(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs bench scenarios")
-	}
-	dir := t.TempDir()
-	out := filepath.Join(dir, "BENCH_smoke.json")
-	history := filepath.Join(dir, "bench_history.jsonl")
-	base := []string{"bench", "-tier", "smoke", "-k", "2", "-schemes", "KLM",
-		"-timeout", "10s", "-out", out, "-history", history}
-
-	if err := run(base); err != nil {
-		t.Fatalf("bench: %v", err)
-	}
-	res, err := benchtrack.ReadResult(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The smoke tier carries the sequential scenario and its pw4
-	// (intra-query parallel sampling) twin.
-	if len(res.Entries) != 2 || res.Entries[0].Scheme != "KLM" || res.Entries[0].MedianNanos <= 0 ||
-		res.Entries[1].Scenario != "noise-j1-p04-pw4" || res.Entries[1].Scheme != "KLM" ||
-		res.Entries[1].MedianNanos <= 0 {
-		t.Fatalf("bench entries: %+v", res.Entries)
-	}
-	if res.Manifest.Tool != "cqabench bench" || res.Manifest.Config["tier"] != "smoke" {
-		t.Errorf("bench manifest: %+v", res.Manifest)
-	}
-	recs, err := benchtrack.ReadHistory(history)
-	if err != nil || len(recs) != 1 {
-		t.Fatalf("history after first run: %d records, %v", len(recs), err)
-	}
-
-	// A re-run compared against the first run's baseline must pass. Write
-	// to a second path so the baseline is not overwritten before the
-	// comparison reads it.
-	out2 := filepath.Join(dir, "BENCH_smoke2.json")
-	rerun := append(append([]string(nil), base...), "-out", out2, "-compare", out)
-	if err := run(rerun); err != nil {
-		t.Fatalf("bench -compare vs previous run: %v", err)
-	}
-	if recs, err = benchtrack.ReadHistory(history); err != nil || len(recs) != 2 {
-		t.Fatalf("history after second run: %d records, %v", len(recs), err)
-	}
-
-	// Doctor the baseline to claim everything used to be 4× faster: the
-	// current run is then a synthetic ≥2× regression and must fail.
-	doctored := filepath.Join(dir, "BENCH_doctored.json")
-	fast := res
-	fast.Entries = append([]benchtrack.Entry(nil), res.Entries...)
-	for i := range fast.Entries {
-		e := &fast.Entries[i]
-		e.MedianNanos /= 4
-		e.RunsNanos = append([]int64(nil), e.RunsNanos...)
-		for j := range e.RunsNanos {
-			e.RunsNanos[j] /= 4
-		}
-	}
-	if err := benchtrack.WriteResult(doctored, fast); err != nil {
-		t.Fatal(err)
-	}
-	err = run(append(base, "-compare", doctored))
-	if err == nil {
-		t.Fatal("bench -compare accepted a 4x regression")
-	}
-	if !strings.Contains(err.Error(), "regression") {
-		t.Errorf("unexpected compare error: %v", err)
-	}
-}
-
 // TestLogFormatFlag: the slog front-ends reject unknown formats before
 // doing any work.
 func TestLogFormatFlag(t *testing.T) {
-	for _, sub := range []string{"run", "figure", "bench"} {
+	for _, sub := range []string{"run", "figure"} {
 		if err := run([]string{sub, "-log-format", "yaml"}); err == nil {
 			t.Errorf("%s accepted -log-format yaml", sub)
 		}
-	}
-	if err := run([]string{"bench", "-tier", "bogus"}); err == nil {
-		t.Error("bench accepted an unknown tier")
 	}
 }

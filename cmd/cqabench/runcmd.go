@@ -60,6 +60,14 @@ func cmdRun(args []string) error {
 	if err != nil {
 		return err
 	}
+	def, ok := familyLevels[*scenarioName]
+	if !ok {
+		return fmt.Errorf("run: unknown scenario %q (want noise, balance or joins)", *scenarioName)
+	}
+	levels, err := parseLevels("levels", defaultStr(*levelsFlag, def))
+	if err != nil {
+		return err
+	}
 	cache, err := openCache()
 	if err != nil {
 		return err
@@ -101,23 +109,10 @@ func cmdRun(args []string) error {
 		hcfg.Trace = traceRoot
 	}
 
-	parseLevels := func(def []float64) []float64 {
-		if *levelsFlag == "" {
-			return def
-		}
-		var out []float64
-		for _, s := range strings.Split(*levelsFlag, ",") {
-			var v float64
-			fmt.Sscanf(strings.TrimSpace(s), "%g", &v)
-			out = append(out, v)
-		}
-		return out
-	}
-
 	var fig *harness.Figure
 	switch *scenarioName {
 	case "noise":
-		w, err := lab.NoiseScenario(*balance, *joins, parseLevels([]float64{0.2, 0.4, 0.6, 0.8, 1.0}))
+		w, err := lab.NoiseScenario(*balance, *joins, levels)
 		if err != nil {
 			return err
 		}
@@ -126,7 +121,7 @@ func cmdRun(args []string) error {
 		}
 		fmt.Print(fig.Table())
 	case "balance":
-		w, err := lab.BalanceScenario(*noisep, *joins, parseLevels([]float64{0, 0.25, 0.5, 0.75, 1.0}))
+		w, err := lab.BalanceScenario(*noisep, *joins, levels)
 		if err != nil {
 			return err
 		}
@@ -135,11 +130,7 @@ func cmdRun(args []string) error {
 		}
 		fmt.Print(fig.Table())
 	case "joins":
-		var joinLevels []int
-		for _, lv := range parseLevels([]float64{1, 2, 3}) {
-			joinLevels = append(joinLevels, int(lv))
-		}
-		w, err := lab.JoinsScenario(*noisep, *balance, joinLevels)
+		w, err := lab.JoinsScenario(*noisep, *balance, joinCounts(levels))
 		if err != nil {
 			return err
 		}
@@ -147,8 +138,6 @@ func cmdRun(args []string) error {
 			return err
 		}
 		fmt.Print(fig.ShareTable())
-	default:
-		return fmt.Errorf("run: unknown scenario %q (want noise, balance or joins)", *scenarioName)
 	}
 
 	var totalPrep time.Duration

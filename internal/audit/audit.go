@@ -7,10 +7,9 @@
 // distribution, the observed violation rate next to the promised δ, and
 // a samples-to-convergence histogram.
 //
-// The harness's AccuracyReport answers "did one run stay within ε?";
-// this package answers the operational question VerdictDB-style systems
-// ship beside every approximate answer — "how often does the guarantee
-// fail, and by how much, under repeated sampling?". Every estimate also
+// It answers the operational question VerdictDB-style systems ship
+// beside every approximate answer — "how often does the guarantee fail,
+// and by how much, under repeated sampling?". Every estimate also
 // feeds the cqa_empirical_error / cqa_guarantee_violations_total /
 // cqa_samples_to_convergence metrics, so a live service accumulates the
 // same calibration continuously.

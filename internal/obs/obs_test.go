@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"strings"
 	"sync"
 	"testing"
 )
@@ -49,6 +50,27 @@ func TestLabelIdentity(t *testing.T) {
 	}
 	if u := r.Counter("x_total"); u == a {
 		t.Error("unlabeled metric aliased a labeled one")
+	}
+}
+
+func TestRemoveLabeled(t *testing.T) {
+	r := NewRegistry()
+	old := r.Counter("req_total", L("instance", "a"), L("code", "200"))
+	old.Inc()
+	r.WindowedHistogram("lat_seconds", nil, L("instance", "a")).Observe(0.1)
+	r.Counter("req_total", L("instance", "b"), L("code", "200")).Inc()
+	r.Gauge("up").Set(1)
+	r.RemoveLabeled(L("instance", "a"))
+	var prom strings.Builder
+	if err := r.WritePrometheus(&prom); err != nil {
+		t.Fatal(err)
+	}
+	if out := prom.String(); strings.Contains(out, `instance="a"`) || !strings.Contains(out, `req_total{code="200",instance="b"} 1`) || !strings.Contains(out, "up 1") {
+		t.Fatalf("exposition after removal:\n%s", out)
+	}
+	old.Inc() // a stale handle stays usable
+	if fresh := r.Counter("req_total", L("instance", "a"), L("code", "200")); fresh == old || fresh.Value() != 0 {
+		t.Fatalf("lookup after removal returned the old series (value %d)", fresh.Value())
 	}
 }
 

@@ -176,6 +176,23 @@ func (r *Registry) WindowedHistogram(name string, windows []time.Duration, label
 	return e.win.Load()
 }
 
+// RemoveLabeled drops every series carrying label l, key and value both.
+// A handle obtained earlier keeps working but is no longer exported; the
+// next lookup of the same name and labels registers a fresh series at
+// zero.
+func (r *Registry) RemoveLabeled(l Label) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for key, e := range r.entries {
+		for _, el := range e.labels {
+			if el == l {
+				delete(r.entries, key)
+				break
+			}
+		}
+	}
+}
+
 // Reset drops every registered metric. Meant for tests and for CLI runs
 // that want a clean slate.
 func (r *Registry) Reset() {

@@ -262,6 +262,9 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 		s.reg.Counter("server_requests_total",
 			obs.L("endpoint", endpoint), obs.L("instance", instance), obs.L("code", code)).Inc()
 		s.requestSeconds(endpoint, instance).ObserveDuration(elapsed)
+		if st.dropSeries {
+			s.reg.RemoveLabeled(obs.L("instance", instance))
+		}
 		s.log.Info("server: request",
 			"trace_id", id,
 			"endpoint", endpoint,
@@ -683,18 +686,24 @@ func (s *Server) handleInstanceRegister(w http.ResponseWriter, r *http.Request) 
 }
 
 // handleInstanceDelete serves DELETE /v1/instances/{name}: the instance
-// is unregistered and its resident synopses leave the LRU immediately
-// (its on-disk syncache entries stay — they are content-addressed and
-// shared with identically-built instances).
+// is unregistered, its resident synopses leave the LRU immediately and
+// its metric series leave /metrics once this request is recorded (its
+// on-disk syncache entries stay — they are content-addressed and shared
+// with identically-built instances).
 func (s *Server) handleInstanceDelete(w http.ResponseWriter, r *http.Request) {
 	st := reqStateFrom(r.Context())
 	name := r.PathValue("name")
-	st.setInstance(name)
 	in, err := s.instances.remove(name)
 	if err != nil {
-		fail(w, st, http.StatusNotFound, codeUnknownInst, err.Error())
+		// As in resolveInstance: an unknown name is not a metric label.
+		st.setReason(codeUnknownInst)
+		writeAPIError(w, http.StatusNotFound, APIError{
+			Code: codeUnknownInst, Message: err.Error(), Instance: name,
+		})
 		return
 	}
+	st.setInstance(in.Name)
+	st.dropSeries = true
 	s.lru.dropInstance(in.Name)
 	s.sched.dropTenant(in.Name)
 	s.log.Info("server: instance deleted", "instance", in.Name)

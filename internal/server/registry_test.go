@@ -206,3 +206,58 @@ func TestDebugRequestsInstanceFilter(t *testing.T) {
 		}
 	}
 }
+
+// Deleting an instance takes its metric series out of /metrics, the
+// series the DELETE request itself records included. Each cycle
+// registers, uses and deletes a fresh instance; from the first cycle on,
+// the scrape must not grow. A DELETE of a name that was never registered
+// must not put that name in a label.
+func TestInstanceDeleteDropsSeries(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 2})
+	scrape := func() string {
+		resp, err := http.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	var lines []int
+	for i := 1; i <= 5; i++ {
+		name := fmt.Sprintf("churn%d", i)
+		spec := fmt.Sprintf(`{"name": %q, "benchmark": "tpch", "sf": 0.0002, "seed": 1}`, name)
+		if status, _, body := doJSON(t, "POST", ts.URL+"/v1/instances", spec); status != http.StatusCreated {
+			t.Fatalf("register %s = %d: %s", name, status, body)
+		}
+		est := fmt.Sprintf(`{"instance": %q, "query": "Q() :- region(k, n, c)", "scheme": "KLM"}`, name)
+		if status, _, body := doJSON(t, "POST", ts.URL+"/v1/estimate", est); status != http.StatusOK {
+			t.Fatalf("estimate on %s = %d: %s", name, status, body)
+		}
+		if status, _, body := doJSON(t, "DELETE", ts.URL+"/v1/instances/"+name, ""); status != http.StatusOK {
+			t.Fatalf("delete %s = %d: %s", name, status, body)
+		}
+		n := 0
+		for _, line := range strings.Split(scrape(), "\n") {
+			if line != "" && !strings.HasPrefix(line, "#") {
+				n++
+			}
+		}
+		lines = append(lines, n)
+	}
+	for i, n := range lines {
+		if n != lines[0] {
+			t.Fatalf("/metrics sample lines after each cycle = %v: cycle %d differs from cycle 1", lines, i+1)
+		}
+	}
+
+	if status, code, _ := doJSON(t, "DELETE", ts.URL+"/v1/instances/ghost", ""); status != http.StatusNotFound || code != "unknown_instance" {
+		t.Fatalf("delete of an unknown name = %d/%s, want 404/unknown_instance", status, code)
+	}
+	if m := scrape(); strings.Contains(m, `instance="ghost"`) {
+		t.Fatal(`/metrics has instance="ghost" series after a DELETE of that unknown name`)
+	}
+}

@@ -158,6 +158,9 @@ func (l *requestLog) find(traceID string) (RequestRecord, bool) {
 type reqState struct {
 	rec  RequestRecord
 	span *obs.Span // root server.<endpoint> span
+	// dropSeries: the request deleted its instance, so the instance's
+	// metric series go once the request itself is recorded.
+	dropSeries bool
 }
 
 type reqStateKey struct{}
