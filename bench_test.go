@@ -538,11 +538,26 @@ func wideKernelPair() *synopsis.Admissible {
 	return pair
 }
 
+// oneKernelPair is a one-image pair over blocks of sizes 1 to 5, the
+// block sizes of perfbench's many-tuples workload, whose answer tuples
+// all have one image.
+func oneKernelPair() *synopsis.Admissible {
+	pair := &synopsis.Admissible{
+		BlockSizes: []int32{1, 2, 3, 4, 5},
+		Images:     []synopsis.Image{{{Block: 0}, {Block: 1, Fact: 1}, {Block: 2, Fact: 2}, {Block: 3}, {Block: 4, Fact: 3}}},
+	}
+	if err := pair.Validate(); err != nil {
+		panic(err)
+	}
+	return pair
+}
+
 // BenchmarkKernels compares, per scheme, the plain kernel (bit-sliced
 // coverage test) against the first-member-indexed one, one draw at a
-// time and in estimator-sized batches, on two shapes: the large-|H|
-// pair where the kernel selector picks the index ("huge"), and the
-// Boolean-synopsis shape where it keeps the plain kernel ("wide").
+// time and in estimator-sized batches, on three shapes: the large-|H|
+// pair where the kernel selector picks the index ("huge"), the
+// Boolean-synopsis shape where it keeps the plain kernel ("wide"), and
+// the one-image pair of most non-Boolean answer tuples ("one").
 // samples/sec is the headline throughput number EXPERIMENTS.md quotes;
 // all variants draw from identical PRNG streams.
 func BenchmarkKernels(b *testing.B) {
@@ -552,6 +567,7 @@ func BenchmarkKernels(b *testing.B) {
 	}{
 		{"huge", kernelPair()},
 		{"wide", wideKernelPair()},
+		{"one", oneKernelPair()},
 	}
 	for _, p := range pairs {
 		kernels := []struct {

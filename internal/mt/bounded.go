@@ -5,7 +5,8 @@ package mt
 // and once per alias-table draw. Bound and Fill compute everything that
 // depends only on the bound once, and read the state array directly, so
 // a draw makes no call per word. Both read exactly the words Intn would
-// read and return exactly its values; only the speed differs.
+// read and return exactly its values; only the speed differs. Advance
+// and Match read Fill's words for draws whose values are not stored.
 
 // Bound is Intn(n) compiled for one n ≥ 1.
 type Bound struct {
@@ -115,6 +116,69 @@ func (s *Source) Fill(f *Fill, dst []int32) {
 		}
 	}
 	s.index = s.skip(i, f.tail)
+}
+
+// Advance consumes the words one run of f reads, rejections included,
+// storing no value. Only the words a bound can reject are tempered.
+func (s *Source) Advance(f *Fill) {
+	i, steps := s.index, f.steps
+	for k := range steps {
+		st := &steps[k]
+		if st.max == 0 {
+			i = s.skip(i, int(st.skip)+1)
+			continue
+		}
+		i = s.skip(i, int(st.skip))
+		for {
+			if i >= nn {
+				s.refill()
+				i = 0
+			}
+			v := temper(s.state[i])
+			i++
+			if v < st.max {
+				break
+			}
+		}
+	}
+	s.index = s.skip(i, f.tail)
+}
+
+// Match runs f len(dst) times, reading the words Fill would, and sets
+// dst[d] to 1 if draw d drew want[b] in every block b of size above 1,
+// else to 0. A draw ORs each block's difference into one word instead
+// of branching on each compare.
+func (s *Source) Match(f *Fill, want []int32, dst []float64) {
+	i, steps := s.index, f.steps
+	for d := range dst {
+		var miss uint64
+		for k := range steps {
+			st := &steps[k]
+			i = s.skip(i, int(st.skip))
+			for {
+				if i >= nn {
+					s.refill()
+					i = 0
+				}
+				v := temper(s.state[i])
+				i++
+				if st.max == 0 {
+					miss |= v&(st.n-1) ^ uint64(want[st.dst])
+					break
+				}
+				if v < st.max {
+					miss |= v%st.n ^ uint64(want[st.dst])
+					break
+				}
+			}
+		}
+		i = s.skip(i, f.tail)
+		dst[d] = 0
+		if miss == 0 {
+			dst[d] = 1
+		}
+	}
+	s.index = i
 }
 
 // skip consumes k words from state position i and returns the new

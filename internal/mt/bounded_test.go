@@ -1,6 +1,7 @@
 package mt
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -54,29 +55,65 @@ func intnFill(src *Source, sizes []int32, dst []int32) {
 	}
 }
 
-// checkFill runs the compiled fill and the Intn loop side by side from
+// checkFill runs the compiled loops and the Intn loop side by side from
 // every offset into the state array, so the refill boundary falls at
-// every position of the plan, and compares values and stream positions.
+// every position of the plan.
 func checkFill(t *testing.T, sizes []int32) {
 	t.Helper()
-	f := NewFill(sizes)
 	for offset := 0; offset < nn; offset += 1 + offset/8 {
-		want, got := New(5), New(5)
+		src := New(5)
 		for i := 0; i < offset; i++ {
-			want.Uint64()
-			got.Uint64()
+			src.Uint64()
 		}
-		wd, gd := make([]int32, len(sizes)), make([]int32, len(sizes))
-		for round := 0; round < 3; round++ {
-			intnFill(want, sizes, wd)
-			got.Fill(&f, gd)
-			for b := range wd {
-				if wd[b] != gd[b] {
-					t.Fatalf("offset %d round %d block %d (size %d): Intn %d, Fill %d", offset, round, b, sizes[b], wd[b], gd[b])
-				}
+		checkLoops(t, src, sizes, 3)
+	}
+}
+
+// checkLoops makes rounds draws of sizes from copies of src through the
+// Intn loop, Fill, Advance and Match. Fill must draw the Intn loop's
+// values; Match, given the last draw's values, must report the draws
+// that drew them and miss the last draw once any one block's value
+// differs; all three must leave the stream where the Intn loop does.
+func checkLoops(t *testing.T, src *Source, sizes []int32, rounds int) {
+	t.Helper()
+	f := NewFill(sizes)
+	want, fill, adv := *src, *src, *src
+	drawn := make([][]int32, rounds)
+	got := make([]int32, len(sizes))
+	for r := range drawn {
+		drawn[r] = make([]int32, len(sizes))
+		intnFill(&want, sizes, drawn[r])
+		fill.Fill(&f, got)
+		for b := range got {
+			if got[b] != drawn[r][b] {
+				t.Fatalf("round %d block %d (size %d): Intn %d, Fill %d", r, b, sizes[b], drawn[r][b], got[b])
 			}
 		}
-		sameStream(t, want, got)
+		adv.Advance(&f)
+	}
+	last := drawn[rounds-1]
+	match, hits := *src, make([]float64, rounds)
+	match.Match(&f, last, hits)
+	for r, hit := range hits {
+		if (hit == 1) != slices.Equal(drawn[r], last) || (hit != 0 && hit != 1) {
+			t.Fatalf("round %d: Match reports %v for draw %v against %v", r, hit, drawn[r], last)
+		}
+	}
+	for b, sz := range sizes {
+		if sz == 1 {
+			continue
+		}
+		other, miss := *src, slices.Clone(last)
+		miss[b] = (miss[b] + 1) % sz
+		other.Match(&f, miss, hits)
+		if hits[rounds-1] != 0 {
+			t.Fatalf("Match reports the last draw with block %d (size %d) changed", b, sz)
+		}
+	}
+	for name, got := range map[string]*Source{"Fill": &fill, "Advance": &adv, "Match": &match} {
+		if got.index != want.index || got.state != want.state {
+			t.Fatalf("%s ends at word %d, the Intn loop at %d (or in another state)", name, got.index, want.index)
+		}
 	}
 }
 
@@ -107,6 +144,63 @@ func TestFillMatchesIntnLoop(t *testing.T) {
 	}
 	for name, sizes := range cases {
 		t.Run(name, func(t *testing.T) { checkFill(t, sizes) })
+	}
+}
+
+// untemper inverts temper, so that a test can choose the words a
+// Source returns by writing its state.
+func untemper(y uint64) uint64 {
+	y ^= y >> 43
+	y ^= (y << 37) & 0xFFF7EEE000000000
+	// Each pass settles 17 more low bits of x ^= (x << 17) & mask, and
+	// 29 more high bits of x ^= (x >> 29) & mask.
+	x := y
+	for k := 0; k < 4; k++ {
+		x = y ^ (x<<17)&0x71D67FFFEDA60000
+	}
+	y = x
+	for k := 0; k < 3; k++ {
+		x = y ^ (x>>29)&0x5555555555555555
+	}
+	return x
+}
+
+func TestUntemper(t *testing.T) {
+	src := New(3)
+	for i := 0; i < 10000; i++ {
+		x := src.Uint64()
+		if untemper(temper(x)) != x || temper(untemper(x)) != x {
+			t.Fatalf("untemper does not invert temper at %x", x)
+		}
+	}
+}
+
+// A bound of an int32 block size rejects a word with probability below
+// 2^-33, so no drawn stream reaches the compiled loops' rejection
+// branch. Plant words that every bound rejects (no bound here is a
+// power of two) mid-array, on three consecutive words, and at index
+// 311, whose redraw comes after a refill, and check the loops against
+// the Intn loop.
+func TestCompiledLoopsReject(t *testing.T) {
+	sizes := []int32{3, 5, 6, 7, 24, 1000, 1<<30 + 1, 1<<31 - 1}
+	planted := []int{150, 200, 201, 202, nn - 1}
+	const rounds = 50 // 400 words, and one more per planted word
+	src, plain := New(9), New(9)
+	src.refill()
+	plain.refill()
+	for _, i := range planted {
+		src.state[i] = untemper(^uint64(0)) // at or above every threshold
+	}
+	checkLoops(t, src, sizes, rounds)
+	// Every planted word was read and rejected: the Intn loop ends as
+	// many words further on than on the state without them.
+	dst := make([]int32, len(sizes))
+	for r := 0; r < rounds; r++ {
+		intnFill(src, sizes, dst)
+		intnFill(plain, sizes, dst)
+	}
+	if src.index-plain.index != len(planted) {
+		t.Fatalf("planted words rejected: %d, want %d", src.index-plain.index, len(planted))
 	}
 }
 

@@ -196,12 +196,28 @@ func TestRandSourceCompatibility(t *testing.T) {
 	}
 }
 
+// A one-entry table draws 0 and reads the words of Intn(1) and of one
+// Float64, which is below prob[0] = 1 whatever the weight. An odd start
+// puts the two words on both sides of a refill.
 func TestAliasSingleOutcome(t *testing.T) {
-	a := NewAlias([]float64{3.5})
-	s := New(37)
-	for i := 0; i < 100; i++ {
-		if a.Draw(s) != 0 {
-			t.Fatal("single-outcome alias drew non-zero index")
+	for _, w := range []float64{3.5, 1, 1e-300, 0.1, 1e308} {
+		a := NewAlias([]float64{w})
+		if a.prob[0] != 1 {
+			t.Fatalf("weight %v: prob[0] = %v, want 1", w, a.prob[0])
+		}
+		s, ref := New(37), New(37)
+		s.Uint64()
+		ref.Uint64()
+		for i := 0; i < 1000; i++ {
+			if a.Draw(s) != 0 {
+				t.Fatal("single-outcome alias drew non-zero index")
+			}
+			if ref.Intn(1) != 0 || ref.Float64() >= 1 {
+				t.Fatal("the reference words do not draw outcome 0")
+			}
+		}
+		if s.index != ref.index || s.Uint64() != ref.Uint64() {
+			t.Fatalf("weight %v: alias stream at %d, reference at %d", w, s.index, ref.index)
 		}
 	}
 }

@@ -22,15 +22,17 @@ type firstIndex struct {
 	lists  [][][]int32
 }
 
-func newFirstIndex(images []synopsis.Image) *firstIndex {
+func newFirstIndex(images []synopsis.Image, blocks int) *firstIndex {
 	ix := &firstIndex{}
-	pos := make(map[int32]int)
+	// slot[b] is 1 + the position of block b in ix.blocks, 0 while b
+	// starts no image.
+	slot := make([]int32, blocks)
 	for i, img := range images {
 		first := img[0]
-		k, ok := pos[first.Block]
-		if !ok {
-			k = len(ix.blocks)
-			pos[first.Block] = k
+		k := slot[first.Block] - 1
+		if k < 0 {
+			k = int32(len(ix.blocks))
+			slot[first.Block] = k + 1
 			ix.blocks = append(ix.blocks, first.Block)
 			ix.lists = append(ix.lists, nil)
 		}
@@ -64,7 +66,7 @@ func NewNaturalIndexed(pair *synopsis.Admissible) *NaturalIndexed {
 
 // withIndex adds the first-member index for an indexed kernel.
 func (p *plan) withIndex() *plan {
-	p.ix = newFirstIndex(p.images)
+	p.ix = newFirstIndex(p.images, p.blocks)
 	return p
 }
 

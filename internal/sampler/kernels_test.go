@@ -2,6 +2,7 @@ package sampler
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -426,6 +427,106 @@ func TestKernelsMatchReferenceAcrossWords(t *testing.T) {
 	}
 }
 
+// A one-image pair's plain kernels and symbolic draw store no database:
+// Natural matches the image while it draws, and the symbolic draw only
+// advances the stream. Every kernel, one draw at a time and then in
+// batches, must match the reference draw for draw over blocks of size
+// 1, powers of two and other sizes, and leave the stream where it does.
+// The reference reads a one-entry alias table's two words itself:
+// Intn(1), which masks a word, and a Float64, always below prob[0] = 1.
+func TestOneImageMatchesReference(t *testing.T) {
+	pair := &synopsis.Admissible{
+		BlockSizes: []int32{1, 2, 3, 1, 4, 5, 1},
+		Images: []synopsis.Image{{
+			{Block: 0}, {Block: 1, Fact: 1}, {Block: 2}, {Block: 3},
+			{Block: 4, Fact: 3}, {Block: 5, Fact: 2}, {Block: 6},
+		}},
+	}
+	if err := pair.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	ref := newReference(pair)
+	symbolic := func(src *mt.Source) int {
+		if src.Intn(1) != 0 || src.Float64() >= 1 {
+			t.Fatal("a one-entry alias draw is not outcome 0")
+		}
+		ref.fill(src)
+		for _, m := range pair.Images[0] {
+			ref.chosen[m.Block] = m.Fact
+		}
+		return 0
+	}
+	kl := func(src *mt.Source) float64 {
+		if i := symbolic(src); pair.FirstCover(ref.chosen) == i {
+			return 1
+		}
+		return 0
+	}
+	klm := func(src *mt.Source) float64 {
+		symbolic(src)
+		return 1 / float64(pair.CoverCount(ref.chosen))
+	}
+	kernels := []struct {
+		name string
+		s    Sampler
+		want func(*mt.Source) float64
+	}{
+		{"Natural", NewNatural(pair), ref.natural},
+		{"NaturalIndexed", NewNaturalIndexed(pair), ref.natural},
+		{"KL", NewKL(pair), kl},
+		{"KLIndexed", NewKLIndexed(pair), kl},
+		{"KLM", NewKLM(pair), klm},
+		{"KLMIndexed", NewKLMIndexed(pair), klm},
+	}
+	for _, kern := range kernels {
+		t.Run(kern.name, func(t *testing.T) {
+			s1, s2 := mt.New(23), mt.New(23)
+			var hits float64
+			check := func(d int, got float64) {
+				if want := kern.want(s1); want != got {
+					t.Fatalf("draw %d: reference %v, kernel %v", d, want, got)
+				}
+				hits += got
+			}
+			d := 0
+			for ; d < 3000; d++ {
+				check(d, kern.s.Sample(s2))
+			}
+			for _, sz := range []int{1, 7, 256, 3, 2000, 1, 733} {
+				batch := make([]float64, sz)
+				kern.s.SampleBatch(s2, batch)
+				for _, got := range batch {
+					check(d, got)
+					d++
+				}
+			}
+			if hits == 0 {
+				t.Fatalf("no hit in %d draws: the pair does not exercise the match", d)
+			}
+			for i := 0; i < 4; i++ {
+				if a, b := s1.Uint64(), s2.Uint64(); a != b {
+					t.Fatalf("streams diverged after %d draws: %x vs %x", d, a, b)
+				}
+			}
+		})
+	}
+	t.Run("Symbolic", func(t *testing.T) {
+		s := NewSymbolic(pair)
+		s1, s2 := mt.New(24), mt.New(24)
+		for d := 0; d < 6000; d++ {
+			if i, j := symbolic(s1), s.Draw(s2); i != j {
+				t.Fatalf("draw %d: reference image %d, Symbolic %d", d, i, j)
+			}
+			if !slices.Equal(s.chosen, ref.chosen) || !s.InSet(0) {
+				t.Fatalf("draw %d: database %v, reference %v", d, s.chosen, ref.chosen)
+			}
+		}
+		if a, b := s1.Uint64(), s2.Uint64(); a != b {
+			t.Fatalf("streams diverged: %x vs %x", a, b)
+		}
+	})
+}
+
 // planOf returns the compiled plan a kernel draws through.
 func planOf(s Sampler) *plan {
 	switch k := s.(type) {
@@ -446,14 +547,17 @@ func planOf(s Sampler) *plan {
 }
 
 // A fork shares its parent's plan, draws identically, and can run
-// concurrently with it and with other forks (run under -race).
+// concurrently with it and with other forks (run under -race), on a
+// multi-word pair and on a one-image pair, whose plan holds the image.
 func TestForkSharesPlan(t *testing.T) {
-	pair := wordPair(130, 5)
-	for _, s := range []Sampler{
-		NewNatural(pair), NewNaturalIndexed(pair),
-		NewKL(pair), NewKLIndexed(pair),
-		NewKLM(pair), NewKLMIndexed(pair),
-	} {
+	var samplers []Sampler
+	for _, pair := range []*synopsis.Admissible{wordPair(130, 5), wordPair(1, 5)} {
+		samplers = append(samplers,
+			NewNatural(pair), NewNaturalIndexed(pair),
+			NewKL(pair), NewKLIndexed(pair),
+			NewKLM(pair), NewKLMIndexed(pair))
+	}
+	for _, s := range samplers {
 		want := make([]float64, 512)
 		s.SampleBatch(mt.New(3), want)
 		forks := []Sampler{s, s.Fork(), s.Fork(), s.Fork()}

@@ -50,6 +50,9 @@ type plan struct {
 	blocks int
 	fill   mt.Fill          // one uniform fact per block
 	images []synopsis.Image // the pair's images, shared with it
+	// one is a one-image pair's image as its fact for each block (an
+	// admissible pair's only image touches every block), else nil.
+	one []int32
 	// The coverage test: sliced for the plain kernels of a pair with
 	// more than one image, ix for the indexed kernels. A one-image
 	// pair's plain kernels and Cover use neither.
@@ -65,13 +68,20 @@ type plan struct {
 // add the sliced index where it applies, indexed ones the first-member
 // index, and symbolic-space samplers the alias table.
 func newPlan(pair *synopsis.Admissible) *plan {
-	return &plan{blocks: pair.NumBlocks(), fill: mt.NewFill(pair.BlockSizes), images: pair.Images}
+	p := &plan{blocks: pair.NumBlocks(), fill: mt.NewFill(pair.BlockSizes), images: pair.Images}
+	if len(p.images) == 1 {
+		p.one = p.scratch()
+		for _, m := range p.images[0] {
+			p.one[m.Block] = m.Fact
+		}
+	}
+	return p
 }
 
-// withSliced adds the bit-sliced index for a plain kernel. A one-image
-// pair keeps the direct member check, which is cheaper there.
+// withSliced adds the bit-sliced index for a plain kernel of a pair
+// with more than one image.
 func (p *plan) withSliced(pair *synopsis.Admissible) *plan {
-	if slicedCover(pair.NumImages()) {
+	if p.one == nil {
 		p.sliced = newSliced(pair)
 	}
 	return p
@@ -115,14 +125,13 @@ func (n *Natural) Sample(src *mt.Source) float64 { return n.sample(src) }
 // sample is the concrete (devirtualized) draw shared by Sample and
 // SampleBatch.
 func (n *Natural) sample(src *mt.Source) float64 {
-	src.Fill(&n.fill, n.chosen)
-	var hit bool
-	if n.sliced != nil {
-		hit = n.sliced.any(n.chosen)
-	} else {
-		hit = n.images[0].Within(n.chosen)
+	if n.one != nil {
+		var v [1]float64
+		src.Match(&n.fill, n.one, v[:])
+		return v[0]
 	}
-	if hit {
+	src.Fill(&n.fill, n.chosen)
+	if n.sliced.any(n.chosen) {
 		return 1
 	}
 	return 0
@@ -130,6 +139,10 @@ func (n *Natural) sample(src *mt.Source) float64 {
 
 // SampleBatch fills dst with len(dst) consecutive draws.
 func (n *Natural) SampleBatch(src *mt.Source, dst []float64) {
+	if n.one != nil {
+		src.Match(&n.fill, n.one, dst)
+		return
+	}
 	for i := range dst {
 		dst[i] = n.sample(src)
 	}
@@ -154,16 +167,25 @@ func NewSymbolic(pair *synopsis.Admissible) *Symbolic {
 	return newSymbolic(newPlan(pair).withSymbolic(pair))
 }
 
-func newSymbolic(p *plan) *Symbolic { return &Symbolic{plan: p, chosen: p.scratch()} }
+func newSymbolic(p *plan) *Symbolic {
+	s := &Symbolic{plan: p, chosen: p.scratch()}
+	copy(s.chosen, p.one) // what every draw of a one-image pair leaves
+	return s
+}
 
 // fork returns a Symbolic sharing s's plan.
 func (s *Symbolic) fork() *Symbolic { return newSymbolic(s.plan) }
 
 // Draw samples (i, I) uniformly from S•, leaving the drawn pair as the
 // sampler's current state, and returns i. Every block's choice is drawn,
-// H_i's included, before H_i's members are fixed.
+// H_i's included, before H_i's members are fixed: a one-image pair's
+// image fixes every block, so its draws only advance the stream.
 func (s *Symbolic) Draw(src *mt.Source) int {
 	i := s.alias.Draw(src)
+	if s.one != nil {
+		src.Advance(&s.fill)
+		return i
+	}
 	src.Fill(&s.fill, s.chosen)
 	for _, m := range s.images[i] {
 		s.chosen[m.Block] = m.Fact

@@ -52,14 +52,6 @@ func SelectKernel(pair *synopsis.Admissible) Kernel {
 	return selectKernel(pair.ShapeOf())
 }
 
-// slicedMinImages is the smallest |H| whose plain kernels test coverage
-// on the bit-sliced index. A one-image pair keeps the direct member
-// check, which costs less than one sliced word on that shape.
-const slicedMinImages = 2
-
-// slicedCover applies the shape rule above to a pair's |H|.
-func slicedCover(images int) bool { return images >= slicedMinImages }
-
 func selectKernel(sh synopsis.Shape) Kernel {
 	if sh.Images < selectMinImages {
 		return Plain

@@ -647,19 +647,24 @@ func (s *Server) handleInstancesList(w http.ResponseWriter, r *http.Request) {
 // scenario.InstanceSpec; the database is built (generated or loaded,
 // optionally noised) and registered under the spec's name. The name is
 // reserved before the build, so a concurrent duplicate registration
-// gets an immediate 409 instead of racing a second build.
+// gets an immediate 409 instead of racing a second build. The request
+// is attributed to the name only once it names a registered instance:
+// a rejected name is no metric label, as nothing would remove its
+// series.
 func (s *Server) handleInstanceRegister(w http.ResponseWriter, r *http.Request) {
 	st := reqStateFrom(r.Context())
 	var spec scenario.InstanceSpec
 	if !s.decode(w, r, &spec) {
 		return
 	}
-	st.setInstance(spec.Name)
 	if err := spec.Validate(); err != nil {
 		fail(w, st, http.StatusBadRequest, codeBadInstance, err.Error())
 		return
 	}
 	if err := s.instances.reserve(spec.Name); err != nil {
+		if in, lerr := s.instances.lookup(spec.Name); lerr == nil {
+			st.setInstance(in.Name)
+		}
 		fail(w, st, http.StatusConflict, codeInstanceExists, err.Error())
 		return
 	}
@@ -678,6 +683,7 @@ func (s *Server) handleInstanceRegister(w http.ResponseWriter, r *http.Request) 
 		spec:        &spec,
 	}
 	s.instances.commit(in)
+	st.setInstance(in.Name)
 	s.sched.registerTenant(spec.Name, spec.Weight, spec.Quota)
 	s.instanceSeries(in)
 	s.log.Info("server: instance registered",

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -259,5 +260,65 @@ func TestInstanceDeleteDropsSeries(t *testing.T) {
 	}
 	if m := scrape(); strings.Contains(m, `instance="ghost"`) {
 		t.Fatal(`/metrics has instance="ghost" series after a DELETE of that unknown name`)
+	}
+}
+
+// A rejected registration, whether its spec is invalid or its build
+// fails after the name was reserved, is no metric label: /metrics keeps
+// its size however many distinct names are turned away, and no series
+// names one of them. A conflict on a registered name is labelled with
+// that instance.
+func TestRejectedRegistrationLeavesNoSeries(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 2})
+	missing := filepath.Join(t.TempDir(), "missing")
+	// Histogram buckets are not counted: one appears whenever a latency
+	// lands in a bucket no request has filled yet.
+	sampleLines := func() (int, string) {
+		_, m := get(t, ts.URL+"/metrics")
+		n := 0
+		for _, line := range strings.Split(m, "\n") {
+			if line != "" && !strings.HasPrefix(line, "#") && !strings.Contains(line, "_bucket{") {
+				n++
+			}
+		}
+		return n, m
+	}
+	var lines []int
+	var rejected []string
+	for i := 1; i <= 4; i++ {
+		invalid, unbuilt := fmt.Sprintf("invalid%d", i), fmt.Sprintf("unbuilt%d", i)
+		rejected = append(rejected, invalid, unbuilt)
+		for _, spec := range []string{
+			fmt.Sprintf(`{"name": %q, "benchmark": "tpcx"}`, invalid),
+			fmt.Sprintf(`{"name": %q, "path": %q}`, unbuilt, missing),
+		} {
+			if status, code, body := doJSON(t, "POST", ts.URL+"/v1/instances", spec); status != http.StatusBadRequest || code != "bad_instance" {
+				t.Fatalf("register %s = %d/%s, want 400/bad_instance: %s", spec, status, code, body)
+			}
+		}
+		n, _ := sampleLines()
+		lines = append(lines, n)
+	}
+	for i, n := range lines {
+		if n != lines[0] {
+			t.Fatalf("/metrics sample lines after each round of rejections = %v: round %d differs from round 1", lines, i+1)
+		}
+	}
+	_, m := sampleLines()
+	for _, name := range rejected {
+		if strings.Contains(m, fmt.Sprintf(`instance=%q`, name)) {
+			t.Fatalf("/metrics has series for the rejected name %q", name)
+		}
+	}
+
+	spec := `{"name": "taken", "benchmark": "tpch", "sf": 0.0002, "seed": 1}`
+	if status, _, body := doJSON(t, "POST", ts.URL+"/v1/instances", spec); status != http.StatusCreated {
+		t.Fatalf("register taken = %d: %s", status, body)
+	}
+	if status, code, _ := doJSON(t, "POST", ts.URL+"/v1/instances", spec); status != http.StatusConflict || code != "instance_exists" {
+		t.Fatalf("duplicate register = %d/%s, want 409/instance_exists", status, code)
+	}
+	if _, m := sampleLines(); !strings.Contains(m, `server_requests_total{code="409",endpoint="/v1/instances",instance="taken"} 1`) {
+		t.Fatalf("no series labels the 409 with the registered name:\n%s", m)
 	}
 }
