@@ -452,9 +452,9 @@ func BenchmarkAblation_ExactAlgorithms(b *testing.B) {
 			}
 		}
 	})
-	b.Run("Decomposed", func(b *testing.B) {
+	b.Run("Auto", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := pair.ExactRatioDecomposed(0); err != nil {
+			if _, err := pair.ExactRatioAuto(0, 0); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -559,7 +559,9 @@ func oneKernelPair() *synopsis.Admissible {
 // Boolean-synopsis shape where it keeps the plain kernel ("wide"), and
 // the one-image pair of most non-Boolean answer tuples ("one").
 // samples/sec is the headline throughput number EXPERIMENTS.md quotes;
-// all variants draw from identical PRNG streams.
+// all variants draw from identical PRNG streams. Cover/walk times one
+// SelfAdjustingCoverage run per iteration at the paper's ε = 0.1,
+// δ = 0.25 and reports ns per step of the walk.
 func BenchmarkKernels(b *testing.B) {
 	pairs := []struct {
 		name string
@@ -602,6 +604,19 @@ func BenchmarkKernels(b *testing.B) {
 				b.ReportMetric(float64(drawn)/b.Elapsed().Seconds(), "samples/sec")
 			})
 		}
+		b.Run(p.name+"/Cover/walk", func(b *testing.B) {
+			space := sampler.NewSymbolic(p.pair)
+			b.ReportAllocs()
+			var steps int64
+			for i := 0; i < b.N; i++ {
+				r, err := estimator.SelfAdjustingCoverage(space, 0.1, 0.25, mt.New(uint64(i)), estimator.Budget{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				steps += r.Samples
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(steps), "ns/step")
+		})
 	}
 }
 

@@ -160,3 +160,9 @@ func (f fakeSpace) Draw(src *mt.Source) int { return src.Intn(f.m) }
 func (f fakeSpace) InSet(j int) bool        { return j == 0 }
 func (f fakeSpace) NumImages() int          { return f.m }
 func (f fakeSpace) Weight() float64         { return 1 }
+func (f fakeSpace) WalkOne(src *mt.Source, n int) {
+	for ; n > 0; n-- {
+		src.Intn(1)
+		f.Draw(src)
+	}
+}

@@ -19,6 +19,9 @@ type SymbolicSpace interface {
 	InSet(j int) bool
 	NumImages() int
 	Weight() float64
+	// WalkOne consumes src as n steps of the walk over a one-image
+	// space: each step's Intn(1), then the Draw that follows it.
+	WalkOne(src *mt.Source, n int)
 }
 
 // SelfAdjustingCoverage implements Algorithm 6 (the self-adjusting
@@ -37,7 +40,7 @@ func SelfAdjustingCoverage(space SymbolicSpace, eps, delta float64, src *mt.Sour
 }
 
 // SelfAdjustingCoverageContext is SelfAdjustingCoverage with cooperative
-// cancellation: the coverage walk charges draws one at a time, so the
+// cancellation: the coverage walk charges one draw per step, and the
 // context is polled every ctxStride steps (the same latency as the
 // batched loops' chunk boundaries). For a context that is never canceled
 // the result is byte-identical to SelfAdjustingCoverage.
@@ -53,39 +56,61 @@ func SelfAdjustingCoverageContext(ctx context.Context, space SymbolicSpace, eps,
 
 	bound := mt.NewBound(m) // the walk's Intn(m), compiled
 	var steps, total, trials int64
-outer:
-	for {
+	if m == 1 && rec == nil {
+		// Every step's InSet(0) holds, so every step ends a trial and
+		// only advances the stream: charge and advance a chunk at a
+		// time. Every chunk but the last spans ctxStride steps, so
+		// charge polls the context and the clock at the steps the unit
+		// charges would; at MaxSamples the chunk is cut short and the
+		// next is the single step whose charge fails, as in the loop.
 		space.Draw(src)
-		for {
-			steps++
-			if steps > n {
-				break outer
+		for steps < n {
+			k := min(ctxStride, n-steps)
+			if lim := budget.MaxSamples; lim > 0 {
+				k = max(1, min(k, lim-steps))
 			}
-			if err := bt.charge(1); err != nil {
+			if err := bt.charge(k); err != nil {
 				return Result{Samples: bt.samples}, err
 			}
-			// The coverage walk charges one draw per step, so checkpoints
-			// land every ctxStride steps — the same cadence as the batched
-			// loops' chunk boundaries.
-			if rec != nil && steps%ctxStride == 0 {
-				tr, tot := trials, total
-				if tr == 0 {
-					tr, tot = 1, steps
-				}
-				rec.observe(TrajectoryPoint{
-					Samples:  bt.samples,
-					Estimate: float64(tot) * space.Weight() / (float64(m) * float64(tr)),
-					Progress: float64(steps) / float64(n),
-					Phase:    "coverage",
-				})
-			}
-			j := bound.Draw(src)
-			if space.InSet(j) {
-				break
-			}
+			space.WalkOne(src, int(k))
+			steps += k
 		}
-		total = steps
-		trials++
+		total, trials = n, n
+	} else {
+	outer:
+		for {
+			space.Draw(src)
+			for {
+				steps++
+				if steps > n {
+					break outer
+				}
+				if err := bt.charge(1); err != nil {
+					return Result{Samples: bt.samples}, err
+				}
+				// The coverage walk charges one draw per step, so checkpoints
+				// land every ctxStride steps — the same cadence as the batched
+				// loops' chunk boundaries.
+				if rec != nil && steps%ctxStride == 0 {
+					tr, tot := trials, total
+					if tr == 0 {
+						tr, tot = 1, steps
+					}
+					rec.observe(TrajectoryPoint{
+						Samples:  bt.samples,
+						Estimate: float64(tot) * space.Weight() / (float64(m) * float64(tr)),
+						Progress: float64(steps) / float64(n),
+						Phase:    "coverage",
+					})
+				}
+				j := bound.Draw(src)
+				if space.InSet(j) {
+					break
+				}
+			}
+			total = steps
+			trials++
+		}
 	}
 	if trials == 0 {
 		// The first trial alone exceeded the step budget: the expected

@@ -1,9 +1,13 @@
 package estimator
 
 import (
+	"context"
 	"errors"
+	"fmt"
 	"math"
+	"slices"
 	"testing"
+	"time"
 
 	"cqabench/internal/mt"
 	"cqabench/internal/sampler"
@@ -12,9 +16,10 @@ import (
 
 // This file pins the batched estimation loops to the unbatched originals:
 // seqStoppingRule, seqMonteCarlo and seqFixedSamples are verbatim copies
-// of the one-sample-at-a-time loops the batched versions replaced. For
-// any sampler and budget, the batched loops must return byte-identical
-// estimates, sample counts, phase breakdowns and errors.
+// of the one-sample-at-a-time loops the batched versions replaced, and
+// seqCoverage of the coverage walk's step loop. For any sampler and
+// budget, the batched loops must return byte-identical estimates,
+// sample counts, phase breakdowns and errors.
 
 func seqStoppingRule(s Sampler, eps, delta float64, src *mt.Source, budget Budget) (Result, error) {
 	bt := &budgetTracker{budget: budget}
@@ -103,6 +108,66 @@ func seqFixedSamples(s Sampler, eps, delta, meanLB float64, src *mt.Source, budg
 		sum += s.Sample(src)
 	}
 	return Result{Estimate: sum / float64(n), Samples: bt.samples}, nil
+}
+
+func seqCoverage(ctx context.Context, space SymbolicSpace, eps, delta float64, src *mt.Source, budget Budget) (Result, error) {
+	bt := &budgetTracker{budget: budget, ctx: trackerCtx(ctx)}
+	rec := RecorderFrom(ctx)
+	m := space.NumImages()
+	n := int64(math.Ceil(8 * (1 + eps) * float64(m) * math.Log(3/delta) /
+		((1 - eps*eps/8) * eps * eps)))
+
+	bound := mt.NewBound(m) // the walk's Intn(m), compiled
+	var steps, total, trials int64
+outer:
+	for {
+		space.Draw(src)
+		for {
+			steps++
+			if steps > n {
+				break outer
+			}
+			if err := bt.charge(1); err != nil {
+				return Result{Samples: bt.samples}, err
+			}
+			// The coverage walk charges one draw per step, so checkpoints
+			// land every ctxStride steps — the same cadence as the batched
+			// loops' chunk boundaries.
+			if rec != nil && steps%ctxStride == 0 {
+				tr, tot := trials, total
+				if tr == 0 {
+					tr, tot = 1, steps
+				}
+				rec.observe(TrajectoryPoint{
+					Samples:  bt.samples,
+					Estimate: float64(tot) * space.Weight() / (float64(m) * float64(tr)),
+					Progress: float64(steps) / float64(n),
+					Phase:    "coverage",
+				})
+			}
+			j := bound.Draw(src)
+			if space.InSet(j) {
+				break
+			}
+		}
+		total = steps
+		trials++
+	}
+	if trials == 0 {
+		// The first trial alone exceeded the step budget: the expected
+		// steps per trial, m·|∪|/|S•|, is larger than N, so the union is
+		// essentially all of the space; report the most conservative
+		// estimate the data supports.
+		total, trials = n, 1
+	}
+	// |∪| ≈ (total/trials) · |S•| / m; normalize by |db(B)|.
+	est := float64(total) * space.Weight() / (float64(m) * float64(trials))
+	if rec != nil {
+		rec.final(TrajectoryPoint{
+			Samples: bt.samples, Estimate: est, Progress: 1, Phase: "coverage",
+		})
+	}
+	return Result{Estimate: est, Samples: bt.samples}, nil
 }
 
 // refPair builds a small admissible pair exercising all samplers.
@@ -258,6 +323,107 @@ func TestReserveAccounting(t *testing.T) {
 		}
 		if bt.samples != 10/unit*unit+unit {
 			t.Fatalf("unit %d: failure left samples=%d, want %d", unit, bt.samples, 10/unit*unit+unit)
+		}
+	}
+}
+
+// oneImagePair is a one-image pair over blocks of the given sizes.
+func oneImagePair(sizes ...int32) *synopsis.Admissible {
+	pair := &synopsis.Admissible{BlockSizes: sizes, Images: make([]synopsis.Image, 1)}
+	for b, sz := range sizes {
+		pair.Images[0] = append(pair.Images[0], synopsis.Member{Block: int32(b), Fact: sz - 1})
+	}
+	if err := pair.Validate(); err != nil {
+		panic(err)
+	}
+	return pair
+}
+
+// TestBatchedCoverageMatchesStepLoop pins the coverage walk of a
+// one-image pair, which charges and advances a chunk of steps at a
+// time, to the step loop: the same estimate, Samples and stream
+// position on success, and the same Samples and error on every budget,
+// deadline and cancellation failure. With a recorder attached both run
+// the step loop, and their trajectories must agree as well.
+func TestBatchedCoverageMatchesStepLoop(t *testing.T) {
+	pairs := map[string]*synopsis.Admissible{
+		"size 1":        oneImagePair(1),
+		"powers of two": oneImagePair(2, 4),
+		"other sizes":   oneImagePair(3, 5),
+		"mixed":         oneImagePair(1, 2, 3, 1, 5, 24),
+	}
+	const eps, delta = 0.1, 0.25
+	n := CoverageIterations(1, eps, delta)
+	if CoverageIterations(1, 0.05, delta) <= deadlineStride {
+		t.Fatal("the deadline run takes no more steps than one deadline check")
+	}
+	bg := context.Background()
+	live, stop := context.WithCancel(bg)
+	defer stop()
+	canceled, cancel := context.WithCancel(bg)
+	cancel()
+	type run struct {
+		name   string
+		ctx    context.Context
+		eps    float64
+		budget Budget
+		fails  bool
+	}
+	runs := []run{
+		{"unlimited", bg, eps, Budget{}, false},
+		{"live context", live, eps, Budget{}, false},
+		{"deadline passed", bg, 0.05, Budget{Deadline: time.Now().Add(-time.Second)}, true},
+		{"canceled", canceled, eps, Budget{}, true},
+	}
+	for _, max := range []int64{1, 255, 256, 257, n - 1, n} {
+		runs = append(runs, run{fmt.Sprintf("MaxSamples %d", max), live, eps, Budget{MaxSamples: max}, max < n})
+	}
+	for pname, pair := range pairs {
+		for _, r := range runs {
+			for _, seed := range []uint64{1, mt.DefaultSeed} {
+				tag := fmt.Sprintf("%s/%s/seed %d", pname, r.name, seed)
+				s1, s2 := mt.New(seed), mt.New(seed)
+				want, wantErr := seqCoverage(r.ctx, sampler.NewSymbolic(pair), r.eps, delta, s1, r.budget)
+				got, gotErr := SelfAdjustingCoverageContext(r.ctx, sampler.NewSymbolic(pair), r.eps, delta, s2, r.budget)
+				if (wantErr != nil) != r.fails {
+					t.Fatalf("%s: the step loop returns %v", tag, wantErr)
+				}
+				sameCoverage(t, tag, want, got, wantErr, gotErr, s1, s2)
+			}
+		}
+		rec1, rec2 := NewRecorder(0), NewRecorder(0)
+		s1, s2 := mt.New(3), mt.New(3)
+		want, wantErr := seqCoverage(WithRecorder(bg, rec1), sampler.NewSymbolic(pair), eps, delta, s1, Budget{})
+		got, gotErr := SelfAdjustingCoverageContext(WithRecorder(bg, rec2), sampler.NewSymbolic(pair), eps, delta, s2, Budget{})
+		sameCoverage(t, pname+"/recorder", want, got, wantErr, gotErr, s1, s2)
+		if p1, p2 := rec1.Points(), rec2.Points(); len(p1) < 2 || !slices.Equal(p1, p2) {
+			t.Fatalf("%s/recorder: trajectories differ: %v vs %v", pname, p1, p2)
+		}
+	}
+}
+
+// sameCoverage fails the test unless two coverage runs agree: the same
+// error kind and Samples, and on success the same estimate bits and
+// stream position.
+func sameCoverage(t *testing.T, tag string, want, got Result, wantErr, gotErr error, s1, s2 *mt.Source) {
+	t.Helper()
+	if (wantErr == nil) != (gotErr == nil) ||
+		errors.Is(wantErr, ErrBudget) != errors.Is(gotErr, ErrBudget) ||
+		errors.Is(wantErr, ErrCanceled) != errors.Is(gotErr, ErrCanceled) {
+		t.Fatalf("%s: errors differ: step loop %v, walk %v", tag, wantErr, gotErr)
+	}
+	if want.Samples != got.Samples {
+		t.Fatalf("%s: Samples differ: step loop %d, walk %d", tag, want.Samples, got.Samples)
+	}
+	if wantErr != nil {
+		return
+	}
+	if math.Float64bits(want.Estimate) != math.Float64bits(got.Estimate) {
+		t.Fatalf("%s: estimates differ: %v vs %v", tag, want.Estimate, got.Estimate)
+	}
+	for i := 0; i < 4; i++ {
+		if a, b := s1.Uint64(), s2.Uint64(); a != b {
+			t.Fatalf("%s: streams diverged: %x vs %x", tag, a, b)
 		}
 	}
 }

@@ -77,13 +77,7 @@ func NewAlias(weights []float64) *Alias {
 func (a *Alias) Len() int { return len(a.prob) }
 
 // Draw returns an index distributed according to the table's weights.
-// A one-entry table returns 0 and consumes the two words unread: Intn(1)
-// masks the first, and the second makes a Float64 below prob[0] = 1.
 func (a *Alias) Draw(src *Source) int {
-	if len(a.prob) == 1 {
-		src.index = src.skip(src.index, 2)
-		return 0
-	}
 	i := a.bound.Draw(src)
 	if src.Float64() < a.prob[i] {
 		return i

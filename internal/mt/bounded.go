@@ -1,12 +1,15 @@
 package mt
 
+import "math/bits"
+
 // Compiled bounded draws. The samplers call Intn with the same bounds
 // millions of times per estimate: once per block of the pair per draw,
 // and once per alias-table draw. Bound and Fill compute everything that
 // depends only on the bound once, and read the state array directly, so
-// a draw makes no call per word. Both read exactly the words Intn would
-// read and return exactly its values; only the speed differs. Advance
-// and Match read Fill's words for draws whose values are not stored.
+// a draw makes no call per word and no divide. Both read exactly the
+// words Intn would read and return exactly its values; only the speed
+// differs. Advance and Match read Fill's words for draws whose values
+// are not stored.
 
 // Bound is Intn(n) compiled for one n ≥ 1.
 type Bound struct {
@@ -15,6 +18,7 @@ type Bound struct {
 	// above it are redrawn. It is 0 for a power of two, which masks
 	// the word instead and never rejects.
 	max uint64
+	m   uint64 // ⌊(2⁶⁴−1)/n⌋, the reciprocal rem multiplies by
 }
 
 // NewBound compiles Intn(n). It panics if n <= 0, as Intn does.
@@ -26,7 +30,29 @@ func NewBound(n int) Bound {
 	if un&(un-1) == 0 {
 		return Bound{n: un}
 	}
-	return Bound{n: un, max: (^uint64(0) / un) * un}
+	m := ^uint64(0) / un
+	return Bound{n: un, max: m * un, m: m}
+}
+
+// rem returns v % n for a bound that is not a power of two. With
+// m·n ≤ 2⁶⁴−1 < (m+1)·n, the quotient estimate hi(v·m) is ⌊v/n⌋ or one
+// less for every 64-bit v, so one subtraction corrects the remainder.
+func (b *Bound) rem(v uint64) uint64 {
+	q, _ := bits.Mul64(v, b.m)
+	r := v - q*b.n
+	if r >= b.n {
+		r -= b.n
+	}
+	return r
+}
+
+// reduce returns the value the bound draws from the tempered word v,
+// and false if it rejects v.
+func (b *Bound) reduce(v uint64) (uint64, bool) {
+	if b.max == 0 {
+		return v & (b.n - 1), true
+	}
+	return b.rem(v), v < b.max
 }
 
 // Draw returns src.Intn(n) for the bound's n, reading the same words.
@@ -37,15 +63,11 @@ func (b *Bound) Draw(src *Source) int {
 			src.refill()
 			i = 0
 		}
-		v := temper(src.state[i])
+		v, ok := b.reduce(temper(src.state[i]))
 		i++
-		if b.max == 0 {
+		if ok {
 			src.index = i
-			return int(v & (b.n - 1))
-		}
-		if v < b.max {
-			src.index = i
-			return int(v % b.n)
+			return int(v)
 		}
 	}
 }
@@ -57,16 +79,24 @@ func (b *Bound) Draw(src *Source) int {
 // compiled for fixed sizes. Intn(1) is always 0 but still consumes one
 // word, so a run of size-1 bounds only advances the stream by its
 // length, without tempering any word.
+//
+// A run that no bound rejects reads one word per block, so block b's
+// word lies at offset b from the run's first word. When the whole run
+// lies inside the current 312-word state block, Fill, Advance and Match
+// read it at those fixed offsets. If a bound rejects its word there, or
+// the run would cross a refill, they read the run again from its first
+// word, word by word as Intn does.
 type Fill struct {
 	steps []fillStep
 	tail  int // size-1 bounds after the last step
+	width int // words a run reads when no bound rejects
 }
 
 // fillStep is one bound larger than 1, preceded by skip size-1 bounds.
 type fillStep struct {
 	Bound
 	skip int32
-	dst  int32 // index into dst
+	dst  int32 // index into dst, and the word's fixed offset in a run
 }
 
 // NewFill compiles the fill loop for sizes, which must all be ≥ 1.
@@ -77,7 +107,7 @@ func NewFill(sizes []int32) Fill {
 			n++
 		}
 	}
-	f := Fill{steps: make([]fillStep, 0, n)}
+	f := Fill{steps: make([]fillStep, 0, n), width: len(sizes)}
 	for b, sz := range sizes {
 		if sz == 1 {
 			f.tail++
@@ -91,57 +121,78 @@ func NewFill(sizes []int32) Fill {
 
 // Fill runs the compiled loop f, drawing into dst. Entries of dst at
 // size-1 bounds are left as they are: Intn(1) is always 0, so callers
-// keep 0 there. The inner loop is Bound.Draw's, written out by hand:
-// calling it per block made the fill about 10% slower.
+// keep 0 there.
 func (s *Source) Fill(f *Fill, dst []int32) {
-	i, steps := s.index, f.steps
-	for k := range steps {
-		st := &steps[k]
-		i = s.skip(i, int(st.skip))
-		for {
-			if i >= nn {
-				s.refill()
-				i = 0
-			}
-			v := temper(s.state[i])
-			i++
-			if st.max == 0 {
-				dst[st.dst] = int32(v & (st.n - 1))
-				break
-			}
-			if v < st.max {
-				dst[st.dst] = int32(v % st.n)
-				break
-			}
-		}
+	if s.fillFixed(f, dst) {
+		return
+	}
+	i := s.index
+	for k := range f.steps {
+		var v uint64
+		v, i = s.draw(&f.steps[k], i)
+		dst[f.steps[k].dst] = int32(v)
 	}
 	s.index = s.skip(i, f.tail)
 }
 
-// Advance consumes the words one run of f reads, rejections included,
-// storing no value. Only the words a bound can reject are tempered.
-func (s *Source) Advance(f *Fill) {
-	i, steps := s.index, f.steps
-	for k := range steps {
-		st := &steps[k]
-		if st.max == 0 {
-			i = s.skip(i, int(st.skip)+1)
-			continue
-		}
-		i = s.skip(i, int(st.skip))
-		for {
-			if i >= nn {
-				s.refill()
-				i = 0
-			}
-			v := temper(s.state[i])
-			i++
-			if v < st.max {
-				break
-			}
-		}
+// fillFixed is Fill at fixed offsets. It reports false, consuming
+// nothing, if the run would cross a refill or a bound rejects its word;
+// Fill then draws every entry again.
+func (s *Source) fillFixed(f *Fill, dst []int32) bool {
+	i := s.index
+	if i+f.width > nn {
+		return false
 	}
-	s.index = s.skip(i, f.tail)
+	for k := range f.steps {
+		st := &f.steps[k]
+		v, ok := st.reduce(temper(s.state[i+int(st.dst)]))
+		if !ok {
+			return false
+		}
+		dst[st.dst] = int32(v)
+	}
+	s.index = i + f.width
+	return true
+}
+
+// Advance consumes n runs, each of pre words that are not read followed
+// by one run of f's words, rejections included, storing no value. At
+// fixed offsets it tempers only the words a bound can reject.
+func (s *Source) Advance(f *Fill, pre, n int) {
+	for {
+		if n -= s.advanceFixed(f, pre, n); n == 0 {
+			return
+		}
+		i := s.skip(s.index, pre)
+		for k := range f.steps {
+			_, i = s.draw(&f.steps[k], i)
+		}
+		s.index = s.skip(i, f.tail)
+		n--
+	}
+}
+
+// advanceFixed is Advance at fixed offsets. It returns how many runs it
+// consumed, stopping before the first run that would cross a refill or
+// in which a bound rejects its word.
+func (s *Source) advanceFixed(f *Fill, pre, n int) int {
+	i, w, steps := s.index, pre+f.width, f.steps
+	for r := 0; r < n; r++ {
+		if i+w > nn {
+			s.index = i
+			return r
+		}
+		for k := range steps {
+			st := &steps[k]
+			if st.max != 0 && temper(s.state[i+pre+int(st.dst)]) >= st.max {
+				s.index = i
+				return r
+			}
+		}
+		i += w
+	}
+	s.index = i
+	return n
 }
 
 // Match runs f len(dst) times, reading the words Fill would, and sets
@@ -149,36 +200,70 @@ func (s *Source) Advance(f *Fill) {
 // else to 0. A draw ORs each block's difference into one word instead
 // of branching on each compare.
 func (s *Source) Match(f *Fill, want []int32, dst []float64) {
-	i, steps := s.index, f.steps
+	for d := 0; ; d++ {
+		if d += s.matchFixed(f, want, dst[d:]); d == len(dst) {
+			return
+		}
+		i, miss := s.index, uint64(0)
+		for k := range f.steps {
+			var v uint64
+			v, i = s.draw(&f.steps[k], i)
+			miss |= v ^ uint64(want[f.steps[k].dst])
+		}
+		s.index = s.skip(i, f.tail)
+		dst[d] = hit(miss)
+	}
+}
+
+// matchFixed is Match at fixed offsets. It returns how many draws it
+// made, stopping before the first draw that would cross a refill or in
+// which a bound rejects its word.
+func (s *Source) matchFixed(f *Fill, want []int32, dst []float64) int {
+	i, w, steps := s.index, f.width, f.steps
 	for d := range dst {
+		if i+w > nn {
+			s.index = i
+			return d
+		}
 		var miss uint64
 		for k := range steps {
 			st := &steps[k]
-			i = s.skip(i, int(st.skip))
-			for {
-				if i >= nn {
-					s.refill()
-					i = 0
-				}
-				v := temper(s.state[i])
-				i++
-				if st.max == 0 {
-					miss |= v&(st.n-1) ^ uint64(want[st.dst])
-					break
-				}
-				if v < st.max {
-					miss |= v%st.n ^ uint64(want[st.dst])
-					break
-				}
+			v, ok := st.reduce(temper(s.state[i+int(st.dst)]))
+			if !ok {
+				s.index = i
+				return d
 			}
+			miss |= v ^ uint64(want[st.dst])
 		}
-		i = s.skip(i, f.tail)
-		dst[d] = 0
-		if miss == 0 {
-			dst[d] = 1
-		}
+		dst[d] = hit(miss)
+		i += w
 	}
 	s.index = i
+	return len(dst)
+}
+
+// hit is Match's value for a draw whose blocks differ from want by
+// miss: 1 if miss is 0, else 0, without a branch.
+func hit(miss uint64) float64 {
+	return float64(int64(1 - (miss|-miss)>>63))
+}
+
+// draw reads one step word by word from state position i, as Intn
+// does: it skips the step's size-1 bounds, then reads words until the
+// bound accepts one. It returns the drawn value and the new position.
+func (s *Source) draw(st *fillStep, i int) (uint64, int) {
+	i = s.skip(i, int(st.skip))
+	for {
+		if i >= nn {
+			s.refill()
+			i = 0
+		}
+		v, ok := st.reduce(temper(s.state[i]))
+		i++
+		if ok {
+			return v, i
+		}
+	}
 }
 
 // skip consumes k words from state position i and returns the new

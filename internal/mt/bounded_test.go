@@ -1,6 +1,7 @@
 package mt
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -70,14 +71,16 @@ func checkFill(t *testing.T, sizes []int32) {
 }
 
 // checkLoops makes rounds draws of sizes from copies of src through the
-// Intn loop, Fill, Advance and Match. Fill must draw the Intn loop's
-// values; Match, given the last draw's values, must report the draws
-// that drew them and miss the last draw once any one block's value
-// differs; all three must leave the stream where the Intn loop does.
+// Intn loop, Fill and Match, and checks Advance (checkAdvance). Fill
+// must draw the Intn loop's values; Match, given the last draw's
+// values, must report the draws that drew them and miss the last draw
+// once any one block's value differs; both must leave the stream where
+// the Intn loop does.
 func checkLoops(t *testing.T, src *Source, sizes []int32, rounds int) {
 	t.Helper()
+	checkAdvance(t, src, sizes)
 	f := NewFill(sizes)
-	want, fill, adv := *src, *src, *src
+	want, fill := *src, *src
 	drawn := make([][]int32, rounds)
 	got := make([]int32, len(sizes))
 	for r := range drawn {
@@ -89,7 +92,6 @@ func checkLoops(t *testing.T, src *Source, sizes []int32, rounds int) {
 				t.Fatalf("round %d block %d (size %d): Intn %d, Fill %d", r, b, sizes[b], drawn[r][b], got[b])
 			}
 		}
-		adv.Advance(&f)
 	}
 	last := drawn[rounds-1]
 	match, hits := *src, make([]float64, rounds)
@@ -110,9 +112,39 @@ func checkLoops(t *testing.T, src *Source, sizes []int32, rounds int) {
 			t.Fatalf("Match reports the last draw with block %d (size %d) changed", b, sz)
 		}
 	}
-	for name, got := range map[string]*Source{"Fill": &fill, "Advance": &adv, "Match": &match} {
+	for name, got := range map[string]*Source{"Fill": &fill, "Match": &match} {
 		if got.index != want.index || got.state != want.state {
 			t.Fatalf("%s ends at word %d, the Intn loop at %d (or in another state)", name, got.index, want.index)
+		}
+	}
+}
+
+// advancePre are the unread words before each run that the samplers
+// pass to Advance: none, a one-entry alias table's two, and a coverage
+// step's three.
+var advancePre = []int{0, 2, 3}
+
+// checkAdvance checks Advance(f, pre, n) from a copy of src against n
+// rounds of pre Uint64 calls and the Intn loop: both must leave the
+// stream at the same position and in the same state. 300 runs cross
+// the refill several times, each at another position of the run.
+func checkAdvance(t *testing.T, src *Source, sizes []int32) {
+	t.Helper()
+	f, dst := NewFill(sizes), make([]int32, len(sizes))
+	for _, pre := range advancePre {
+		for _, n := range []int{1, 7, 300} {
+			want, adv := *src, *src
+			for r := 0; r < n; r++ {
+				for k := 0; k < pre; k++ {
+					want.Uint64()
+				}
+				intnFill(&want, sizes, dst)
+			}
+			adv.Advance(&f, pre, n)
+			if adv.index != want.index || adv.state != want.state {
+				t.Fatalf("Advance(pre %d, n %d) from word %d ends at word %d, the Intn loop at %d (or in another state)",
+					pre, n, src.index, adv.index, want.index)
+			}
 		}
 	}
 }
@@ -178,22 +210,52 @@ func TestUntemper(t *testing.T) {
 // A bound of an int32 block size rejects a word with probability below
 // 2^-33, so no drawn stream reaches the compiled loops' rejection
 // branch. Plant words that every bound rejects (no bound here is a
-// power of two) mid-array, on three consecutive words, and at index
-// 311, whose redraw comes after a refill, and check the loops against
-// the Intn loop.
+// power of two) and check the loops against the Intn loop: mid-array,
+// on three consecutive words, and at index 311, whose redraw comes
+// after a refill; then, for each number of unread words Advance puts
+// before a run, as the first, a middle and the last word of a run that
+// would otherwise be read at fixed offsets, and in a run that ends at
+// index 311.
 func TestCompiledLoopsReject(t *testing.T) {
 	sizes := []int32{3, 5, 6, 7, 24, 1000, 1<<30 + 1, 1<<31 - 1}
-	planted := []int{150, 200, 201, 202, nn - 1}
+	width := len(sizes)
+	t.Run("spread", func(t *testing.T) {
+		checkPlanted(t, sizes, 0, []int{150, 200, 201, 202, nn - 1})
+	})
+	for _, pre := range advancePre {
+		w := pre + width
+		for _, c := range []struct {
+			name         string
+			start, plant int
+		}{
+			{"first", 40, 40 + 5*w + pre},
+			{"middle", 40, 40 + 5*w + pre + width/2},
+			{"last", 40, 40 + 5*w + pre + width - 1},
+			{"ending at 311", nn - 3*w, nn - w + pre + width/2},
+		} {
+			t.Run(fmt.Sprintf("pre %d/%s", pre, c.name), func(t *testing.T) {
+				checkPlanted(t, sizes, c.start, []int{c.plant})
+			})
+		}
+	}
+}
+
+// checkPlanted plants a word that every bound of sizes rejects at each
+// planted index of a freshly refilled state, starts reading at word
+// start, and checks the compiled loops against the Intn loop. It also
+// checks that the Intn loop read and rejected every planted word: it
+// ends as many words further on than on the state without them.
+func checkPlanted(t *testing.T, sizes []int32, start int, planted []int) {
+	t.Helper()
 	const rounds = 50 // 400 words, and one more per planted word
 	src, plain := New(9), New(9)
 	src.refill()
 	plain.refill()
+	src.index, plain.index = start, start
 	for _, i := range planted {
 		src.state[i] = untemper(^uint64(0)) // at or above every threshold
 	}
 	checkLoops(t, src, sizes, rounds)
-	// Every planted word was read and rejected: the Intn loop ends as
-	// many words further on than on the state without them.
 	dst := make([]int32, len(sizes))
 	for r := 0; r < rounds; r++ {
 		intnFill(src, sizes, dst)
@@ -201,6 +263,37 @@ func TestCompiledLoopsReject(t *testing.T) {
 	}
 	if src.index-plain.index != len(planted) {
 		t.Fatalf("planted words rejected: %d, want %d", src.index-plain.index, len(planted))
+	}
+}
+
+// TestBoundRemainder checks the reciprocal remainder against % for
+// every bound that is not a power of two up to 4096 and for bounds
+// near 2^31, on the edge words of each bound and random words.
+func TestBoundRemainder(t *testing.T) {
+	var ns []int
+	for n := 3; n <= 4096; n++ {
+		if n&(n-1) != 0 {
+			ns = append(ns, n)
+		}
+	}
+	for n := 1<<31 - 8; n <= 1<<31+8; n++ {
+		if n != 1<<31 {
+			ns = append(ns, n)
+		}
+	}
+	src := New(13)
+	for _, n := range ns {
+		b := NewBound(n)
+		un := uint64(n)
+		words := []uint64{0, un - 1, un, b.max - un, b.max - 1, b.max, 1 << 63, ^uint64(0)}
+		for i := 0; i < 10000; i++ {
+			words = append(words, src.Uint64())
+		}
+		for _, v := range words {
+			if got := b.rem(v); got != v%un {
+				t.Fatalf("n=%d: rem(%d) = %d, want %d", n, v, got, v%un)
+			}
+		}
 	}
 }
 

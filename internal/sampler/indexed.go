@@ -149,6 +149,10 @@ func (k *KLIndexed) sample(src *mt.Source) float64 {
 
 // SampleBatch fills dst with len(dst) consecutive draws.
 func (k *KLIndexed) SampleBatch(src *mt.Source, dst []float64) {
+	if k.one != nil {
+		k.drawOne(src, dst)
+		return
+	}
 	for i := range dst {
 		dst[i] = k.sample(src)
 	}
@@ -201,6 +205,10 @@ func (k *KLMIndexed) sample(src *mt.Source) float64 {
 
 // SampleBatch fills dst with len(dst) consecutive draws.
 func (k *KLMIndexed) SampleBatch(src *mt.Source, dst []float64) {
+	if k.one != nil {
+		k.drawOne(src, dst)
+		return
+	}
 	for i := range dst {
 		dst[i] = k.sample(src)
 	}

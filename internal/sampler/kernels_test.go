@@ -521,6 +521,19 @@ func TestOneImageMatchesReference(t *testing.T) {
 				t.Fatalf("draw %d: database %v, reference %v", d, s.chosen, ref.chosen)
 			}
 		}
+		// A coverage step of a one-image pair draws image 0 with
+		// Intn(1), which covers, and draws again.
+		for _, n := range []int{1, 255, 1000} {
+			for k := 0; k < n; k++ {
+				if s1.Intn(1) != 0 || symbolic(s1) != 0 {
+					t.Fatal("a one-image coverage step is not image 0")
+				}
+			}
+			s.WalkOne(s2, n)
+			if !slices.Equal(s.chosen, ref.chosen) || !s.InSet(0) {
+				t.Fatalf("after %d steps: database %v, reference %v", n, s.chosen, ref.chosen)
+			}
+		}
 		if a, b := s1.Uint64(), s2.Uint64(); a != b {
 			t.Fatalf("streams diverged: %x vs %x", a, b)
 		}

@@ -181,16 +181,36 @@ func (s *Symbolic) fork() *Symbolic { return newSymbolic(s.plan) }
 // H_i's included, before H_i's members are fixed: a one-image pair's
 // image fixes every block, so its draws only advance the stream.
 func (s *Symbolic) Draw(src *mt.Source) int {
-	i := s.alias.Draw(src)
 	if s.one != nil {
-		src.Advance(&s.fill)
-		return i
+		src.Advance(&s.fill, oneAlias, 1)
+		return 0
 	}
+	i := s.alias.Draw(src)
 	src.Fill(&s.fill, s.chosen)
 	for _, m := range s.images[i] {
 		s.chosen[m.Block] = m.Fact
 	}
 	return i
+}
+
+// oneAlias is the number of words a one-entry alias table reads: its
+// Intn(1), and a Float64 that is below prob[0] = 1, so it draws image 0.
+const oneAlias = 2
+
+// WalkOne consumes src as n steps of the coverage walk over a one-image
+// pair: each step's Intn(1) word, which picks image 0, then the Draw
+// that follows it, as InSet(0) always holds.
+func (s *Symbolic) WalkOne(src *mt.Source, n int) {
+	src.Advance(&s.fill, 1+oneAlias, n)
+}
+
+// drawOne fills dst with KL or KLM draws of a one-image pair, which are
+// all 1: image 0 is drawn, and it alone covers.
+func (s *Symbolic) drawOne(src *mt.Source, dst []float64) {
+	src.Advance(&s.fill, oneAlias, len(dst))
+	for i := range dst {
+		dst[i] = 1
+	}
 }
 
 // InSet reports whether the current I lies in I^j (i.e. H_j ⊆ I).
@@ -235,6 +255,10 @@ func (k *KL) sample(src *mt.Source) float64 {
 
 // SampleBatch fills dst with len(dst) consecutive draws.
 func (k *KL) SampleBatch(src *mt.Source, dst []float64) {
+	if k.one != nil {
+		k.drawOne(src, dst)
+		return
+	}
 	for i := range dst {
 		dst[i] = k.sample(src)
 	}
@@ -271,6 +295,10 @@ func (k *KLM) sample(src *mt.Source) float64 {
 
 // SampleBatch fills dst with len(dst) consecutive draws.
 func (k *KLM) SampleBatch(src *mt.Source, dst []float64) {
+	if k.one != nil {
+		k.drawOne(src, dst)
+		return
+	}
 	for i := range dst {
 		dst[i] = k.sample(src)
 	}

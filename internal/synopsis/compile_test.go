@@ -36,7 +36,7 @@ func TestCompiledMatchesBruteForce(t *testing.T) {
 
 // A 60-image chain: images i and i+1 share a block. Inclusion–exclusion
 // is 2^60 and decomposition sees one giant component, but compilation
-// solves it via memoized linear structure.
+// solves it via memoized linear structure, so ExactRatioAuto does too.
 func TestCompiledHandlesChains(t *testing.T) {
 	pair := &Admissible{}
 	const n = 60
@@ -56,12 +56,12 @@ func TestCompiledHandlesChains(t *testing.T) {
 	if _, err := pair.ExactRatio(22); !errors.Is(err, ErrTooLarge) {
 		t.Fatal("flat inclusion-exclusion should refuse 60 images")
 	}
-	if _, err := pair.ExactRatioDecomposed(22); !errors.Is(err, ErrTooLarge) {
-		t.Fatal("decomposition should see one giant component")
-	}
 	got, err := pair.ExactRatioCompiled(0)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if auto, err := pair.ExactRatioAuto(22, 0); err != nil || math.Abs(auto-got) > 1e-12 {
+		t.Fatalf("auto %v (%v) vs compiled %v: one giant component is compiled", auto, err, got)
 	}
 	// Sanity: probability of some adjacent 00-pair in a uniform bit string
 	// of length 61. Check against a small-n recurrence: let q(n) be the
@@ -134,7 +134,7 @@ func TestThreeExactAlgorithmsAgreeProperty(t *testing.T) {
 			return true
 		}
 		bf, err1 := pair.BruteForceRatio(0)
-		dec, err2 := pair.ExactRatioDecomposed(0)
+		dec, err2 := pair.ExactRatioAuto(0, 0)
 		comp, err3 := pair.ExactRatioCompiled(0)
 		if err1 != nil || err2 != nil || err3 != nil {
 			return true

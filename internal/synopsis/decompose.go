@@ -12,7 +12,7 @@ import (
 //
 //	R(H, B) = 1 − Π_c (1 − R(H_c, B_c))
 //
-// which lets ExactRatioDecomposed replace one 2^|H| inclusion–exclusion
+// which lets ExactRatioAuto replace one 2^|H| inclusion–exclusion
 // with one 2^|H_c| per component — exponential only in the largest
 // entangled group of images.
 func (a *Admissible) Components() [][]int {
@@ -84,27 +84,6 @@ func (a *Admissible) subPair(imageIdx []int) *Admissible {
 	}
 	sub.Canonicalize()
 	return sub
-}
-
-// ExactRatioDecomposed computes R(H, B) exactly by independent-component
-// factorization, running inclusion–exclusion per component. maxImages
-// bounds the largest component (0 = default 22); pairs whose largest
-// entangled component exceeds it still fail with ErrTooLarge, but pairs
-// with many small components now succeed where ExactRatio could not.
-func (a *Admissible) ExactRatioDecomposed(maxImages int) (float64, error) {
-	if len(a.Images) == 0 {
-		return 0, nil
-	}
-	missProb := 1.0
-	for _, comp := range a.Components() {
-		sub := a.subPair(comp)
-		r, err := sub.ExactRatio(maxImages)
-		if err != nil {
-			return 0, fmt.Errorf("component of %d images: %w", len(comp), err)
-		}
-		missProb *= 1 - r
-	}
-	return 1 - missProb, nil
 }
 
 // ExactRatioAuto combines the three exact algorithms: component

@@ -67,12 +67,12 @@ func TestDecomposedMatchesDirect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	decomposed, err := pair.ExactRatioDecomposed(0)
+	auto, err := pair.ExactRatioAuto(0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(direct-decomposed) > 1e-12 {
-		t.Fatalf("direct %v vs decomposed %v", direct, decomposed)
+	if math.Abs(direct-auto) > 1e-12 {
+		t.Fatalf("direct %v vs decomposed %v", direct, auto)
 	}
 }
 
@@ -92,7 +92,7 @@ func TestDecomposedScalesBeyondFlatLimit(t *testing.T) {
 	if _, err := pair.ExactRatio(22); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("flat inclusion-exclusion unexpectedly handled 40 images: %v", err)
 	}
-	got, err := pair.ExactRatioDecomposed(22)
+	got, err := pair.ExactRatioAuto(22, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,8 +102,9 @@ func TestDecomposedScalesBeyondFlatLimit(t *testing.T) {
 	}
 }
 
+// One giant entangled component: decomposition cannot help, so
+// inclusion–exclusion refuses it and ExactRatioAuto compiles it.
 func TestDecomposedLargeComponentStillFails(t *testing.T) {
-	// One giant entangled component: decomposition cannot help.
 	pair := &Admissible{BlockSizes: []int32{2}}
 	for i := 0; i < 30; i++ {
 		pair.BlockSizes = append(pair.BlockSizes, 2)
@@ -113,14 +114,22 @@ func TestDecomposedLargeComponentStillFails(t *testing.T) {
 	if err := pair.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pair.ExactRatioDecomposed(22); !errors.Is(err, ErrTooLarge) {
+	if _, err := pair.ExactRatio(22); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("err = %v, want ErrTooLarge", err)
+	}
+	compiled, err := pair.ExactRatioCompiled(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	auto, err := pair.ExactRatioAuto(22, 0)
+	if err != nil || math.Abs(auto-compiled) > 1e-12 {
+		t.Fatalf("auto %v (%v) vs compiled %v", auto, err, compiled)
 	}
 }
 
 func TestDecomposedEmpty(t *testing.T) {
 	pair := &Admissible{}
-	r, err := pair.ExactRatioDecomposed(0)
+	r, err := pair.ExactRatioAuto(0, 0)
 	if err != nil || r != 0 {
 		t.Fatalf("empty pair: %v, %v", r, err)
 	}
@@ -134,7 +143,7 @@ func TestDecomposedProperty(t *testing.T) {
 			return true
 		}
 		bf, err1 := pair.BruteForceRatio(0)
-		dec, err2 := pair.ExactRatioDecomposed(0)
+		dec, err2 := pair.ExactRatioAuto(0, 0)
 		if err1 != nil || err2 != nil {
 			return true
 		}
