@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 
+	"cqabench/internal/cqa"
 	"cqabench/internal/dnf"
 )
 
@@ -43,20 +44,11 @@ func cmdDNF(args []string) error {
 		fmt.Println(n.String())
 		return nil
 	}
-	var method dnf.Method
-	switch *methodName {
-	case "Natural":
-		method = dnf.MethodNatural
-	case "KL":
-		method = dnf.MethodKL
-	case "KLM":
-		method = dnf.MethodKLM
-	case "Cover":
-		method = dnf.MethodCover
-	default:
-		return fmt.Errorf("unknown method %q", *methodName)
+	scheme, err := cqa.ParseScheme(*methodName)
+	if err != nil {
+		return err
 	}
-	count, err := formula.ApproxCountSatisfying(method, *eps, *delta, *seed)
+	count, err := formula.ApproxCountSatisfying(scheme, *eps, *delta, *seed)
 	if err != nil {
 		return err
 	}

@@ -34,7 +34,7 @@ func cmdReport(args []string) error {
 		return err
 	}
 	rcfg := harness.DefaultReportConfig()
-	rcfg.Harness = harness.Config{Opts: cqa.DefaultOptions(), Timeout: *timeout, Schemes: cqa.Schemes}
+	rcfg.Harness = harness.Config{Opts: cqa.DefaultOptions(), Timeout: *timeout}
 	rcfg.Charts = *charts
 
 	w := os.Stdout

@@ -14,11 +14,15 @@
 //     (including `go run ./cmd/cqabench ...` and backslash-continued
 //     lines) is parsed as an invocation — its subcommand must exist
 //     and each of its -flags must be registered on that subcommand;
-//   - inline code spans starting with "-": the first token must be a
-//     flag registered on at least one subcommand.
+//   - inline code spans, with backticks paired left to right: a span
+//     starting with "cqabench <word>" is parsed as an invocation the
+//     same way, and in a span starting with "-" the first token must
+//     be a flag registered on at least one subcommand.
 //
 // Flags inside quoted strings (query literals and the like) are
-// ignored. `-ignore name1,name2` exempts specific flag names.
+// ignored, and an <angle-bracket> placeholder in the subcommand's place
+// names no subcommand. `-ignore name1,name2` exempts specific flag
+// names.
 //
 // With `-endpoints-dir internal/server,internal/obs`, docscheck
 // additionally verifies service endpoints: every /v1/... or /debug/...
@@ -187,9 +191,8 @@ type mention struct {
 }
 
 var (
-	quoted     = regexp.MustCompile(`"[^"]*"|'[^']*'`)
-	inlineSpan = regexp.MustCompile("`(-[A-Za-z][^`]*)`")
-	flagToken  = regexp.MustCompile(`^-([A-Za-z][A-Za-z0-9-]*)`)
+	quoted    = regexp.MustCompile(`"[^"]*"|'[^']*'`)
+	flagToken = regexp.MustCompile(`^-([A-Za-z][A-Za-z0-9-]*)`)
 )
 
 // scanDoc extracts every checkable mention from a markdown document.
@@ -218,12 +221,25 @@ func scanDoc(doc string) []mention {
 			continuation = (invokes || continuation) && strings.HasSuffix(strings.TrimRight(code, " "), "\\")
 			continue
 		}
-		for _, m := range inlineSpan.FindAllStringSubmatch(line, -1) {
-			tok := strings.Fields(m[1])[0]
-			if fm := flagToken.FindStringSubmatch(tok); fm != nil {
+		for _, span := range inlineSpans(line) {
+			span = strings.TrimSpace(span)
+			if strings.HasPrefix(span, "cqabench ") {
+				out = append(out, scanInvocation(span, n)...)
+			} else if fm := flagToken.FindStringSubmatch(span); fm != nil {
 				out = append(out, mention{line: n, flag: fm[1]})
 			}
 		}
+	}
+	return out
+}
+
+// inlineSpans returns the inline code spans of a line, pairing its
+// backticks left to right; an unclosed backtick opens no span.
+func inlineSpans(line string) []string {
+	parts := strings.Split(line, "`")
+	var out []string
+	for i := 1; i+1 < len(parts); i += 2 {
+		out = append(out, parts[i])
 	}
 	return out
 }
@@ -238,6 +254,9 @@ func scanInvocation(line string, n int) []mention {
 	for i, tok := range tokens {
 		if sub == "" {
 			if tok == "cqabench" || strings.HasSuffix(tok, "/cqabench") {
+				if i+1 < len(tokens) && strings.HasPrefix(tokens[i+1], "<") {
+					return nil // a placeholder names no subcommand
+				}
 				if i+1 < len(tokens) && flagToken.FindString(tokens[i+1]) == "" {
 					sub = tokens[i+1]
 					out = append(out, mention{line: n, sub: sub})

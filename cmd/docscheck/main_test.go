@@ -72,12 +72,44 @@ func TestScanDocFencedInvocations(t *testing.T) {
 
 func TestScanDocInlineSpans(t *testing.T) {
 	doc := "Tune with `-compare-mad-factor`; see `-metrics-out \"\"` and\n" +
-		"`jq -r 'stuff'` (not a flag span) and `cqabench run -x` (nor this).\n"
+		"`jq -r 'stuff'` (not a flag span).\n"
 	got := scanDoc(doc)
 	want := []mention{
 		{line: 1, flag: "compare-mad-factor"},
 		{line: 1, flag: "metrics-out"},
 	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("scanDoc:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// TestScanDocInlineInvocations: an inline span naming a subcommand is
+// checked like a fenced invocation, so a removed subcommand or flag that
+// prose still names fails the check; a placeholder is no subcommand.
+func TestScanDocInlineInvocations(t *testing.T) {
+	doc := "Run `cqabench run -metrics-addr :9090` or `cqabench figure -id 4 -query \"-x\"`;\n" +
+		"see `cqabench <subcommand> -h`, `cqabench figure <id>` and `cqabench`.\n"
+	got := scanDoc(doc)
+	want := []mention{
+		{line: 1, sub: "run"},
+		{line: 1, sub: "run", flag: "metrics-addr"},
+		{line: 1, sub: "figure"},
+		{line: 1, sub: "figure", flag: "id"},
+		{line: 1, sub: "figure", flag: "query"},
+		{line: 2, sub: "figure"},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("scanDoc:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// TestScanDocPairsBackticks: a span's closing backtick opens no new
+// span, so prose between two spans is never read as a flag.
+func TestScanDocPairsBackticks(t *testing.T) {
+	doc := "`(Σ,Q)`-synopses computing `syn(D)`; constants (Lemmas 4.3) — `internal/sampler`\n" +
+		"and `-id`, then an unclosed `-tail\n"
+	got := scanDoc(doc)
+	want := []mention{{line: 2, flag: "id"}}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("scanDoc:\n got %+v\nwant %+v", got, want)
 	}

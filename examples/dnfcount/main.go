@@ -1,6 +1,6 @@
 // Dnfcount demonstrates the DNF-counting substrate the CQA schemes come
 // from (and that the paper's implementation extends): counting satisfying
-// assignments of DNF formulas with the same four approximation methods,
+// assignments of DNF formulas with the same four approximation schemes,
 // plus the synopsis ↔ Block-DNF correspondence of Appendix E.
 package main
 
@@ -9,6 +9,7 @@ import (
 	"log"
 
 	"cqabench/internal/cq"
+	"cqabench/internal/cqa"
 	"cqabench/internal/dnf"
 	"cqabench/internal/relation"
 	"cqabench/internal/synopsis"
@@ -35,13 +36,13 @@ func main() {
 	fmt.Printf("exact satisfying assignments: %s of %d\n", exact, 1<<boolean.NumVars)
 
 	fmt.Println("\napproximate counts (eps=0.05, delta=0.1):")
-	for _, m := range []dnf.Method{dnf.MethodNatural, dnf.MethodKL, dnf.MethodKLM, dnf.MethodCover} {
-		c, err := boolean.ApproxCountSatisfying(m, 0.05, 0.1, 42)
+	for _, s := range cqa.Schemes {
+		c, err := boolean.ApproxCountSatisfying(s, 0.05, 0.1, 42)
 		if err != nil {
 			log.Fatal(err)
 		}
 		v, _ := c.Float64()
-		fmt.Printf("  %-8s %8.1f\n", m, v)
+		fmt.Printf("  %-8s %8.1f\n", s, v)
 	}
 
 	// The Appendix E correspondence, in the other direction: a database

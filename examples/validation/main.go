@@ -22,7 +22,6 @@ func main() {
 	hcfg := harness.Config{
 		Opts:    cqa.DefaultOptions(),
 		Timeout: 3 * time.Second,
-		Schemes: cqa.Schemes,
 	}
 	levels := []float64{0.2, 0.5, 0.8}
 
@@ -50,7 +49,7 @@ func runOne(base *relation.Database, vq scenario.ValidationQuery, levels []float
 	if err != nil {
 		log.Fatalf("%s: %v", vq.Name(), err)
 	}
-	fig, err := harness.RunValidation(w, hcfg)
+	fig, err := harness.Run(w, hcfg)
 	if err != nil {
 		log.Fatalf("%s: %v", vq.Name(), err)
 	}

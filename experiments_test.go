@@ -31,7 +31,6 @@ func experimentConfig() harness.Config {
 	return harness.Config{
 		Opts:    cqa.Options{Eps: 0.2, Delta: 0.3, Seed: 5489},
 		Timeout: 8 * time.Second,
-		Schemes: cqa.Schemes,
 	}
 }
 
@@ -47,7 +46,7 @@ func TestTakeHome1_NaturalWinsBooleanQueries(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fig, err := harness.RunNoise(w, experimentConfig())
+		fig, err := harness.Run(w, experimentConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -68,7 +67,7 @@ func TestTakeHome2_KLMWinsNonBooleanQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fig, err := harness.RunNoise(w, experimentConfig())
+	fig, err := harness.Run(w, experimentConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +96,7 @@ func TestTakeHome3_PreprocessingIsCheap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fig, err := harness.RunBalance(w, experimentConfig())
+	fig, err := harness.Run(w, experimentConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +125,7 @@ func TestValidationConfirmsTakeHome1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fig, err := harness.RunValidation(w, experimentConfig())
+	fig, err := harness.Run(w, experimentConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
+
+	"cqabench/internal/cqa"
 )
 
 // Boolean is a classic DNF formula over n boolean variables, with clauses
@@ -131,13 +133,13 @@ func (b *Boolean) satisfied(assignment uint64) bool {
 }
 
 // ApproxCountSatisfying estimates the number of satisfying boolean
-// assignments via the Block DNF encoding and the chosen method.
-func (b *Boolean) ApproxCountSatisfying(m Method, eps, delta float64, seed uint64) (*big.Float, error) {
+// assignments via the Block DNF encoding and the chosen scheme.
+func (b *Boolean) ApproxCountSatisfying(s cqa.Scheme, eps, delta float64, seed uint64) (*big.Float, error) {
 	f, err := b.ToBlock()
 	if err != nil {
 		return nil, err
 	}
-	frac, err := f.ApproxFraction(m, eps, delta, seed)
+	frac, err := f.ApproxFraction(s, eps, delta, seed)
 	if err != nil {
 		return nil, err
 	}

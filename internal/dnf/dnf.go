@@ -11,18 +11,17 @@
 // admissible pairs (so every approximation scheme in internal/cqa doubles
 // as a DNF counter), classic DNF formulas with negative literals encoded
 // as two-variable blocks, exact counting by enumeration and by
-// inclusion–exclusion, and approximate counting via the shared samplers
-// and estimators.
+// inclusion–exclusion, and approximate counting through cqa's answer
+// call.
 package dnf
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/big"
 
-	"cqabench/internal/estimator"
-	"cqabench/internal/mt"
-	"cqabench/internal/sampler"
+	"cqabench/internal/cqa"
 	"cqabench/internal/synopsis"
 )
 
@@ -160,83 +159,31 @@ func (f *Formula) BruteForceFraction(limit int64) (float64, error) {
 	return pair.BruteForceRatio(limit)
 }
 
-// Method selects an approximate counting strategy, mirroring the CQA
-// schemes (Section 4 applied back to the DNF setting it came from).
-type Method int
-
-const (
-	// MethodNatural samples assignments uniformly.
-	MethodNatural Method = iota
-	// MethodKL uses the Karp–Luby symbolic-space sampler.
-	MethodKL
-	// MethodKLM uses the Karp–Luby–Madras sampler.
-	MethodKLM
-	// MethodCover uses the self-adjusting coverage algorithm.
-	MethodCover
-)
-
-// String names the method.
-func (m Method) String() string {
-	switch m {
-	case MethodNatural:
-		return "Natural"
-	case MethodKL:
-		return "KL"
-	case MethodKLM:
-		return "KLM"
-	case MethodCover:
-		return "Cover"
-	default:
-		return fmt.Sprintf("Method(%d)", int(m))
-	}
-}
-
 // ApproxFraction estimates the satisfying fraction with relative error
-// eps and confidence 1-delta.
-func (f *Formula) ApproxFraction(m Method, eps, delta float64, seed uint64) (float64, error) {
+// eps and confidence 1-delta: the formula's admissible pair runs through
+// cqa's answer call as a one-entry synopsis set, so each CQA scheme
+// (Section 4) counts the DNF it came from, drawing from mt.New(seed).
+func (f *Formula) ApproxFraction(s cqa.Scheme, eps, delta float64, seed uint64) (float64, error) {
 	pair, err := f.ToAdmissible()
 	if err != nil {
 		return 0, err
 	}
-	src := mt.New(seed)
-	switch m {
-	case MethodNatural:
-		r, err := estimator.MonteCarlo(sampler.NewNatural(pair), eps, delta, src, estimator.Budget{})
-		return clamp01(r.Estimate), err
-	case MethodKL:
-		s := sampler.NewKL(pair)
-		r, err := estimator.MonteCarlo(s, eps, delta, src, estimator.Budget{})
-		return clamp01(r.Estimate * s.Weight()), err
-	case MethodKLM:
-		s := sampler.NewKLM(pair)
-		r, err := estimator.MonteCarlo(s, eps, delta, src, estimator.Budget{})
-		return clamp01(r.Estimate * s.Weight()), err
-	case MethodCover:
-		r, err := estimator.SelfAdjustingCoverage(sampler.NewSymbolic(pair), eps, delta, src, estimator.Budget{})
-		return clamp01(r.Estimate), err
-	default:
-		return 0, fmt.Errorf("dnf: unknown method %v", m)
+	set := &synopsis.Set{Entries: []synopsis.Entry{{Pair: pair}}}
+	res, _, err := cqa.ApxAnswersFromSetContext(context.Background(), set, s, cqa.Options{Eps: eps, Delta: delta, Seed: seed})
+	if err != nil {
+		return 0, err
 	}
+	return res[0].Freq, nil
 }
 
 // ApproxCount estimates the number of satisfying block assignments as a
 // float (it can exceed float64 integer precision but tracks the magnitude;
 // use ApproxFraction with NumAssignments for exact big-number work).
-func (f *Formula) ApproxCount(m Method, eps, delta float64, seed uint64) (*big.Float, error) {
-	frac, err := f.ApproxFraction(m, eps, delta, seed)
+func (f *Formula) ApproxCount(s cqa.Scheme, eps, delta float64, seed uint64) (*big.Float, error) {
+	frac, err := f.ApproxFraction(s, eps, delta, seed)
 	if err != nil {
 		return nil, err
 	}
 	total := new(big.Float).SetInt(f.NumAssignments())
 	return total.Mul(total, big.NewFloat(frac)), nil
-}
-
-func clamp01(x float64) float64 {
-	if x < 0 {
-		return 0
-	}
-	if x > 1 {
-		return 1
-	}
-	return x
 }

@@ -1,11 +1,16 @@
 package dnf
 
 import (
+	"fmt"
 	"math"
 	"math/big"
 	"testing"
 	"testing/quick"
 
+	"cqabench/internal/cqa"
+	"cqabench/internal/estimator"
+	"cqabench/internal/mt"
+	"cqabench/internal/sampler"
 	"cqabench/internal/synopsis"
 )
 
@@ -120,7 +125,7 @@ func TestApproxFractionAllMethods(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, m := range []Method{MethodNatural, MethodKL, MethodKLM, MethodCover} {
+	for _, m := range cqa.Schemes {
 		got, err := f.ApproxFraction(m, 0.1, 0.25, 42)
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)
@@ -129,17 +134,104 @@ func TestApproxFractionAllMethods(t *testing.T) {
 			t.Fatalf("%v: %v, want %v ± 10%%", m, got, want)
 		}
 	}
-	if _, err := f.ApproxFraction(Method(9), 0.1, 0.25, 1); err == nil {
-		t.Fatal("unknown method accepted")
+	if _, err := f.ApproxFraction(cqa.Scheme(9), 0.1, 0.25, 1); err == nil {
+		t.Fatal("unknown scheme accepted")
 	}
-	if got := Method(9).String(); got != "Method(9)" {
-		t.Fatalf("method name = %q", got)
+}
+
+// referenceApproxFraction is ApproxFraction as it was before it ran
+// through cqa's answer call: the scheme's plain sampler, the estimator,
+// the weight and the clamp, drawing from mt.New(seed).
+func referenceApproxFraction(f *Formula, s cqa.Scheme, eps, delta float64, seed uint64) (float64, error) {
+	pair, err := f.ToAdmissible()
+	if err != nil {
+		return 0, err
+	}
+	src := mt.New(seed)
+	switch s {
+	case cqa.Natural:
+		r, err := estimator.MonteCarlo(sampler.NewNatural(pair), eps, delta, src, estimator.Budget{})
+		return clamp01(r.Estimate), err
+	case cqa.KL:
+		kl := sampler.NewKL(pair)
+		r, err := estimator.MonteCarlo(kl, eps, delta, src, estimator.Budget{})
+		return clamp01(r.Estimate * kl.Weight()), err
+	case cqa.KLM:
+		klm := sampler.NewKLM(pair)
+		r, err := estimator.MonteCarlo(klm, eps, delta, src, estimator.Budget{})
+		return clamp01(r.Estimate * klm.Weight()), err
+	case cqa.Cover:
+		r, err := estimator.SelfAdjustingCoverage(sampler.NewSymbolic(pair), eps, delta, src, estimator.Budget{})
+		return clamp01(r.Estimate), err
+	}
+	return 0, fmt.Errorf("unknown scheme %v", s)
+}
+
+func clamp01(x float64) float64 {
+	if x < 0 {
+		return 0
+	}
+	if x > 1 {
+		return 1
+	}
+	return x
+}
+
+// wideFormula has 3000 clauses of one or two literals over 30 blocks of
+// 24 variables: the shape on which sampler.SelectKernel picks the
+// indexed kernel.
+func wideFormula() *Formula {
+	const nBlocks, blockSize = 30, 24
+	f := &Formula{}
+	for b := 0; b < nBlocks; b++ {
+		f.BlockSizes = append(f.BlockSizes, blockSize)
+	}
+	src := mt.New(3)
+	for i := 0; i < 3000; i++ {
+		b1, b2 := int32(src.Intn(nBlocks)), int32(src.Intn(nBlocks))
+		c := Clause{{Block: b1, Var: int32(src.Intn(blockSize))}}
+		if b2 != b1 {
+			c = append(c, Literal{Block: b2, Var: int32(src.Intn(blockSize))})
+		}
+		f.Clauses = append(f.Clauses, c)
+	}
+	return f
+}
+
+// TestApproxFractionMatchesSamplerPath: the answer call draws the same
+// stream as the per-scheme sampler path it replaced, so every scheme's
+// estimate is bit-identical, on the plain and on the indexed kernel.
+func TestApproxFractionMatchesSamplerPath(t *testing.T) {
+	wide := wideFormula()
+	pair, err := wide.ToAdmissible()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k := sampler.SelectKernel(pair); k != sampler.Indexed {
+		t.Fatalf("wide formula runs the %v kernel, want indexed", k)
+	}
+	for name, f := range map[string]*Formula{"block": blockFormula(t), "wide": wide} {
+		for _, s := range cqa.Schemes {
+			for _, seed := range []uint64{1, 42, 5489} {
+				got, err := f.ApproxFraction(s, 0.1, 0.25, seed)
+				if err != nil {
+					t.Fatalf("%s %v seed %d: %v", name, s, seed, err)
+				}
+				want, err := referenceApproxFraction(f, s, 0.1, 0.25, seed)
+				if err != nil {
+					t.Fatalf("%s %v seed %d reference: %v", name, s, seed, err)
+				}
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Errorf("%s %v seed %d: %v, reference %v", name, s, seed, got, want)
+				}
+			}
+		}
 	}
 }
 
 func TestApproxCount(t *testing.T) {
 	f := blockFormula(t)
-	c, err := f.ApproxCount(MethodKLM, 0.1, 0.25, 7)
+	c, err := f.ApproxCount(cqa.KLM, 0.1, 0.25, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +297,7 @@ func TestBooleanApproxCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	approx, err := b.ApproxCountSatisfying(MethodKLM, 0.1, 0.25, 3)
+	approx, err := b.ApproxCountSatisfying(cqa.KLM, 0.1, 0.25, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -97,7 +97,7 @@ func TestCrossoverOnRealBalanceScenario(t *testing.T) {
 	}
 	cfg := fastConfig()
 	cfg.Timeout = 6 * time.Second
-	fig, err := RunBalance(w, cfg)
+	fig, err := Run(w, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,15 +36,15 @@ func TestRunNoiseFigure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fig, err := RunNoise(w, fastConfig())
+	fig, err := Run(w, fastConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(fig.Series) != 4 {
 		t.Fatalf("series = %d, want 4 schemes", len(fig.Series))
 	}
-	if got := fig.Levels(); len(got) != 2 || got[0] != 20 || got[1] != 60 {
-		t.Fatalf("levels = %v", got)
+	if got := fig.Levels(); len(got) != 2 || got[0] != 20 || got[1] != 60 || fig.XLabel != "Noise (%)" {
+		t.Fatalf("levels = %v, xlabel %q", got, fig.XLabel)
 	}
 	for _, s := range fig.Series {
 		for _, p := range s.Points {
@@ -70,7 +70,7 @@ func TestRunBalanceFigure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fig, err := RunBalance(w, fastConfig())
+	fig, err := Run(w, fastConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestRunJoinsAndShares(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fig, err := RunJoins(w, fastConfig())
+	fig, err := Run(w, fastConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,9 +102,17 @@ func TestRunJoinsAndShares(t *testing.T) {
 			t.Fatalf("shares at %v sum to %v", lv, total)
 		}
 	}
-	tbl := fig.ShareTable()
-	if !strings.Contains(tbl, "Natural") || !strings.Contains(tbl, "%") {
-		t.Fatalf("share table:\n%s", tbl)
+	// A joins figure renders its own view: shares, not mean times.
+	tbl := fig.Table()
+	if fig.XLabel != "Joins" || !strings.Contains(tbl, "(share of running time %)") || !strings.Contains(tbl, "Natural") {
+		t.Fatalf("xlabel %q, share table:\n%s", fig.XLabel, tbl)
+	}
+}
+
+func TestRunRejectsUnknownAxis(t *testing.T) {
+	w := &scenario.Workload{Name: "w", Pairs: []scenario.Pair{{Name: "p"}}}
+	if _, err := Run(w, fastConfig()); err == nil || !strings.Contains(err.Error(), "axis") {
+		t.Fatalf("Run without an axis: err %v", err)
 	}
 }
 
@@ -116,7 +124,7 @@ func TestTimeoutsAreReported(t *testing.T) {
 	}
 	cfg := fastConfig()
 	cfg.Opts.Budget.MaxSamples = 10 // force budget exhaustion
-	fig, err := Run(w, cfg, func(p scenario.Pair) float64 { return p.Noise })
+	fig, err := Run(w, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +150,7 @@ func TestTableRendering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fig, err := RunNoise(w, fastConfig())
+	fig, err := Run(w, fastConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +168,7 @@ func TestWriteCSV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fig, err := RunNoise(w, fastConfig())
+	fig, err := Run(w, fastConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +215,7 @@ func TestWinnerAndTotals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fig, err := RunNoise(w, fastConfig())
+	fig, err := Run(w, fastConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +251,7 @@ func TestValidationRun(t *testing.T) {
 	}
 	cfg := fastConfig()
 	cfg.Timeout = time.Second // timeouts are expected and recorded
-	fig, err := RunValidation(w, cfg)
+	fig, err := Run(w, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

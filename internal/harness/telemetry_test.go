@@ -41,7 +41,7 @@ func TestTimedOutMeasurementsAreZeroed(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Timeout = time.Second
 	cfg.Opts.Budget.MaxSamples = 10 // force budget exhaustion for every scheme
-	fig, err := Run(w, cfg, func(p scenario.Pair) float64 { return p.Noise })
+	fig, err := Run(w, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestRunManifestAndTracePlumbing(t *testing.T) {
 	cfg.Timeout = 5 * time.Second
 	root := obs.NewSpan("test.run")
 	cfg.Trace = root
-	fig, err := Run(w, cfg, func(p scenario.Pair) float64 { return p.Noise })
+	fig, err := Run(w, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestStagesSumToElapsed(t *testing.T) {
 	cfg.Timeout = 5 * time.Second
 	var progressed int
 	cfg.Progress = func(Measurement) { progressed++ }
-	fig, err := Run(w, cfg, func(p scenario.Pair) float64 { return p.Noise })
+	fig, err := Run(w, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,8 @@ import (
 // Export writes a workload to a directory as a portable scenario artifact
 // — the counterpart of the paper's published test scenarios. The layout:
 //
-//	manifest.txt   one line per pair: file|noise|balance|target|joins|query
+//	manifest.txt   "# workload: <name>" and "# axis: <axis>" lines, then
+//	               one line per pair: file|noise|balance|target|joins|query
 //	schema.txt     the schema in the DSL (shared by all pairs)
 //	pair_000.db    the pair's database in the text format
 //	...
@@ -24,6 +25,9 @@ import (
 func Export(w *Workload, dir string) error {
 	if len(w.Pairs) == 0 {
 		return fmt.Errorf("scenario: export of empty workload")
+	}
+	if w.Axis.Label() == "" {
+		return fmt.Errorf("scenario: workload %q has unknown axis %q", w.Name, w.Axis)
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
@@ -47,7 +51,7 @@ func Export(w *Workload, dir string) error {
 	}
 	defer mf.Close()
 	bw := bufio.NewWriter(mf)
-	fmt.Fprintf(bw, "# workload: %s\n", w.Name)
+	fmt.Fprintf(bw, "# workload: %s\n# axis: %s\n", w.Name, w.Axis)
 
 	dbFiles := map[*relation.Database]string{}
 	for _, pair := range w.Pairs {
@@ -89,7 +93,8 @@ func Import(dir string) (*Workload, error) {
 		return nil, err
 	}
 
-	mf, err := os.Open(filepath.Join(dir, "manifest.txt"))
+	manifestPath := filepath.Join(dir, "manifest.txt")
+	mf, err := os.Open(manifestPath)
 	if err != nil {
 		return nil, err
 	}
@@ -108,6 +113,13 @@ func Import(dir string) (*Workload, error) {
 		}
 		if strings.HasPrefix(line, "# workload: ") {
 			w.Name = strings.TrimPrefix(line, "# workload: ")
+			continue
+		}
+		if strings.HasPrefix(line, "# axis: ") {
+			w.Axis = Axis(strings.TrimPrefix(line, "# axis: "))
+			if w.Axis.Label() == "" {
+				return nil, fmt.Errorf("scenario: %s line %d: unknown axis %q (want noise, balance or joins)", manifestPath, lineNo, w.Axis)
+			}
 			continue
 		}
 		if strings.HasPrefix(line, "#") {
@@ -163,6 +175,9 @@ func Import(dir string) (*Workload, error) {
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
+	}
+	if w.Axis == "" {
+		return nil, fmt.Errorf("scenario: %s has no \"# axis:\" line", manifestPath)
 	}
 	if len(w.Pairs) == 0 {
 		return nil, fmt.Errorf("scenario: manifest declares no pairs")

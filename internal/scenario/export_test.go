@@ -3,6 +3,7 @@ package scenario
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -30,8 +31,8 @@ func TestExportImportRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Name != w.Name {
-		t.Fatalf("name = %q, want %q", back.Name, w.Name)
+	if back.Name != w.Name || back.Axis != NoiseAxis {
+		t.Fatalf("name, axis = %q, %q; want %q, %q", back.Name, back.Axis, w.Name, NoiseAxis)
 	}
 	if len(back.Pairs) != len(w.Pairs) {
 		t.Fatalf("pairs = %d, want %d", len(back.Pairs), len(w.Pairs))
@@ -97,5 +98,31 @@ func TestImportErrors(t *testing.T) {
 		[]byte("missing.db|0.1|0.2|0.3|1|Q(v) :- R(k, v)\n"), 0o644)
 	if _, err := Import(dir); err == nil {
 		t.Fatal("missing database file accepted")
+	}
+}
+
+// TestImportRequiresAxis: a manifest must say which parameter its
+// workload sweeps; one without an axis line, or with an unknown axis, is
+// rejected with an error naming the manifest.
+func TestImportRequiresAxis(t *testing.T) {
+	dir := t.TempDir()
+	manifest := filepath.Join(dir, "manifest.txt")
+	os.WriteFile(filepath.Join(dir, "schema.txt"), []byte("relation R(k*, v)\n"), 0o644)
+	os.WriteFile(filepath.Join(dir, "pair_000.db"), []byte("R|i:1|i:2\nR|i:1|i:3\n"), 0o644)
+	pair := "pair_000.db|0.5|0.5|0.5|0|Q(v) :- R(k, v)\n"
+	for _, head := range []string{"# workload: w\n", "# workload: w\n# axis: depth\n"} {
+		os.WriteFile(manifest, []byte(head+pair), 0o644)
+		_, err := Import(dir)
+		if err == nil || !strings.Contains(err.Error(), manifest) {
+			t.Errorf("manifest %q: err %v, want an error naming %s", head, err, manifest)
+		}
+	}
+	os.WriteFile(manifest, []byte("# workload: w\n# axis: balance\n"+pair), 0o644)
+	w, err := Import(dir)
+	if err != nil || w.Axis != BalanceAxis || len(w.Pairs) != 1 {
+		t.Fatalf("Import = %+v, %v; want one pair on the balance axis", w, err)
+	}
+	if err := Export(&Workload{Name: "w", Pairs: w.Pairs}, t.TempDir()); err == nil {
+		t.Fatal("export of a workload without an axis accepted")
 	}
 }

@@ -120,9 +120,46 @@ type Pair struct {
 	Joins   int     // join count of the base query
 }
 
-// Workload is a named test scenario: a family of pairs.
+// Axis names the parameter a workload sweeps: the x-axis of its figure.
+type Axis string
+
+// The three axes of the paper's scenario families.
+const (
+	NoiseAxis   Axis = "noise"   // Noise[q, j] and Validation[Q]
+	BalanceAxis Axis = "balance" // Balance[p, j]
+	JoinsAxis   Axis = "joins"   // Joins[p, q]
+)
+
+// Level returns the pair's position on the axis: the noise or target
+// balance in percent, or the join count.
+func (a Axis) Level(p Pair) float64 {
+	switch a {
+	case BalanceAxis:
+		return p.Target * 100
+	case JoinsAxis:
+		return float64(p.Joins)
+	}
+	return p.Noise * 100
+}
+
+// Label returns the axis title, or "" for an unknown axis.
+func (a Axis) Label() string {
+	switch a {
+	case NoiseAxis:
+		return "Noise (%)"
+	case BalanceAxis:
+		return "Balance (%)"
+	case JoinsAxis:
+		return "Joins"
+	}
+	return ""
+}
+
+// Workload is a named test scenario: a family of pairs swept along one
+// axis.
 type Workload struct {
 	Name  string
+	Axis  Axis
 	Pairs []Pair
 	// Fingerprint canonically identifies the generator configuration
 	// that produced the pairs (Config.Fingerprint for Lab-built
@@ -293,7 +330,7 @@ func (l *Lab) pair(j, i int, p, q float64) (Pair, error) {
 // NoiseScenario builds Noise[balance, joins]: noise varies over levels,
 // balance and joins fixed (Figure 1 and Appendix Figures 6–7).
 func (l *Lab) NoiseScenario(balance float64, joins int, levels []float64) (*Workload, error) {
-	w := &Workload{Name: fmt.Sprintf("Noise[%.1f, %d]", balance, joins), Fingerprint: l.cfg.Fingerprint()}
+	w := &Workload{Name: fmt.Sprintf("Noise[%.1f, %d]", balance, joins), Axis: NoiseAxis, Fingerprint: l.cfg.Fingerprint()}
 	for _, p := range levels {
 		for i := 0; i < l.cfg.QueriesPerJoin; i++ {
 			pr, err := l.pair(joins, i, p, balance)
@@ -309,7 +346,7 @@ func (l *Lab) NoiseScenario(balance float64, joins int, levels []float64) (*Work
 // BalanceScenario builds Balance[noise, joins]: balance varies, noise and
 // joins fixed (Figure 2 and Appendix Figures 8–9).
 func (l *Lab) BalanceScenario(noisep float64, joins int, levels []float64) (*Workload, error) {
-	w := &Workload{Name: fmt.Sprintf("Balance[%.1f, %d]", noisep, joins), Fingerprint: l.cfg.Fingerprint()}
+	w := &Workload{Name: fmt.Sprintf("Balance[%.1f, %d]", noisep, joins), Axis: BalanceAxis, Fingerprint: l.cfg.Fingerprint()}
 	for _, q := range levels {
 		for i := 0; i < l.cfg.QueriesPerJoin; i++ {
 			pr, err := l.pair(joins, i, noisep, q)
@@ -325,7 +362,7 @@ func (l *Lab) BalanceScenario(noisep float64, joins int, levels []float64) (*Wor
 // JoinsScenario builds Joins[noise, balance]: the join count varies, noise
 // and balance fixed (Figure 4 and Appendix Figures 10–13).
 func (l *Lab) JoinsScenario(noisep, balance float64, joinLevels []int) (*Workload, error) {
-	w := &Workload{Name: fmt.Sprintf("Joins[%.1f, %.1f]", noisep, balance), Fingerprint: l.cfg.Fingerprint()}
+	w := &Workload{Name: fmt.Sprintf("Joins[%.1f, %.1f]", noisep, balance), Axis: JoinsAxis, Fingerprint: l.cfg.Fingerprint()}
 	for _, j := range joinLevels {
 		for i := 0; i < l.cfg.QueriesPerJoin; i++ {
 			pr, err := l.pair(j, i, noisep, balance)

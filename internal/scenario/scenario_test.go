@@ -90,8 +90,11 @@ func TestNoiseScenarioShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w.Name != "Noise[0.0, 1]" {
-		t.Fatalf("name = %q", w.Name)
+	if w.Name != "Noise[0.0, 1]" || w.Axis != NoiseAxis {
+		t.Fatalf("name, axis = %q, %q", w.Name, w.Axis)
+	}
+	if lv := w.Axis.Level(w.Pairs[1]); lv != 60 || w.Axis.Label() != "Noise (%)" {
+		t.Fatalf("level %v, label %q; want 60 on Noise (%%)", lv, w.Axis.Label())
 	}
 	if len(w.Pairs) != 2 { // 2 levels x 1 query per join
 		t.Fatalf("pairs = %d", len(w.Pairs))
@@ -112,8 +115,11 @@ func TestBalanceScenarioShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(w.Pairs) != 3 {
-		t.Fatalf("pairs = %d", len(w.Pairs))
+	if len(w.Pairs) != 3 || w.Axis != BalanceAxis {
+		t.Fatalf("pairs, axis = %d, %q", len(w.Pairs), w.Axis)
+	}
+	if lv := w.Axis.Level(w.Pairs[1]); lv != 50 || w.Axis.Label() != "Balance (%)" {
+		t.Fatalf("level %v, label %q; want 50 on Balance (%%)", lv, w.Axis.Label())
 	}
 	for _, p := range w.Pairs {
 		if p.Noise != 0.4 {
@@ -128,8 +134,14 @@ func TestJoinsScenarioShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(w.Pairs) != 2 {
-		t.Fatalf("pairs = %d", len(w.Pairs))
+	if len(w.Pairs) != 2 || w.Axis != JoinsAxis {
+		t.Fatalf("pairs, axis = %d, %q", len(w.Pairs), w.Axis)
+	}
+	if lv := w.Axis.Level(w.Pairs[1]); lv != 2 || w.Axis.Label() != "Joins" {
+		t.Fatalf("level %v, label %q; want 2 on Joins", lv, w.Axis.Label())
+	}
+	if Axis("depth").Label() != "" {
+		t.Fatal("unknown axis has a label")
 	}
 	if w.Pairs[0].Joins == w.Pairs[1].Joins {
 		t.Fatal("join levels not varied")
@@ -143,7 +155,7 @@ func TestValidationQueriesParse(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", vq.Name(), err)
 		}
-		if len(w.Pairs) != 1 || w.Pairs[0].Balance < 0 {
+		if len(w.Pairs) != 1 || w.Pairs[0].Balance < 0 || w.Axis != NoiseAxis {
 			t.Fatalf("%s: workload %+v", vq.Name(), w)
 		}
 	}

@@ -71,7 +71,7 @@ func ValidationScenario(base *relation.Database, vq ValidationQuery, levels []fl
 	if err := q.Validate(base.Schema); err != nil {
 		return nil, fmt.Errorf("scenario: %s: %w", vq.Name(), err)
 	}
-	w := &Workload{Name: "Validation[" + vq.Name() + "]"}
+	w := &Workload{Name: "Validation[" + vq.Name() + "]", Axis: NoiseAxis}
 	for _, p := range levels {
 		db, _, err := noise.Apply(base, q, noise.Config{
 			P:        p,

@@ -47,8 +47,7 @@ func TestSynopsisLRUEvictsUnderBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	s, ts := newTestServer(t, Config{
-		DB:                db,
-		CacheKeyPrefix:    "lru-test",
+		Instances:         []InstanceConfig{{Name: "default", DB: db, KeyPrefix: "lru-test"}},
 		Cache:             cache,
 		SynopsisMemBudget: budget,
 		Workers:           2,
@@ -102,7 +101,7 @@ func TestSynopsisLRUEvictsUnderBudget(t *testing.T) {
 // With no budget configured nothing is ever evicted, matching the
 // pre-registry resident-memo behavior.
 func TestSynopsisLRUUnlimitedByDefault(t *testing.T) {
-	s, ts := newTestServer(t, Config{DB: smallDB(t), Workers: 2})
+	s, ts := newTestServer(t, Config{Instances: defaultInstance(smallDB(t)), Workers: 2})
 	for _, q := range []string{
 		"Q() :- Employee(1, n1, d), Employee(2, n2, d)",
 		"Q(n) :- Employee(i, n, d)",
@@ -124,7 +123,7 @@ func TestSynopsisLRUUnlimitedByDefault(t *testing.T) {
 // including itself).
 func TestSynopsisLRUOversizeEntry(t *testing.T) {
 	s, ts := newTestServer(t, Config{
-		DB:                smallDB(t),
+		Instances:         defaultInstance(smallDB(t)),
 		SynopsisMemBudget: 1, // nothing fits
 		Workers:           2,
 	})

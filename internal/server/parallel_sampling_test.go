@@ -15,7 +15,7 @@ import (
 // results are identical for every pool size.
 func TestParallelSamplingEndpoint(t *testing.T) {
 	reg := obs.NewRegistry()
-	_, ts := newTestServer(t, Config{DB: smallDB(t), Workers: 2, Registry: reg})
+	_, ts := newTestServer(t, Config{Instances: defaultInstance(smallDB(t)), Workers: 2, Registry: reg})
 	url := ts.URL + "/v1/estimate"
 
 	status, body, _ := post(t, url,
@@ -77,7 +77,7 @@ func TestParallelSamplingEndpoint(t *testing.T) {
 // estimator_sampling_workers gauge reports the resolved default pool.
 func TestParallelSamplingServerDefault(t *testing.T) {
 	reg := obs.NewRegistry()
-	_, ts := newTestServer(t, Config{DB: smallDB(t), Workers: 2, SamplingWorkers: 3, Registry: reg})
+	_, ts := newTestServer(t, Config{Instances: defaultInstance(smallDB(t)), Workers: 2, SamplingWorkers: 3, Registry: reg})
 	url := ts.URL + "/v1/estimate"
 
 	if got := reg.Gauge("estimator_sampling_workers").Value(); got != 3 {
@@ -102,7 +102,7 @@ func TestParallelSamplingServerDefault(t *testing.T) {
 		t.Fatalf("explicit sequential stats = %+v, want sampling_workers=1 chunks=0", seq.Stats)
 	}
 
-	if _, err := New(Config{DB: smallDB(t), SamplingWorkers: -2}); err == nil {
+	if _, err := New(Config{Instances: defaultInstance(smallDB(t)), SamplingWorkers: -2}); err == nil {
 		t.Fatal("Config.SamplingWorkers=-2 accepted")
 	}
 }

@@ -86,17 +86,9 @@ type InstanceConfig struct {
 // a sensible default; a server may start with no instances at all and
 // acquire them through POST /v1/instances.
 type Config struct {
-	// DB, when set, is registered as the instance named "default" —
-	// the single-instance convenience path. Instances and runtime
-	// registration add more.
-	DB *relation.Database
-
-	// CacheKeyPrefix fingerprints DB for syncache keys (see
-	// InstanceConfig.KeyPrefix); it applies to the "default" instance
-	// only.
-	CacheKeyPrefix string
-
-	// Instances are registered, in order, at construction.
+	// Instances are registered, in order, at construction. A request
+	// that names no instance resolves to the only one, or to the one
+	// named "default".
 	Instances []InstanceConfig
 
 	// SynopsisMemBudget bounds the total bytes of resident synopses
@@ -280,17 +272,6 @@ func New(cfg Config) (*Server, error) {
 		windows:   windows,
 		manifest:  m,
 		started:   time.Now(),
-	}
-	if cfg.DB != nil {
-		if err := s.registerInstance(&Instance{
-			Name:        "default",
-			Source:      "config",
-			Created:     time.Now(),
-			Fingerprint: cfg.CacheKeyPrefix,
-			db:          cfg.DB,
-		}, 0, nil); err != nil {
-			return nil, err
-		}
 	}
 	for _, ic := range cfg.Instances {
 		if ic.DB == nil {
