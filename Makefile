@@ -9,8 +9,8 @@ all: build vet test
 # The CI gate: vet, formatting, the race-sensitive subset, the
 # benchmark module (perfbench is its own Go module, so ./... above never
 # compiles it), and docs consistency (every flag the docs mention must
-# exist in cqabench -h, every documented /v1/ and /debug/ endpoint must
-# be registered).
+# exist in cqabench -h, every subcommand they name must exist, every
+# documented /v1/ and /debug/ endpoint must be registered).
 check:
 	$(GO) vet ./...
 	@fmtout=$$(gofmt -l .); if [ -n "$$fmtout" ]; then \
@@ -29,8 +29,9 @@ check:
 	$(GO) build -o /tmp/cqabench-docscheck ./cmd/cqabench
 	$(GO) run ./cmd/docscheck -bin /tmp/cqabench-docscheck \
 		-endpoints-dir internal/server,internal/obs \
-		README.md EXPERIMENTS.md docs/ARCHITECTURE.md docs/FORMATS.md \
-		docs/OBSERVABILITY.md docs/SERVICE.md docs/REGISTRY.md
+		README.md EXPERIMENTS.md DESIGN.md results/README.md \
+		docs/ARCHITECTURE.md docs/FORMATS.md docs/OBSERVABILITY.md \
+		docs/SERVICE.md docs/REGISTRY.md
 
 build:
 	$(GO) build ./...
@@ -59,14 +60,24 @@ fuzz:
 	$(GO) test -fuzz FuzzParseDIMACS -fuzztime 30s ./internal/dnf/
 	$(GO) test -fuzz FuzzCodecRoundTrip -fuzztime 30s ./internal/syncache/
 
-# The paper's figures as text tables under results/.
+# Regenerates the committed results/ files with the flags that made them;
+# results/README.md lists the same commands.
+CQABENCH = $(GO) run ./cmd/cqabench
+FIG = -sf 0.0002 -queries 1 -timeout 8s
 figures:
-	$(GO) run ./cmd/cqabench figure -id 1 -balance 0   -joins 1
-	$(GO) run ./cmd/cqabench figure -id 1 -balance 0.5 -joins 1
-	$(GO) run ./cmd/cqabench figure -id 2 -noise 0.4 -joins 1
-	$(GO) run ./cmd/cqabench figure -id 3
-	$(GO) run ./cmd/cqabench figure -id 4 -noise 0.4 -balance 0
-	$(GO) run ./cmd/cqabench validate -benchmark tpch
+	$(CQABENCH) figure -id 1 -balance 0 -joins 1 $(FIG) -csv results/fig1_b0_j1.csv > results/fig1_b0_j1.txt
+	$(CQABENCH) figure -id 1 -balance 0 -joins 3 $(FIG) -csv results/fig1_b0_j3.csv > results/fig1_b0_j3.txt
+	$(CQABENCH) figure -id 1 -balance 0.5 -joins 1 $(FIG) -csv results/fig1_b05_j1.csv > results/fig1_b05_j1.txt
+	$(CQABENCH) figure -id 1 -balance 0.5 -joins 3 $(FIG) -csv results/fig1_b05_j3.csv > results/fig1_b05_j3.txt
+	$(CQABENCH) figure -id 2 -noise 0.4 -joins 1 $(FIG) -csv results/fig2_p04_j1.csv > results/fig2_p04_j1.txt
+	$(CQABENCH) figure -id 2 -noise 0.4 -joins 3 $(FIG) -csv results/fig2_p04_j3.csv > results/fig2_p04_j3.txt
+	$(CQABENCH) figure -id 3 -sf 0.0002 -queries 1 > results/fig3_prep.txt
+	$(CQABENCH) figure -id 4 -noise 0.4 -balance 0 $(FIG) > results/fig4_p04_b0.txt
+	$(CQABENCH) figure -id 4 -noise 0.4 -balance 0.5 $(FIG) > results/fig4_p04_b05.txt
+	$(CQABENCH) validate -benchmark tpch > results/fig5_tpch.txt
+	$(CQABENCH) validate -benchmark tpcds > results/fig5_tpcds.txt
+	$(CQABENCH) grid -timeout 6s -out results/grid > results/grid.log
+	$(CQABENCH) audit -sf 0.0002 -trials 3 -out results/audit_smoke.json -fail-on-violation
 
 examples:
 	$(GO) run ./examples/quickstart

@@ -8,9 +8,9 @@ import (
 	"cqabench/internal/syncache"
 )
 
-// cacheFlags registers the synopsis-cache flags shared by the run,
-// figure and bench subcommands and returns an opener to call after
-// flag parsing. Caching is off unless -cache-dir is set.
+// cacheFlags registers the synopsis-cache flags shared by the figure
+// and serve subcommands and returns an opener to call after flag
+// parsing. Caching is off unless -cache-dir is set.
 func cacheFlags(fs *flag.FlagSet) func() (*syncache.Cache, error) {
 	dir := fs.String("cache-dir", "", "content-addressed synopsis cache directory (empty = caching off)")
 	mode := fs.String("cache", "rw", "synopsis cache mode: rw (load and store), ro (load only) or off")
