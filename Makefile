@@ -6,26 +6,36 @@ GO ?= go
 
 all: build vet test
 
-# The CI gate: vet, formatting, the race-sensitive subset, the
-# benchmark module (perfbench is its own Go module, so ./... above never
-# compiles it), and docs consistency (every flag the docs mention must
-# exist in cqabench -h, every subcommand they name must exist, every
-# documented /v1/ and /debug/ endpoint must be registered).
+# The CI gate, which CI's test job runs as one step: vet, formatting, the
+# race-sensitive subset, the benchmark module and docs consistency.
 check:
 	$(GO) vet ./...
 	@fmtout=$$(gofmt -l .); if [ -n "$$fmtout" ]; then \
 		echo "gofmt needed on:"; echo "$$fmtout"; exit 1; fi
+# Under race: obs, harness, syncache and server whole; windowed metrics
+# and tracing; the registry, LRU and single-flight; the fair scheduler
+# and quotas.
 	$(GO) test -race ./internal/obs/... ./internal/harness/... ./internal/syncache/... ./internal/server/...
 	$(GO) test -race -run 'TestWindowed|TestTraceID|TestTraceIDEcho|TestDebugRequest' ./internal/obs ./internal/server
 	$(GO) test -race -run 'TestInstance|TestEstimateSingleFlight|TestFlightGroup|TestSynopsisLRU' ./internal/scenario ./internal/server
 	$(GO) test -race -run 'TestScheduler|TestQuota|TestFairness|TestSingleFlightFollower' ./internal/server
+# Kernel equivalence under race.
 	$(GO) test -race ./internal/sampler/...
 	$(GO) test -race -run 'TestBatched|TestReserve' ./internal/estimator/...
 	$(GO) test -race -run 'TestKernel|TestGolden' ./internal/cqa/...
+# Intra-query parallel sampling under race. The tuple pool writes result
+# slots from several goroutines, so its tests and the set golden run ten
+# times over.
 	$(GO) test -race -run 'TestSubstream|TestParallel' ./internal/mt ./internal/estimator ./internal/cqa ./internal/server
 	$(GO) test -race -count=10 -run 'TestParallel(Matches|Deterministic|Preserves|Budget|Default|Context)|TestConvergenceParallel|TestSetGolden' ./internal/cqa
+# The guarantee audit under race.
 	$(GO) test -race ./internal/audit/...
+# perfbench is its own Go module, so the root go build ./... and go test
+# ./... never compile it.
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+# Docs consistency: every flag the docs mention must exist in cqabench -h,
+# every subcommand they name must exist, and every documented /v1/ and
+# /debug/ endpoint must be registered.
 	$(GO) build -o /tmp/cqabench-docscheck ./cmd/cqabench
 	$(GO) run ./cmd/docscheck -bin /tmp/cqabench-docscheck \
 		-endpoints-dir internal/server,internal/obs \

@@ -11,6 +11,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -28,18 +29,18 @@ import (
 // family to the family's axis.
 var figureFamilies = map[int]scenario.Axis{1: scenario.NoiseAxis, 2: scenario.BalanceAxis, 4: scenario.JoinsAxis}
 
-// cmdFigure regenerates one of the paper's figure families. Figures 1, 2
+// cmdFigure regenerates one of the paper's Figures 1-4. Figures 1, 2
 // and 4 measure a scenario family end to end and print the figure's
 // table; they can expose live metrics over HTTP (-metrics-addr), stream
 // per-measurement progress (-progress), and write the raw measurements
 // (-csv), the figure (-json), a metrics snapshot (-metrics-out) and, with
 // -trace-out, the run's span tree as a Perfetto-loadable Chrome trace
 // plus a JSONL event journal. Every artifact carries the run's
-// provenance manifest. Figure 3 is the preprocessing-time distribution;
-// figure 5 runs the validation scenarios.
+// provenance manifest. Figure 3 is the preprocessing-time distribution.
+// A flag the chosen figure would ignore is an error (checkFigureFlags).
 func cmdFigure(args []string) error {
 	fs := flag.NewFlagSet("figure", flag.ContinueOnError)
-	id := fs.Int("id", 1, "figure family: 1=noise 2=balance 3=preprocessing 4=joins 5=validation")
+	id := fs.Int("id", 1, "figure: 1=noise 2=balance 3=preprocessing 4=joins (Figure 5 is validate, Figures 6-13 are grid)")
 	sf := fs.Float64("sf", 0.0005, "TPC-H scale factor")
 	seed := fs.Uint64("seed", 1, "PRNG seed")
 	timeout := fs.Duration("timeout", 10*time.Second, "per (pair, scheme) timeout")
@@ -63,24 +64,24 @@ func cmdFigure(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	var set []string
+	fs.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
+	if err := checkFigureFlags(*id, set); err != nil {
+		return err
+	}
 
 	logger, err := newLogger(*logFormat)
 	if err != nil {
 		return err
 	}
-	// Figure 5 takes no levels; the others vary theirs along the x-axis.
-	axis, measured := figureFamilies[*id]
+	axis := figureFamilies[*id]
 	def := familyLevels[axis]
 	if *id == 3 {
 		def = "0.2,0.6,1.0"
-	} else if !measured && *id != 5 {
-		return fmt.Errorf("unknown figure id %d", *id)
 	}
-	var levels []float64
-	if def != "" {
-		if levels, err = parseLevels("levels", defaultStr(*levelsFlag, def)); err != nil {
-			return err
-		}
+	levels, err := parseLevels("levels", defaultStr(*levelsFlag, def))
+	if err != nil {
+		return err
 	}
 	cache, err := openCache()
 	if err != nil {
@@ -93,15 +94,6 @@ func cmdFigure(args []string) error {
 	}
 	defer closeMetrics()
 
-	if *id == 5 {
-		// Translate to the validate subcommand's flags: only the shared
-		// ones carry over.
-		return cmdValidate([]string{
-			"-sf", fmt.Sprint(*sf),
-			"-seed", fmt.Sprint(*seed),
-			"-timeout", timeout.String(),
-		})
-	}
 	labCfg := scenario.DefaultConfig()
 	labCfg.ScaleFactor = *sf
 	labCfg.Seed = *seed
@@ -188,6 +180,42 @@ func cmdFigure(args []string) error {
 	if *metricsAddr != "" && *hold > 0 {
 		logger.Info("holding metrics endpoint", "for", hold.String())
 		time.Sleep(*hold)
+	}
+	return nil
+}
+
+// prepFlags are the only flags Figure 3 reads: it builds synopses and
+// times nothing else.
+var prepFlags = []string{"id", "sf", "seed", "queries", "levels"}
+
+// flagNeeds maps a flag to the flag without which it does nothing.
+var flagNeeds = map[string]string{"hold": "metrics-addr", "cache": "cache-dir"}
+
+// checkFigureFlags rejects a figure id that figure does not make and
+// any flag in set (the names given on the command line) that figure id
+// would ignore: for Figures 1, 2 and 4 the flag that would fix the
+// parameter their x-axis sweeps, for Figure 3 every flag but prepFlags,
+// and a flag of flagNeeds without the flag it needs. It reads nothing
+// but its arguments, so a recorded command line can be checked without
+// running it.
+func checkFigureFlags(id int, set []string) error {
+	if id == 5 {
+		return fmt.Errorf("figure 5 is made by validate: cqabench validate -benchmark tpch (or tpcds)")
+	}
+	axis, measured := figureFamilies[id]
+	if !measured && id != 3 {
+		return fmt.Errorf("unknown figure id %d (figure makes 1-4; Figure 5 is validate, Figures 6-13 are grid)", id)
+	}
+	for _, name := range set {
+		if id == 3 && !slices.Contains(prepFlags, name) {
+			return fmt.Errorf("figure -id 3 does not use -%s (it reads only -sf, -seed, -queries and -levels)", name)
+		}
+		if name == string(axis) {
+			return fmt.Errorf("figure -id %d sweeps %s along its x-axis, so -%s does not apply (set -levels)", id, axis, name)
+		}
+		if need, ok := flagNeeds[name]; ok && !slices.Contains(set, need) {
+			return fmt.Errorf("-%s needs -%s", name, need)
+		}
 	}
 	return nil
 }

@@ -4,6 +4,8 @@ import (
 	"encoding/csv"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -69,5 +71,98 @@ func TestCommittedFigureCellRedraws(t *testing.T) {
 				t.Errorf("%s %s: redrawn %s, committed %s", scheme, col, g[col], w[col])
 			}
 		}
+	}
+}
+
+// TestRejectedCommandLines: a command line that would drop part of what
+// it asks for fails and names what it drops, and there is one command
+// per figure. Every case also sets -sf 0, which makes data generation
+// fail with an error of its own, so a passing case shows that the
+// rejection comes before any data is generated.
+func TestRejectedCommandLines(t *testing.T) {
+	type rejection struct {
+		args []string
+		want string // the error must contain this
+	}
+	dir := t.TempDir()
+	gridOut := filepath.Join(dir, "grid")
+	cases := []rejection{
+		{[]string{"report"}, `unknown subcommand "report"`},
+		{[]string{"figure", "-id", "6"}, "unknown figure id 6"},
+		{[]string{"figure", "-id", "1", "-noise", "0.9"}, "so -noise does not apply"},
+		{[]string{"figure", "-id", "2", "-balance", "0.5"}, "so -balance does not apply"},
+		{[]string{"figure", "-id", "4", "-joins", "3"}, "so -joins does not apply"},
+		{[]string{"figure", "-id", "1", "-hold", "1s"}, "-hold needs -metrics-addr"},
+		{[]string{"figure", "-id", "2", "-cache", "ro"}, "-cache needs -cache-dir"},
+		{[]string{"grid", "-families", "noise,nois", "-out", gridOut}, `-families: unknown family "nois"`},
+	}
+	// Figure 3 times synopsis builds only, so it reads no flag beyond
+	// -id, -sf, -seed, -queries and -levels.
+	for _, extra := range [][]string{
+		{"-timeout", "1s"}, {"-eps", "0.2"}, {"-delta", "0.3"},
+		{"-csv", filepath.Join(dir, "f3.csv")}, {"-json", filepath.Join(dir, "f3.json")}, {"-chart"},
+		{"-balance", "0.5"}, {"-noise", "0.5"}, {"-joins", "2"},
+		{"-metrics-addr", "127.0.0.1:0"}, {"-progress"}, {"-metrics-out", filepath.Join(dir, "m.json")},
+		{"-trace-out", filepath.Join(dir, "t.json")}, {"-log-format", "json"}, {"-hold", "1s"},
+		{"-cache-dir", filepath.Join(dir, "cache")}, {"-cache", "ro"},
+	} {
+		args := append([]string{"figure", "-id", "3", "-queries", "1", "-levels", "0.2"}, extra...)
+		cases = append(cases, rejection{args, "figure -id 3 does not use " + extra[0] + " "})
+	}
+	// Last, because a validate run at -sf 0 panics rather than failing.
+	cases = append(cases, rejection{[]string{"figure", "-id", "5"}, "cqabench validate"})
+	for _, tc := range cases {
+		args := append(tc.args, "-sf", "0")
+		if err := run(args); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%v: err %v, want one containing %q", args, err, tc.want)
+		}
+	}
+	if _, err := os.Stat(gridOut); !os.IsNotExist(err) {
+		t.Errorf("grid -families nois left %s behind (stat: %v)", gridOut, err)
+	}
+}
+
+// TestCommittedRecipesPassFigureCheck reads every figure command that
+// results/README.md records and requires the flags it sets to pass
+// figure's check, without running it.
+func TestCommittedRecipesPassFigureCheck(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("..", "..", "results", "README.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, line := range strings.Split(string(data), "\n") {
+		rest, ok := strings.CutPrefix(line, "cqabench figure ")
+		if !ok {
+			continue
+		}
+		n++
+		id, set := 1, []string(nil)
+		fields := strings.Fields(rest)
+		for i, f := range fields {
+			if f == ">" {
+				break
+			}
+			if !strings.HasPrefix(f, "-") {
+				continue
+			}
+			name, value, hasValue := strings.Cut(strings.TrimLeft(f, "-"), "=")
+			set = append(set, name)
+			if name != "id" {
+				continue
+			}
+			if !hasValue && i+1 < len(fields) {
+				value = fields[i+1]
+			}
+			if id, err = strconv.Atoi(value); err != nil {
+				t.Fatalf("%s: -id %q: %v", line, value, err)
+			}
+		}
+		if err := checkFigureFlags(id, set); err != nil {
+			t.Errorf("%s: %v", line, err)
+		}
+	}
+	if n == 0 {
+		t.Fatal("results/README.md records no figure command")
 	}
 }

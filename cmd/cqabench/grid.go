@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -30,9 +31,16 @@ func cmdGrid(args []string) error {
 	noiseLevels := fs.String("noise-levels", "0.2,0.6,1.0", "noise percentages")
 	balanceLevels := fs.String("balance-levels", "0,0.5,1.0", "balance targets")
 	joinLevels := fs.String("join-levels", "1,2,3", "join counts")
-	families := fs.String("families", "noise,balance,joins", "which scenario families to run")
+	families := fs.String("families", "noise,balance,joins", "comma-separated scenario families to run (noise, balance, joins)")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	fams := strings.Split(*families, ",")
+	for i, f := range fams {
+		fams[i] = strings.TrimSpace(f)
+		if _, ok := familyLevels[scenario.Axis(fams[i])]; !ok {
+			return fmt.Errorf("-families: unknown family %q (want noise, balance or joins)", fams[i])
+		}
 	}
 
 	noises, err := parseLevels("noise-levels", *noiseLevels)
@@ -60,15 +68,6 @@ func cmdGrid(args []string) error {
 	if err != nil {
 		return err
 	}
-	fams := strings.Split(*families, ",")
-	has := func(f string) bool {
-		for _, x := range fams {
-			if strings.TrimSpace(x) == f {
-				return true
-			}
-		}
-		return false
-	}
 
 	hcfg := harness.Config{Opts: cqa.DefaultOptions(), Timeout: *timeout}
 	// measure runs one scenario and writes its table and CSV under a name
@@ -88,7 +87,7 @@ func cmdGrid(args []string) error {
 		fmt.Println("wrote", name)
 		return nil
 	}
-	if has("noise") {
+	if slices.Contains(fams, "noise") {
 		for _, q := range balances {
 			for _, j := range joins {
 				w, err := lab.NoiseScenario(q, j, noises)
@@ -101,7 +100,7 @@ func cmdGrid(args []string) error {
 			}
 		}
 	}
-	if has("balance") {
+	if slices.Contains(fams, "balance") {
 		for _, p := range noises {
 			for _, j := range joins {
 				w, err := lab.BalanceScenario(p, j, balances)
@@ -114,7 +113,7 @@ func cmdGrid(args []string) error {
 			}
 		}
 	}
-	if has("joins") {
+	if slices.Contains(fams, "joins") {
 		for _, p := range noises {
 			for _, q := range balances {
 				w, err := lab.JoinsScenario(p, q, joins)

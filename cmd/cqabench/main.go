@@ -2,7 +2,8 @@
 // TPC-DS-style data, injects query-aware noise, answers conjunctive
 // queries approximately (Natural / KL / KLM / Cover) or exactly, generates
 // stress-test queries (SQG / DQG), and regenerates the paper's figures as
-// text tables and CSV.
+// text tables and CSV, one command per figure: figure makes Figures 1-4,
+// validate Figure 5 and grid the appendix Figures 6-13.
 //
 // Usage:
 //
@@ -13,6 +14,7 @@
 //	cqabench querygen -benchmark tpch -in db.txt -joins 3 -constants 2
 //	cqabench figure   -id 1 [-sf 0.0005] [-timeout 10s] [-csv out.csv]
 //	cqabench validate -benchmark tpch [-template 4]
+//	cqabench grid     [-out grid-results] [-families noise,balance,joins]
 package main
 
 import (
@@ -68,8 +70,6 @@ func run(args []string) error {
 		return cmdGrid(args[1:])
 	case "audit":
 		return cmdAudit(args[1:])
-	case "report":
-		return cmdReport(args[1:])
 	case "export":
 		return cmdExport(args[1:])
 	case "runscenario":
@@ -100,12 +100,11 @@ subcommands:
   answer    approximate the consistent answer of a CQ (Natural/KL/KLM/Cover)
   exact     compute the exact consistent answer of a CQ
   querygen  generate stress-test queries (SQG, optionally DQG balance targets)
-  figure    regenerate a paper figure family (1=noise 2=balance 3=prep 4=joins 5=validation), with live telemetry
-  validate  run the validation scenarios (Appendix F)
+  figure    regenerate paper Figures 1-4 (1=noise 2=balance 3=prep 4=joins), with live telemetry
+  validate  run the validation scenarios (Figure 5, Appendix F)
   stats     inconsistency statistics and dynamic query parameters
   grid      regenerate the full appendix scenario matrix (Figures 6-13)
   audit     calibrate the (eps, delta) guarantee over repeated trials (JSON + violation gate)
-  report    run all scenario families and emit a markdown report
   export    write one scenario family to a directory (schema + dbs + manifest)
   runscenario  measure all schemes over an exported scenario directory
   dnf       count satisfying assignments of a DIMACS DNF formula

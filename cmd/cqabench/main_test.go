@@ -414,15 +414,6 @@ func TestFigureJSONFlag(t *testing.T) {
 	}
 }
 
-func TestFigureID5DelegatesToValidate(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs validation scenarios")
-	}
-	if err := run([]string{"figure", "-id", "5", "-sf", "0.0002", "-timeout", "1s"}); err != nil {
-		t.Fatalf("figure -id 5: %v", err)
-	}
-}
-
 // TestFigureTraceOutAndManifest: `figure -trace-out` must produce a
 // valid Chrome Trace Event file plus a JSONL journal, and the figure JSON
 // and metrics snapshot must both carry a populated provenance manifest.

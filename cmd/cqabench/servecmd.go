@@ -16,8 +16,6 @@ import (
 	"cqabench/internal/relation"
 	"cqabench/internal/scenario"
 	"cqabench/internal/server"
-	"cqabench/internal/tpcds"
-	"cqabench/internal/tpch"
 )
 
 // parseWindows parses a comma-separated list of rolling-window durations
@@ -83,10 +81,10 @@ func cmdServe(args []string) error {
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address (host:port; port 0 picks a free one)")
 	instances := fs.String("instances", "", "instance manifest JSON declaring the instances to serve (excludes -in)")
 	benchmark := fs.String("benchmark", "tpch", "tpch or tpcds")
-	schemaPath := fs.String("schema", "", "schema DSL file (overrides -benchmark)")
+	schemaPath := fs.String("schema", "", "schema DSL file for -in (overrides -benchmark)")
 	in := fs.String("in", "", "database file to serve (empty = generate -benchmark at -sf)")
-	sf := fs.Float64("sf", 0.001, "scale factor when generating (no -in)")
-	seed := fs.Uint64("seed", 1, "generator PRNG seed when generating (no -in)")
+	sf := fs.Float64("sf", 0.001, "scale factor when generating (no -in; 0 selects 0.001, as in a manifest)")
+	seed := fs.Uint64("seed", 1, "generator PRNG seed when generating (no -in; 0 selects 1, as in a manifest)")
 	memBudget := fs.String("synopsis-mem-budget", "0", "resident synopsis memory budget (e.g. 64MiB; 0 = unlimited)")
 	workers := fs.Int("workers", 0, "concurrent estimations (0 = GOMAXPROCS)")
 	queue := fs.Int("queue", 0, "requests allowed to wait per instance beyond -workers (0 = 2x workers)")
@@ -182,33 +180,21 @@ func cmdServe(args []string) error {
 			})
 		}
 	} else {
-		var db *relation.Database
-		var fingerprint string
-		if *in != "" {
-			if db, err = loadDBWithSchema(*in, *benchmark, *schemaPath); err != nil {
-				return err
-			}
-			fingerprint = fmt.Sprintf("file:%s", *in)
-		} else {
-			switch *benchmark {
-			case "tpch":
-				db, err = tpch.Generate(tpch.Config{ScaleFactor: *sf, Seed: *seed})
-			case "tpcds":
-				db, err = tpcds.Generate(tpcds.Config{ScaleFactor: *sf, Seed: *seed})
-			default:
-				return fmt.Errorf("unknown benchmark %q (want tpch or tpcds)", *benchmark)
-			}
-			if err != nil {
-				return err
-			}
-			fingerprint = fmt.Sprintf("gen:%s:sf=%g:seed=%d", *benchmark, *sf, *seed)
+		// The flags describe one spec, so the instance's cache keys name
+		// the benchmark and schema it was loaded with, as a manifest
+		// entry's do.
+		spec := scenario.InstanceSpec{Name: "default", Benchmark: *benchmark,
+			ScaleFactor: *sf, Seed: *seed, Path: *in, SchemaPath: *schemaPath}
+		db, err := spec.Build()
+		if err != nil {
+			return err
 		}
 		logger.Info("serve: database ready", "instance", "default", "facts", db.NumFacts(),
 			"consistent", relation.IsConsistentDB(db))
 		cfg.Instances = append(cfg.Instances, server.InstanceConfig{
 			Name:      "default",
 			DB:        db,
-			KeyPrefix: fingerprint,
+			KeyPrefix: spec.Fingerprint(),
 			Source:    "flags",
 		})
 	}

@@ -39,6 +39,12 @@ func TestServeFlagErrors(t *testing.T) {
 	if err := run([]string{"serve", "-instances", "/does/not/exist.json"}); err == nil {
 		t.Fatal("missing manifest accepted")
 	}
+	// The address has no port, so a serve that accepted -schema without
+	// -in would fail to listen instead of serving.
+	err := run([]string{"serve", "-schema", "s.txt", "-sf", "0.0002", "-addr", "no-port"})
+	if err == nil || !strings.Contains(err.Error(), "requires a database path") {
+		t.Fatalf("-schema without -in: err %v, want a rejection", err)
+	}
 	if err := run([]string{"serve", "-synopsis-mem-budget", "lots"}); err == nil {
 		t.Fatal("bad -synopsis-mem-budget accepted")
 	}
@@ -141,6 +147,54 @@ func stopServe(t *testing.T, done chan error) {
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("serve did not shut down on SIGTERM within 30s")
+	}
+}
+
+// TestServeInKeysNameTheSchema: two `serve -in` runs over the same file
+// with different schemas share a cache directory, and the second must
+// not load the first one's synopsis. Under schema a the file's two R
+// facts form one block, so Q holds in half the repairs; under schema b
+// they are two blocks and Q is certain.
+func TestServeInKeysNameTheSchema(t *testing.T) {
+	dir := t.TempDir()
+	files := map[string]string{
+		"db.txt": "R|i:1|s:a\nR|i:1|s:b\n",
+		"a.txt":  "relation R(k*, v)\n",
+		"b.txt":  "relation R(k*, v*)\n",
+	}
+	for name, content := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cacheDir := filepath.Join(dir, "cache")
+	estimate := func(schema string) (freq float64, synopsis string) {
+		addr, done := startServe(t, "-in", filepath.Join(dir, "db.txt"),
+			"-schema", filepath.Join(dir, schema), "-cache-dir", cacheDir)
+		resp, err := http.Post("http://"+addr+"/v1/estimate", "application/json",
+			strings.NewReader(`{"query": "Q() :- R(1, 'a')", "scheme": "KLM"}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		stopServe(t, done)
+		var parsed struct {
+			Answers []struct {
+				Freq float64 `json:"freq"`
+			} `json:"answers"`
+			Synopsis string `json:"synopsis"`
+		}
+		if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &parsed) != nil || len(parsed.Answers) != 1 {
+			t.Fatalf("schema %s: estimate = %d: %s", schema, resp.StatusCode, body)
+		}
+		return parsed.Answers[0].Freq, parsed.Synopsis
+	}
+	if freq, syn := estimate("a.txt"); freq >= 0.9 || syn != "build" {
+		t.Fatalf("schema a: freq %g from a %q synopsis, want about 0.5 from a build", freq, syn)
+	}
+	if freq, syn := estimate("b.txt"); freq != 1 || syn != "build" {
+		t.Fatalf("schema b: freq %g from a %q synopsis, want 1 from a build", freq, syn)
 	}
 }
 

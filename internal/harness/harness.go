@@ -47,13 +47,6 @@ type Config struct {
 	// updated after: a warm run loads enc(syn) directly and skips the
 	// build. A nil or disabled cache reproduces the uncached behavior.
 	Cache *syncache.Cache
-	// BuildWorkers bounds the worker pool that prepares synopses for
-	// the workload's pairs concurrently (cache loads and cold builds
-	// alike). 0 selects GOMAXPROCS capped at 8; 1 forces the historical
-	// sequential preparation. Preparation is deterministic regardless of
-	// the worker count: synopsis construction draws no random numbers,
-	// and results are ordered by pair, not by completion.
-	BuildWorkers int
 	// Context, when set, aborts the whole run cooperatively: synopsis
 	// builds and estimations observe it at their usual poll points and
 	// Run returns an error wrapping estimator.ErrCanceled. Nil means
@@ -67,15 +60,6 @@ func (c Config) context() context.Context {
 		return c.Context
 	}
 	return context.Background()
-}
-
-// DefaultConfig mirrors the paper's experimental setting with a short
-// timeout suitable for scaled-down scenarios.
-func DefaultConfig() Config {
-	return Config{
-		Opts:    cqa.DefaultOptions(),
-		Timeout: 10 * time.Second,
-	}
 }
 
 // Measurement records one scheme run over one pair.
@@ -146,22 +130,15 @@ type prepared struct {
 }
 
 // prepare resolves the synopses of every pair — from the cache when
-// warm, by building (and storing) when cold — over a bounded worker
-// pool. Results are indexed by pair, so downstream ordering is
-// deterministic regardless of completion order. Each pair's "pair:"
-// trace span is created here, in pair order, and stays open for the
-// measurement phase to attach scheme spans to.
+// warm, by building (and storing) when cold — over a pool of GOMAXPROCS
+// workers, at most 8 and at most one per pair. Preparation is
+// deterministic regardless of the worker count: synopsis construction
+// draws no random numbers, and results are indexed by pair, not by
+// completion. Each pair's "pair:" trace span is created here, in pair
+// order, and stays open for the measurement phase to attach scheme
+// spans to.
 func prepare(w *scenario.Workload, cfg Config, spans []*obs.Span) []prepared {
-	workers := cfg.BuildWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-		if workers > 8 {
-			workers = 8
-		}
-	}
-	if workers > len(w.Pairs) {
-		workers = len(w.Pairs)
-	}
+	workers := min(runtime.GOMAXPROCS(0), 8, len(w.Pairs))
 	out := make([]prepared, len(w.Pairs))
 	sem := make(chan struct{}, workers)
 	var wg sync.WaitGroup
@@ -200,9 +177,8 @@ func prepare(w *scenario.Workload, cfg Config, spans []*obs.Span) []prepared {
 // in Section 5; with a cache configured, it is loaded from disk instead
 // whenever the pair's content address hits (the prep phase of a warm
 // run is then pure decoding). Cold synopses are prepared concurrently
-// (Config.BuildWorkers); the scheme measurements themselves stay
-// strictly sequential so timings are never distorted by a concurrent
-// build.
+// (see prepare); the scheme measurements themselves stay strictly
+// sequential so timings are never distorted by a concurrent build.
 func Run(w *scenario.Workload, cfg Config) (*Figure, error) {
 	label := w.Axis.Label()
 	if label == "" {

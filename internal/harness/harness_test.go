@@ -23,10 +23,9 @@ func testLab(t *testing.T) *scenario.Lab {
 }
 
 func fastConfig() Config {
-	cfg := DefaultConfig()
+	cfg := Config{Opts: cqa.DefaultOptions(), Timeout: 5 * time.Second}
 	cfg.Opts.Eps = 0.25
 	cfg.Opts.Delta = 0.3
-	cfg.Timeout = 5 * time.Second
 	return cfg
 }
 

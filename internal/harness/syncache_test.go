@@ -33,7 +33,6 @@ func TestWarmRunEqualsCold(t *testing.T) {
 	}
 	cfg := fastConfig()
 	cfg.Cache = cache
-	cfg.BuildWorkers = 4
 	// No per-run timeout: a run that hits one reports zero samples, so a
 	// slow host (or the race detector) would make the two runs differ
 	// for reasons that have nothing to do with the cache.

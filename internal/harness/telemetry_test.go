@@ -38,8 +38,7 @@ func TestTimedOutMeasurementsAreZeroed(t *testing.T) {
 	for _, s := range cqa.Schemes {
 		before += reg.Counter("harness_timeouts_total", obs.L("scheme", s.String())).Value()
 	}
-	cfg := DefaultConfig()
-	cfg.Timeout = time.Second
+	cfg := Config{Opts: cqa.DefaultOptions(), Timeout: time.Second}
 	cfg.Opts.Budget.MaxSamples = 10 // force budget exhaustion for every scheme
 	fig, err := Run(w, cfg)
 	if err != nil {
@@ -82,8 +81,7 @@ func TestTimedOutMeasurementsAreZeroed(t *testing.T) {
 // scheme children.
 func TestRunManifestAndTracePlumbing(t *testing.T) {
 	w := telemetryWorkload(t)
-	cfg := DefaultConfig()
-	cfg.Timeout = 5 * time.Second
+	cfg := Config{Opts: cqa.DefaultOptions(), Timeout: 5 * time.Second}
 	root := obs.NewSpan("test.run")
 	cfg.Trace = root
 	fig, err := Run(w, cfg)
@@ -150,8 +148,7 @@ func TestRunManifestAndTracePlumbing(t *testing.T) {
 // exactly (the acceptance bound is 5%; the construction makes it 0).
 func TestStagesSumToElapsed(t *testing.T) {
 	w := telemetryWorkload(t)
-	cfg := DefaultConfig()
-	cfg.Timeout = 5 * time.Second
+	cfg := Config{Opts: cqa.DefaultOptions(), Timeout: 5 * time.Second}
 	var progressed int
 	cfg.Progress = func(Measurement) { progressed++ }
 	fig, err := Run(w, cfg)

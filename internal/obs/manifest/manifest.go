@@ -22,7 +22,7 @@ import (
 // RunManifest identifies one run of the benchmark tooling. All fields
 // are plain data so the manifest embeds verbatim in any JSON artifact.
 type RunManifest struct {
-	// Tool names the producing entry point, e.g. "cqabench run".
+	// Tool names the producing entry point, e.g. "cqabench figure".
 	Tool string `json:"tool"`
 	// GitSHA is the VCS revision of the build (or of the working tree
 	// when built from source with `go run`); empty when undeterminable.

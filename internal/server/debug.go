@@ -17,7 +17,7 @@ import (
 // /debug/requests lists the recent (or slowest) requests with their
 // fitted stage breakdowns, and /debug/requests/{id}/trace exports one
 // request's span tree in the same Chrome Trace Event JSON that
-// `cqabench run -trace-out` writes, so Perfetto loads both identically.
+// `cqabench figure -trace-out` writes, so Perfetto loads both identically.
 
 // DebugRequestsResponse is the body of GET /debug/requests.
 type DebugRequestsResponse struct {
@@ -33,7 +33,7 @@ func (s *Server) handleVersion(w http.ResponseWriter, r *http.Request) {
 
 // handleMetricsJSON serves the registry's JSON export wrapped in the
 // same {"manifest": ..., "metrics": ...} provenance envelope that
-// `cqabench run -metrics-out` writes.
+// `cqabench figure -metrics-out` writes.
 func (s *Server) handleMetricsJSON(w http.ResponseWriter, r *http.Request) {
 	s.refreshUptime()
 	var buf bytes.Buffer
@@ -99,7 +99,7 @@ func (s *Server) handleDebugRequests(w http.ResponseWriter, r *http.Request) {
 
 // handleDebugRequestTrace exports one recorded request's span tree as
 // Chrome Trace Event Format JSON, loadable in Perfetto. The format and
-// metadata layout match `cqabench run -trace-out` (internal/obs/trace).
+// metadata layout match `cqabench figure -trace-out` (internal/obs/trace).
 func (s *Server) handleDebugRequestTrace(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	rec, ok := s.reqlog.find(id)
