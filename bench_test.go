@@ -266,7 +266,7 @@ func BenchmarkAblation_OptEstimateVsHoeffding(b *testing.B) {
 	b.Run("OptEstimate", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			s := sampler.NewKL(pair)
-			if _, err := estimator.MonteCarlo(s, 0.2, 0.3, mt.New(uint64(i)), estimator.Budget{}); err != nil {
+			if _, err := estimator.MonteCarloContext(context.Background(), s, 0.2, 0.3, mt.New(uint64(i)), estimator.Budget{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -275,7 +275,7 @@ func BenchmarkAblation_OptEstimateVsHoeffding(b *testing.B) {
 		lb := 1 / float64(pair.NumImages())
 		for i := 0; i < b.N; i++ {
 			s := sampler.NewKL(pair)
-			if _, err := estimator.FixedSamples(s, 0.2, 0.3, lb, mt.New(uint64(i)), estimator.Budget{}); err != nil {
+			if _, err := estimator.FixedSamplesContext(context.Background(), s, 0.2, 0.3, lb, mt.New(uint64(i)), estimator.Budget{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -426,7 +426,7 @@ func BenchmarkAblation_StoppingRuleVsAA(b *testing.B) {
 	b.Run("StoppingRule", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			s := sampler.NewKLM(pair)
-			if _, err := estimator.StoppingRule(s, 0.2, 0.3, mt.New(uint64(i)), estimator.Budget{}); err != nil {
+			if _, err := estimator.StoppingRuleContext(context.Background(), s, 0.2, 0.3, mt.New(uint64(i)), estimator.Budget{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -434,7 +434,7 @@ func BenchmarkAblation_StoppingRuleVsAA(b *testing.B) {
 	b.Run("AA", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			s := sampler.NewKLM(pair)
-			if _, err := estimator.MonteCarlo(s, 0.2, 0.3, mt.New(uint64(i)), estimator.Budget{}); err != nil {
+			if _, err := estimator.MonteCarloContext(context.Background(), s, 0.2, 0.3, mt.New(uint64(i)), estimator.Budget{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -609,7 +609,7 @@ func BenchmarkKernels(b *testing.B) {
 			b.ReportAllocs()
 			var steps int64
 			for i := 0; i < b.N; i++ {
-				r, err := estimator.SelfAdjustingCoverage(space, 0.1, 0.25, mt.New(uint64(i)), estimator.Budget{})
+				r, err := estimator.SelfAdjustingCoverageContext(context.Background(), space, 0.1, 0.25, mt.New(uint64(i)), estimator.Budget{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -635,7 +635,7 @@ func BenchmarkIntraQueryParallel(b *testing.B) {
 		var samples int64
 		for i := 0; i < b.N; i++ {
 			s := sampler.NewKL(pair)
-			r, err := estimator.MonteCarlo(s, eps, delta, mt.New(mt.DefaultSeed), estimator.Budget{})
+			r, err := estimator.MonteCarloContext(context.Background(), s, eps, delta, mt.New(mt.DefaultSeed), estimator.Budget{})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -1,6 +1,7 @@
 package cqa
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -30,10 +31,10 @@ func plainFreq(pair *synopsis.Admissible, scheme Scheme, opts Options, src *mt.S
 		klm := sampler.NewKLM(pair)
 		s, weight = klm, klm.Weight()
 	case Cover:
-		r, err := estimator.SelfAdjustingCoverage(sampler.NewSymbolic(pair), opts.Eps, opts.Delta, src, opts.Budget)
+		r, err := estimator.SelfAdjustingCoverageContext(context.Background(), sampler.NewSymbolic(pair), opts.Eps, opts.Delta, src, opts.Budget)
 		return clamp01(r.Estimate), r.Samples, err
 	}
-	r, err := estimator.MonteCarlo(s, opts.Eps, opts.Delta, src, opts.Budget)
+	r, err := estimator.MonteCarloContext(context.Background(), s, opts.Eps, opts.Delta, src, opts.Budget)
 	return clamp01(r.Estimate * weight), r.Samples, err
 }
 

@@ -1,6 +1,7 @@
 package dnf
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/big"
@@ -150,18 +151,18 @@ func referenceApproxFraction(f *Formula, s cqa.Scheme, eps, delta float64, seed 
 	src := mt.New(seed)
 	switch s {
 	case cqa.Natural:
-		r, err := estimator.MonteCarlo(sampler.NewNatural(pair), eps, delta, src, estimator.Budget{})
+		r, err := estimator.MonteCarloContext(context.Background(), sampler.NewNatural(pair), eps, delta, src, estimator.Budget{})
 		return clamp01(r.Estimate), err
 	case cqa.KL:
 		kl := sampler.NewKL(pair)
-		r, err := estimator.MonteCarlo(kl, eps, delta, src, estimator.Budget{})
+		r, err := estimator.MonteCarloContext(context.Background(), kl, eps, delta, src, estimator.Budget{})
 		return clamp01(r.Estimate * kl.Weight()), err
 	case cqa.KLM:
 		klm := sampler.NewKLM(pair)
-		r, err := estimator.MonteCarlo(klm, eps, delta, src, estimator.Budget{})
+		r, err := estimator.MonteCarloContext(context.Background(), klm, eps, delta, src, estimator.Budget{})
 		return clamp01(r.Estimate * klm.Weight()), err
 	case cqa.Cover:
-		r, err := estimator.SelfAdjustingCoverage(sampler.NewSymbolic(pair), eps, delta, src, estimator.Budget{})
+		r, err := estimator.SelfAdjustingCoverageContext(context.Background(), sampler.NewSymbolic(pair), eps, delta, src, estimator.Budget{})
 		return clamp01(r.Estimate), err
 	}
 	return 0, fmt.Errorf("unknown scheme %v", s)

@@ -116,7 +116,7 @@ func TestDeadlineContextWrapsSentinels(t *testing.T) {
 func TestContextIdenticalWhenUncanceled(t *testing.T) {
 	mk := func() Sampler { return constSampler(0.37) }
 	srcA, srcB := mt.New(99), mt.New(99)
-	plain, errA := MonteCarlo(mk(), 0.2, 0.2, srcA, Budget{})
+	plain, errA := MonteCarloContext(context.Background(), mk(), 0.2, 0.2, srcA, Budget{})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	withCtx, errB := MonteCarloContext(ctx, mk(), 0.2, 0.2, srcB, Budget{})

@@ -2,7 +2,6 @@ package estimator
 
 import (
 	"context"
-	"fmt"
 	"math"
 
 	"cqabench/internal/mt"
@@ -24,35 +23,27 @@ type SymbolicSpace interface {
 	WalkOne(src *mt.Source, n int)
 }
 
-// SelfAdjustingCoverage implements Algorithm 6 (the self-adjusting
-// coverage algorithm of Karp, Luby and Madras [15] adapted to admissible
-// pairs). It estimates the UnionOfSets quantity |∪_i I^i| and returns it
-// normalized by |db(B)| — that is, it returns an (ε, δ)-estimate of
-// R(H, B) directly. The normalization is folded in because |∪_i I^i| can
-// exceed float64 range for large B while the ratio never can; Algorithm 5
-// multiplies by 1/|db(B)| anyway.
+// SelfAdjustingCoverageContext implements Algorithm 6 (the
+// self-adjusting coverage algorithm of Karp, Luby and Madras [15]
+// adapted to admissible pairs). It estimates the UnionOfSets quantity
+// |∪_i I^i| and returns it normalized by |db(B)| — that is, it returns
+// an (ε, δ)-estimate of R(H, B) directly. The normalization is folded in
+// because |∪_i I^i| can exceed float64 range for large B while the ratio
+// never can; Algorithm 5 multiplies by 1/|db(B)| anyway.
 //
-// The number of inner steps is the deterministic
-// N = ⌈8(1+ε)·|H|·ln(3/δ) / ((1−ε²/8)·ε²)⌉ from [15]: pessimistic but
-// predictable, which is exactly the trade-off Section 4.3 discusses.
-func SelfAdjustingCoverage(space SymbolicSpace, eps, delta float64, src *mt.Source, budget Budget) (Result, error) {
-	return SelfAdjustingCoverageContext(context.Background(), space, eps, delta, src, budget)
-}
-
-// SelfAdjustingCoverageContext is SelfAdjustingCoverage with cooperative
-// cancellation: the coverage walk charges one draw per step, and the
-// context is polled every ctxStride steps (the same latency as the
-// batched loops' chunk boundaries). For a context that is never canceled
-// the result is byte-identical to SelfAdjustingCoverage.
+// The number of inner steps is CoverageIterations' deterministic N:
+// pessimistic but predictable, which is exactly the trade-off Section
+// 4.3 discusses. The walk charges one draw per step, and the context is
+// polled every ctxStride steps (the same latency as the batched loops'
+// chunk boundaries).
 func SelfAdjustingCoverageContext(ctx context.Context, space SymbolicSpace, eps, delta float64, src *mt.Source, budget Budget) (Result, error) {
-	if eps <= 0 || eps >= 1 || delta <= 0 || delta >= 1 {
-		return Result{}, fmt.Errorf("estimator: require 0 < eps < 1 and 0 < delta < 1: %w", ErrInvalidOptions)
+	if err := checkArgs(eps, delta); err != nil {
+		return Result{}, err
 	}
 	bt := &budgetTracker{budget: budget, ctx: trackerCtx(ctx)}
 	rec := RecorderFrom(ctx)
 	m := space.NumImages()
-	n := int64(math.Ceil(8 * (1 + eps) * float64(m) * math.Log(3/delta) /
-		((1 - eps*eps/8) * eps * eps)))
+	n := CoverageIterations(m, eps, delta)
 
 	bound := mt.NewBound(m) // the walk's Intn(m), compiled
 	var steps, total, trials int64
@@ -133,10 +124,11 @@ func SelfAdjustingCoverageContext(ctx context.Context, space SymbolicSpace, eps,
 	return Result{Estimate: est, Samples: bt.samples}, nil
 }
 
-// CoverageIterations exposes the deterministic step bound N used by
-// SelfAdjustingCoverage; the harness and the balance-scenario analysis
-// report it (it is linear in |H|, the fact driving Cover's runtime in
-// Figures 1–2).
+// CoverageIterations is the deterministic step bound
+// N = ⌈8(1+ε)·|H|·ln(3/δ) / ((1−ε²/8)·ε²)⌉ of [15] that
+// SelfAdjustingCoverageContext walks; the harness and the
+// balance-scenario analysis report it (it is linear in |H|, the fact
+// driving Cover's runtime in Figures 1–2).
 func CoverageIterations(numImages int, eps, delta float64) int64 {
 	return int64(math.Ceil(8 * (1 + eps) * float64(numImages) * math.Log(3/delta) /
 		((1 - eps*eps/8) * eps * eps)))

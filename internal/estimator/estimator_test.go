@@ -1,8 +1,10 @@
 package estimator
 
 import (
+	"context"
 	"errors"
 	"math"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -28,7 +30,7 @@ func (c constant) Sample(*mt.Source) float64 { return c.v }
 
 func TestStoppingRuleAccuracy(t *testing.T) {
 	for _, p := range []float64{0.9, 0.5, 0.1} {
-		r, err := StoppingRule(bernoulli{p}, 0.1, 0.1, mt.New(1), Budget{})
+		r, err := StoppingRuleContext(context.Background(), bernoulli{p}, 0.1, 0.1, mt.New(1), Budget{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -43,7 +45,7 @@ func TestStoppingRuleAccuracy(t *testing.T) {
 
 func TestMonteCarloAccuracy(t *testing.T) {
 	for seed, p := range map[uint64]float64{2: 0.8, 3: 0.5, 4: 0.2, 5: 0.05} {
-		r, err := MonteCarlo(bernoulli{p}, 0.1, 0.25, mt.New(seed), Budget{})
+		r, err := MonteCarloContext(context.Background(), bernoulli{p}, 0.1, 0.25, mt.New(seed), Budget{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -54,7 +56,7 @@ func TestMonteCarloAccuracy(t *testing.T) {
 }
 
 func TestMonteCarloConstant(t *testing.T) {
-	r, err := MonteCarlo(constant{0.5}, 0.1, 0.25, mt.New(6), Budget{})
+	r, err := MonteCarloContext(context.Background(), constant{0.5}, 0.1, 0.25, mt.New(6), Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +76,7 @@ func TestMonteCarloConfidence(t *testing.T) {
 	)
 	failures := 0
 	for i := 0; i < runs; i++ {
-		r, err := MonteCarlo(bernoulli{p}, eps, delta, mt.New(uint64(1000+i)), Budget{})
+		r, err := MonteCarloContext(context.Background(), bernoulli{p}, eps, delta, mt.New(uint64(1000+i)), Budget{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,10 +90,64 @@ func TestMonteCarloConfidence(t *testing.T) {
 	}
 }
 
-func TestMonteCarloParamValidation(t *testing.T) {
-	for _, bad := range [][2]float64{{0, 0.1}, {1, 0.1}, {0.1, 0}, {0.1, 1}, {-1, 0.5}, {0.5, -1}} {
-		if _, err := MonteCarlo(constant{0.5}, bad[0], bad[1], mt.New(1), Budget{}); err == nil {
-			t.Errorf("params %v accepted", bad)
+// drawCounter is a Sampler and a SymbolicSpace that counts its draws.
+type drawCounter struct{ draws atomic.Int64 }
+
+func (d *drawCounter) Sample(*mt.Source) float64 { d.draws.Add(1); return 1 }
+func (d *drawCounter) Draw(*mt.Source) int       { d.draws.Add(1); return 0 }
+func (d *drawCounter) InSet(int) bool            { return true }
+func (d *drawCounter) NumImages() int            { return 1 }
+func (d *drawCounter) Weight() float64           { return 1 }
+func (d *drawCounter) WalkOne(_ *mt.Source, n int) {
+	d.draws.Add(int64(n))
+}
+
+// TestArgumentChecks shows every estimation call rejecting an ε or δ
+// outside (0, 1), NaN included, and FixedSamplesContext a mean lower
+// bound that is not positive, with ErrInvalidOptions before any draw.
+// The budget only bounds a call that fails to check.
+func TestArgumentChecks(t *testing.T) {
+	ctx := context.Background()
+	budget := Budget{MaxSamples: 1000}
+	type call func(d *drawCounter, eps, delta, meanLB float64) (Result, error)
+	calls := map[string]call{
+		"StoppingRuleContext": func(d *drawCounter, eps, delta, _ float64) (Result, error) {
+			return StoppingRuleContext(ctx, d, eps, delta, mt.New(1), budget)
+		},
+		"MonteCarloContext": func(d *drawCounter, eps, delta, _ float64) (Result, error) {
+			return MonteCarloContext(ctx, d, eps, delta, mt.New(1), budget)
+		},
+		"MonteCarloParallel": func(d *drawCounter, eps, delta, _ float64) (Result, error) {
+			p := Parallel{Seed: 1, Workers: 2, NewSampler: func() Sampler { return d }}
+			return MonteCarloParallel(ctx, p, eps, delta, budget)
+		},
+		"FixedSamplesContext": func(d *drawCounter, eps, delta, meanLB float64) (Result, error) {
+			return FixedSamplesContext(ctx, d, eps, delta, meanLB, mt.New(1), budget)
+		},
+		"SelfAdjustingCoverageContext": func(d *drawCounter, eps, delta, _ float64) (Result, error) {
+			return SelfAdjustingCoverageContext(ctx, d, eps, delta, mt.New(1), budget)
+		},
+	}
+	nan := math.NaN()
+	type args struct{ eps, delta, meanLB float64 }
+	var bad []args
+	for _, v := range []float64{0, 1, nan, -1, 3} {
+		bad = append(bad, args{v, 0.25, 0.5}, args{0.25, v, 0.5})
+	}
+	for name, c := range calls {
+		cases := bad
+		if name == "FixedSamplesContext" {
+			cases = append(cases, args{0.25, 0.25, 0}, args{0.25, 0.25, nan}, args{0.25, 0.25, -1})
+		}
+		for _, a := range cases {
+			d := new(drawCounter)
+			res, err := c(d, a.eps, a.delta, a.meanLB)
+			if !errors.Is(err, ErrInvalidOptions) {
+				t.Errorf("%s%+v: error %v, want ErrInvalidOptions", name, a, err)
+			}
+			if n := d.draws.Load(); n != 0 || res != (Result{}) {
+				t.Errorf("%s%+v: %d draws, result %+v; want none", name, a, n, res)
+			}
 		}
 	}
 }
@@ -99,11 +155,11 @@ func TestMonteCarloParamValidation(t *testing.T) {
 func TestMonteCarloAdaptsToMean(t *testing.T) {
 	// A larger mean must need fewer samples (the whole point of the
 	// optimal estimator).
-	rBig, err := MonteCarlo(bernoulli{0.9}, 0.1, 0.25, mt.New(7), Budget{})
+	rBig, err := MonteCarloContext(context.Background(), bernoulli{0.9}, 0.1, 0.25, mt.New(7), Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rSmall, err := MonteCarlo(bernoulli{0.01}, 0.1, 0.25, mt.New(8), Budget{})
+	rSmall, err := MonteCarloContext(context.Background(), bernoulli{0.01}, 0.1, 0.25, mt.New(8), Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +169,7 @@ func TestMonteCarloAdaptsToMean(t *testing.T) {
 }
 
 func TestBudgetMaxSamples(t *testing.T) {
-	_, err := MonteCarlo(bernoulli{0.5}, 0.05, 0.05, mt.New(9), Budget{MaxSamples: 10})
+	_, err := MonteCarloContext(context.Background(), bernoulli{0.5}, 0.05, 0.05, mt.New(9), Budget{MaxSamples: 10})
 	if !errors.Is(err, ErrBudget) {
 		t.Fatalf("err = %v, want ErrBudget", err)
 	}
@@ -121,7 +177,7 @@ func TestBudgetMaxSamples(t *testing.T) {
 
 func TestBudgetDeadline(t *testing.T) {
 	// Tiny mean forces enough samples to cross the deadline-check stride.
-	_, err := MonteCarlo(bernoulli{1e-5}, 0.1, 0.25, mt.New(10),
+	_, err := MonteCarloContext(context.Background(), bernoulli{1e-5}, 0.1, 0.25, mt.New(10),
 		Budget{Deadline: time.Now().Add(-time.Second)})
 	if !errors.Is(err, ErrBudget) {
 		t.Fatalf("err = %v, want ErrBudget", err)
@@ -129,14 +185,14 @@ func TestBudgetDeadline(t *testing.T) {
 }
 
 func TestFixedSamples(t *testing.T) {
-	r, err := FixedSamples(bernoulli{0.4}, 0.1, 0.25, 0.1, mt.New(11), Budget{})
+	r, err := FixedSamplesContext(context.Background(), bernoulli{0.4}, 0.1, 0.25, 0.1, mt.New(11), Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(r.Estimate-0.4) > 0.1*0.4 {
 		t.Fatalf("FixedSamples estimate = %v", r.Estimate)
 	}
-	if _, err := FixedSamples(bernoulli{0.4}, 0.1, 0.25, 0, mt.New(1), Budget{}); err == nil {
+	if _, err := FixedSamplesContext(context.Background(), bernoulli{0.4}, 0.1, 0.25, 0, mt.New(1), Budget{}); err == nil {
 		t.Fatal("zero mean lower bound accepted")
 	}
 }
@@ -144,11 +200,11 @@ func TestFixedSamples(t *testing.T) {
 func TestFixedSamplesWastefulVsOptimal(t *testing.T) {
 	// With a loose lower bound the fixed-N estimator must draw more than
 	// the optimal one on a high-mean sampler.
-	fixed, err := FixedSamples(bernoulli{0.9}, 0.1, 0.25, 0.01, mt.New(12), Budget{})
+	fixed, err := FixedSamplesContext(context.Background(), bernoulli{0.9}, 0.1, 0.25, 0.01, mt.New(12), Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, err := MonteCarlo(bernoulli{0.9}, 0.1, 0.25, mt.New(13), Budget{})
+	opt, err := MonteCarloContext(context.Background(), bernoulli{0.9}, 0.1, 0.25, mt.New(13), Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +237,7 @@ func TestSelfAdjustingCoverageAccuracy(t *testing.T) {
 		t.Fatal(err)
 	}
 	space := sampler.NewSymbolic(pair)
-	r, err := SelfAdjustingCoverage(space, 0.1, 0.25, mt.New(14), Budget{})
+	r, err := SelfAdjustingCoverageContext(context.Background(), space, 0.1, 0.25, mt.New(14), Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +256,7 @@ func TestSelfAdjustingCoverageConfidence(t *testing.T) {
 	failures := 0
 	for i := 0; i < runs; i++ {
 		space := sampler.NewSymbolic(pair)
-		r, err := SelfAdjustingCoverage(space, 0.15, 0.25, mt.New(uint64(2000+i)), Budget{})
+		r, err := SelfAdjustingCoverageContext(context.Background(), space, 0.15, 0.25, mt.New(uint64(2000+i)), Budget{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -216,17 +272,9 @@ func TestSelfAdjustingCoverageConfidence(t *testing.T) {
 func TestSelfAdjustingCoverageBudget(t *testing.T) {
 	pair := coveragePair(t)
 	space := sampler.NewSymbolic(pair)
-	_, err := SelfAdjustingCoverage(space, 0.05, 0.05, mt.New(15), Budget{MaxSamples: 5})
+	_, err := SelfAdjustingCoverageContext(context.Background(), space, 0.05, 0.05, mt.New(15), Budget{MaxSamples: 5})
 	if !errors.Is(err, ErrBudget) {
 		t.Fatalf("err = %v, want ErrBudget", err)
-	}
-}
-
-func TestSelfAdjustingCoverageParamValidation(t *testing.T) {
-	pair := coveragePair(t)
-	space := sampler.NewSymbolic(pair)
-	if _, err := SelfAdjustingCoverage(space, 0, 0.5, mt.New(1), Budget{}); err == nil {
-		t.Fatal("eps=0 accepted")
 	}
 }
 
@@ -250,12 +298,12 @@ func TestCoverageAgreesWithMonteCarloKL(t *testing.T) {
 		t.Fatal(err)
 	}
 	kl := sampler.NewKL(pair)
-	mc, err := MonteCarlo(kl, 0.1, 0.25, mt.New(16), Budget{})
+	mc, err := MonteCarloContext(context.Background(), kl, 0.1, 0.25, mt.New(16), Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	klEst := mc.Estimate * kl.Weight()
-	cov, err := SelfAdjustingCoverage(sampler.NewSymbolic(pair), 0.1, 0.25, mt.New(17), Budget{})
+	cov, err := SelfAdjustingCoverageContext(context.Background(), sampler.NewSymbolic(pair), 0.1, 0.25, mt.New(17), Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,14 +323,14 @@ func BenchmarkMonteCarloNatural(b *testing.B) {
 	pair.Canonicalize()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := MonteCarlo(sampler.NewNatural(pair), 0.1, 0.25, mt.New(uint64(i)), Budget{}); err != nil {
+		if _, err := MonteCarloContext(context.Background(), sampler.NewNatural(pair), 0.1, 0.25, mt.New(uint64(i)), Budget{}); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func TestMonteCarloPhaseAccounting(t *testing.T) {
-	r, err := MonteCarlo(bernoulli{0.4}, 0.15, 0.25, mt.New(21), Budget{})
+	r, err := MonteCarloContext(context.Background(), bernoulli{0.4}, 0.15, 0.25, mt.New(21), Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,15 +1,22 @@
 // Package estimator implements the estimation layer the approximation
-// schemes share (Section 4.2–4.3):
+// schemes share (Section 4.2–4.3). Five calls make it up:
 //
-//   - MonteCarlo: the optimal Monte Carlo estimator of Dagum, Karp, Luby
-//     and Ross [8] (their 𝒜𝒜 algorithm), which the paper calls
-//     MonteCarlo[Sample] with OptEstimate[Sample] choosing the number of
-//     iterations; the two are fused here, exactly as in [8].
-//   - FixedSamples: a non-adaptive baseline that sizes the sample count
-//     from a worst-case lower bound on the mean via the zero-one estimator
-//     theorem; used by the ablation benchmarks.
-//   - SelfAdjustingCoverage: Algorithm 6, the Karp–Luby–Madras
+//   - MonteCarloContext: the optimal Monte Carlo estimator of Dagum,
+//     Karp, Luby and Ross [8] (their 𝒜𝒜 algorithm), which the paper
+//     calls MonteCarlo[Sample] with OptEstimate[Sample] choosing the
+//     number of iterations; the two are fused here, exactly as in [8].
+//     MonteCarloParallel runs the same loops over seed-derived
+//     per-chunk substreams (see parallel.go).
+//   - StoppingRuleContext: the stopping rule of [8] on its own, the
+//     first phase of 𝒜𝒜; used by the ablation benchmarks.
+//   - FixedSamplesContext: a non-adaptive baseline that sizes the
+//     sample count from a worst-case lower bound on the mean via the
+//     zero-one estimator theorem; used by the ablation benchmarks.
+//   - SelfAdjustingCoverageContext: Algorithm 6, the Karp–Luby–Madras
 //     self-adjusting coverage algorithm [15] over the symbolic space.
+//
+// Every call rejects an ε or δ outside (0, 1), NaN included, with an
+// error wrapping ErrInvalidOptions before it draws.
 //
 // The sampling loops consume draws in fixed-size chunks through the
 // BatchSampler fast path when the sampler supports it, with semantics
@@ -18,8 +25,9 @@
 // seed every estimate and sample count matches the unbatched reference
 // exactly (see the kernel-equivalence tests).
 //
-// Every entry point accepts a Budget so the harness can impose the paper's
-// per-scenario timeouts.
+// Every call accepts a Budget so the harness can impose the paper's
+// per-scenario timeouts, and a context it polls at chunk boundaries. A
+// context that is never canceled (context.Background) skips the polls.
 package estimator
 
 import (
@@ -56,7 +64,8 @@ var ErrBudget = errors.New("estimator: budget exhausted")
 var ErrCanceled = cqaerr.ErrCanceled
 
 // ErrInvalidOptions is wrapped by errors rejecting malformed estimation
-// parameters (ε or δ outside (0, 1)) before any sampling work starts.
+// parameters (ε or δ outside (0, 1), a FixedSamplesContext mean lower
+// bound that is not positive) before any sampling work starts.
 var ErrInvalidOptions = cqaerr.ErrInvalidOptions
 
 // Result reports an estimate together with the work performed.
@@ -77,7 +86,8 @@ type Result struct {
 // unit-charge loops like the coverage walk, every ctxStride draws — so
 // abort latency is about one batchSize chunk either way. The checks never
 // touch the PRNG: for a run that is not canceled, every estimate, sample
-// count and stream position is byte-identical to the context-free path.
+// count and stream position is byte-identical to a run under
+// context.Background, which polls nothing.
 type budgetTracker struct {
 	budget  Budget
 	ctx     context.Context // nil: no cancellation checks
@@ -87,7 +97,7 @@ type budgetTracker struct {
 const deadlineStride = 8192
 
 // ctxStride bounds the cancellation latency of loops that charge draws
-// one at a time (SelfAdjustingCoverage): the context is polled once per
+// one at a time (the coverage walk): the context is polled once per
 // ctxStride draws, matching the batched loops' one-chunk latency.
 const ctxStride = batchSize
 
@@ -161,24 +171,32 @@ func upsilon(eps, delta float64) float64 {
 	return 4 * e2 * math.Log(2/delta) / (eps * eps)
 }
 
-// StoppingRule implements the Stopping Rule Algorithm of [8]: it draws
-// samples until their running sum reaches Υ1 = 1 + (1+ε)Υ and returns
-// Υ1/N, an (ε, δ)-approximation of the mean provided the mean is positive.
+// checkArgs is the argument check every estimation call runs before it
+// draws: ε and δ strictly inside (0, 1). The comparisons are written so
+// that NaN fails them.
+func checkArgs(eps, delta float64) error {
+	if !(eps > 0 && eps < 1 && delta > 0 && delta < 1) {
+		return fmt.Errorf("estimator: require 0 < eps < 1 and 0 < delta < 1, got eps=%v delta=%v: %w", eps, delta, ErrInvalidOptions)
+	}
+	return nil
+}
+
+// StoppingRuleContext implements the Stopping Rule Algorithm of [8]: it
+// draws samples until their running sum reaches Υ1 = 1 + (1+ε)Υ and
+// returns Υ1/N, an (ε, δ)-approximation of the mean provided the mean is
+// positive.
 //
 // Draws are consumed in chunks bounded by ⌊Υ1 − sum⌋: samples lie in
 // [0, 1], so the running sum cannot cross Υ1 before that many further
 // draws, and the crossing index always falls on a chunk's final draw.
 // The chunked loop therefore draws exactly as many samples — in exactly
-// the same stream order — as the one-at-a-time loop.
-func StoppingRule(s Sampler, eps, delta float64, src *mt.Source, budget Budget) (Result, error) {
-	return StoppingRuleContext(context.Background(), s, eps, delta, src, budget)
-}
-
-// StoppingRuleContext is StoppingRule with cooperative cancellation: the
-// context is polled at every chunk boundary, so an abort is observed
-// within one batchSize chunk of draws. For a context that is never
-// canceled the result is byte-identical to StoppingRule.
+// the same stream order — as the one-at-a-time loop. The context is
+// polled at every chunk boundary, so an abort is observed within one
+// batchSize chunk of draws.
 func StoppingRuleContext(ctx context.Context, s Sampler, eps, delta float64, src *mt.Source, budget Budget) (Result, error) {
+	if err := checkArgs(eps, delta); err != nil {
+		return Result{}, err
+	}
 	bt := &budgetTracker{budget: budget, ctx: trackerCtx(ctx)}
 	return stoppingRuleLoop(ctx, &seqStream{br: newBatcher(s), src: src}, eps, delta, bt)
 }
@@ -231,25 +249,19 @@ func stoppingRuleLoop(ctx context.Context, ds drawStream, eps, delta float64, bt
 	return res, nil
 }
 
-// MonteCarlo implements the 𝒜𝒜 algorithm of [8]: an optimal
+// MonteCarloContext implements the 𝒜𝒜 algorithm of [8]: an optimal
 // (ε, δ)-approximation of E[Sample] for samplers with range [0, 1] and
 // positive mean. It is the paper's MonteCarlo[Sample] with the optimal
 // estimator OptEstimate[Sample] computing the number of iterations: the
 // expected sample count is within a constant factor of any correct
 // estimator's (proportional to the ratio of the sampler's variance-like
-// parameter to its squared mean).
-func MonteCarlo(s Sampler, eps, delta float64, src *mt.Source, budget Budget) (Result, error) {
-	return MonteCarloContext(context.Background(), s, eps, delta, src, budget)
-}
-
-// MonteCarloContext is MonteCarlo with cooperative cancellation: the
-// context is polled at every chunk boundary, so an abort is observed
-// within one batchSize chunk of draws and reported as an error wrapping
-// ErrCanceled (and the context's own sentinel). For a context that is
-// never canceled the result is byte-identical to MonteCarlo.
+// parameter to its squared mean). The context is polled at every chunk
+// boundary, so an abort is observed within one batchSize chunk of draws
+// and reported as an error wrapping ErrCanceled (and the context's own
+// sentinel).
 func MonteCarloContext(ctx context.Context, s Sampler, eps, delta float64, src *mt.Source, budget Budget) (Result, error) {
-	if eps <= 0 || eps >= 1 || delta <= 0 || delta >= 1 {
-		return Result{}, fmt.Errorf("estimator: require 0 < eps < 1 and 0 < delta < 1: %w", ErrInvalidOptions)
+	if err := checkArgs(eps, delta); err != nil {
+		return Result{}, err
 	}
 	return monteCarloLoop(ctx, &seqStream{br: newBatcher(s), src: src}, eps, delta, budget)
 }
@@ -312,39 +324,14 @@ func monteCarloLoop(ctx context.Context, ds drawStream, eps, delta float64, budg
 
 	// Step 3: final run sized by ρ̂/μ̂².
 	n3 := int64(math.Ceil(ups2 * rhoHat / (muHat * muHat)))
-	if n3 < 1 {
-		n3 = 1
-	}
-	var sum float64
-	for done := int64(0); done < n3; {
-		want := n3 - done
-		if want > batchSize {
-			want = batchSize
-		}
-		granted, err := bt.reserve(want, 1)
-		if err != nil {
-			return Result{Samples: bt.samples}, err
-		}
-		for _, v := range ds.fill(int(granted)) {
-			sum += v
-		}
-		done += granted
-		if rec != nil {
-			rec.observe(TrajectoryPoint{
-				Samples: bt.samples, Estimate: sum / float64(done),
-				Progress: float64(done) / float64(n3), Phase: "final",
-			})
-		}
+	est, err := fixedLoop(ds, n3, bt, rec, "final")
+	if err != nil {
+		return Result{Samples: bt.samples}, err
 	}
 	res := Result{
-		Estimate: sum / float64(n3),
+		Estimate: est,
 		Samples:  bt.samples,
 		Phases:   [3]int64{phase1, phase2, bt.samples - phase1 - phase2},
-	}
-	if rec != nil {
-		rec.final(TrajectoryPoint{
-			Samples: bt.samples, Estimate: res.Estimate, Progress: 1, Phase: "final",
-		})
 	}
 	recordMCMetrics(res)
 	return res, nil
@@ -360,42 +347,39 @@ func recordMCMetrics(res Result) {
 	r.Counter("estimator_mc_samples_total", obs.L("phase", "final")).Add(res.Phases[2])
 }
 
-// FixedSamples estimates E[Sample] with a sample count fixed up front from
-// a lower bound on the mean: N = ⌈Υ/meanLB⌉, the generalized zero-one
-// estimator theorem bound of [8] with the worst-case variance ρ ≤ μ.
-// It is correct whenever E[Sample] ≥ meanLB but typically draws far more
-// samples than MonteCarlo; the ablation benchmarks quantify the gap.
-func FixedSamples(s Sampler, eps, delta, meanLB float64, src *mt.Source, budget Budget) (Result, error) {
-	return FixedSamplesContext(context.Background(), s, eps, delta, meanLB, src, budget)
-}
-
-// FixedSamplesContext is FixedSamples with cooperative cancellation at
-// chunk boundaries (see MonteCarloContext).
+// FixedSamplesContext estimates E[Sample] with a sample count fixed up
+// front from a lower bound on the mean: N = ⌈Υ/meanLB⌉, the generalized
+// zero-one estimator theorem bound of [8] with the worst-case variance
+// ρ ≤ μ. It is correct whenever E[Sample] ≥ meanLB but typically draws
+// far more samples than MonteCarloContext; the ablation benchmarks
+// quantify the gap. meanLB must be positive. The context is polled at
+// chunk boundaries, as in MonteCarloContext.
 func FixedSamplesContext(ctx context.Context, s Sampler, eps, delta, meanLB float64, src *mt.Source, budget Budget) (Result, error) {
-	if meanLB <= 0 {
-		return Result{}, errors.New("estimator: FixedSamples requires a positive mean lower bound")
+	if err := checkArgs(eps, delta); err != nil {
+		return Result{}, err
 	}
-	return fixedSamplesLoop(ctx, &seqStream{br: newBatcher(s), src: src}, eps, delta, meanLB, budget)
+	if !(meanLB > 0) {
+		return Result{}, fmt.Errorf("estimator: require a positive mean lower bound, got %v: %w", meanLB, ErrInvalidOptions)
+	}
+	bt := &budgetTracker{budget: budget, ctx: trackerCtx(ctx)}
+	n := int64(math.Ceil(upsilon(eps, delta) / meanLB))
+	est, err := fixedLoop(&seqStream{br: newBatcher(s), src: src}, n, bt, RecorderFrom(ctx), "fixed")
+	if err != nil {
+		return Result{Samples: bt.samples}, err
+	}
+	return Result{Estimate: est, Samples: bt.samples}, nil
 }
 
-// fixedSamplesLoop is the fixed-count core, parameterized by the draw
-// supply (see stoppingRuleLoop).
-func fixedSamplesLoop(ctx context.Context, ds drawStream, eps, delta, meanLB float64, budget Budget) (Result, error) {
-	bt := &budgetTracker{budget: budget, ctx: trackerCtx(ctx)}
-	rec := RecorderFrom(ctx)
-	n := int64(math.Ceil(upsilon(eps, delta) / meanLB))
-	if n < 1 {
-		n = 1
-	}
+// fixedLoop draws max(n, 1) samples from ds in chunks and returns their
+// mean. It is the 𝒜𝒜 final phase and the whole of FixedSamplesContext;
+// phase names the recorder's checkpoints.
+func fixedLoop(ds drawStream, n int64, bt *budgetTracker, rec *Recorder, phase string) (float64, error) {
+	n = max(n, 1)
 	var sum float64
 	for done := int64(0); done < n; {
-		want := n - done
-		if want > batchSize {
-			want = batchSize
-		}
-		granted, err := bt.reserve(want, 1)
+		granted, err := bt.reserve(min(n-done, batchSize), 1)
 		if err != nil {
-			return Result{Samples: bt.samples}, err
+			return 0, err
 		}
 		for _, v := range ds.fill(int(granted)) {
 			sum += v
@@ -404,15 +388,15 @@ func fixedSamplesLoop(ctx context.Context, ds drawStream, eps, delta, meanLB flo
 		if rec != nil {
 			rec.observe(TrajectoryPoint{
 				Samples: bt.samples, Estimate: sum / float64(done),
-				Progress: float64(done) / float64(n), Phase: "fixed",
+				Progress: float64(done) / float64(n), Phase: phase,
 			})
 		}
 	}
-	res := Result{Estimate: sum / float64(n), Samples: bt.samples}
+	est := sum / float64(n)
 	if rec != nil {
 		rec.final(TrajectoryPoint{
-			Samples: bt.samples, Estimate: res.Estimate, Progress: 1, Phase: "fixed",
+			Samples: bt.samples, Estimate: est, Progress: 1, Phase: phase,
 		})
 	}
-	return res, nil
+	return est, nil
 }

@@ -18,13 +18,14 @@ import (
 // mt.Substream(seed, chunkIdx) (SeedBySlice over the two-word key — see
 // internal/mt/substream.go). Chunk k's 256 values are a pure function
 // of (seed, k), so any worker may compute any chunk in any order; the
-// consumer folds chunks back strictly by index. The estimation loops
-// (stoppingRuleLoop, monteCarloLoop, fixedSamplesLoop) run unchanged on
-// top, so budget-exhaustion accounting, cancellation polling and
-// convergence-recorder points are preserved chunk-for-chunk.
+// consumer folds chunks back strictly by index. The 𝒜𝒜 loop
+// (monteCarloLoop, with its stoppingRuleLoop and fixedLoop phases) runs
+// unchanged on top, so budget-exhaustion accounting, cancellation
+// polling and convergence-recorder points are preserved chunk-for-chunk.
 //
-// Determinism contract (pinned by TestParallelWorkerInvariance and the
-// parallel golden fixture in internal/cqa):
+// Determinism contract (pinned by TestParallelWorkerInvariance,
+// TestParallelMatchesManualSubstreamFold and the parallel golden fixture
+// in internal/cqa):
 //
 //   - For a fixed seed, the parallel estimate is byte-identical across
 //     runs AND across worker counts — workers only change wall-clock
@@ -57,28 +58,13 @@ func (p Parallel) validate() error {
 	return nil
 }
 
-// StoppingRuleParallel is StoppingRuleContext drawing from seed-derived
-// per-chunk substreams computed by a worker pool. See the package-level
-// determinism contract above.
-func StoppingRuleParallel(ctx context.Context, p Parallel, eps, delta float64, budget Budget) (Result, error) {
-	if err := p.validate(); err != nil {
-		return Result{}, err
-	}
-	cs := newChunkScheduler(ctx, p)
-	defer cs.stop()
-	bt := &budgetTracker{budget: budget, ctx: trackerCtx(ctx)}
-	res, err := stoppingRuleLoop(ctx, cs, eps, delta, bt)
-	res.Chunks = cs.chunks
-	return res, err
-}
-
 // MonteCarloParallel is MonteCarloContext drawing from seed-derived
 // per-chunk substreams computed by a worker pool: the 𝒜𝒜 phases share
 // one chunked stream, exactly as the sequential phases share one
 // source.
 func MonteCarloParallel(ctx context.Context, p Parallel, eps, delta float64, budget Budget) (Result, error) {
-	if eps <= 0 || eps >= 1 || delta <= 0 || delta >= 1 {
-		return Result{}, fmt.Errorf("estimator: require 0 < eps < 1 and 0 < delta < 1: %w", ErrInvalidOptions)
+	if err := checkArgs(eps, delta); err != nil {
+		return Result{}, err
 	}
 	if err := p.validate(); err != nil {
 		return Result{}, err
@@ -86,22 +72,6 @@ func MonteCarloParallel(ctx context.Context, p Parallel, eps, delta float64, bud
 	cs := newChunkScheduler(ctx, p)
 	defer cs.stop()
 	res, err := monteCarloLoop(ctx, cs, eps, delta, budget)
-	res.Chunks = cs.chunks
-	return res, err
-}
-
-// FixedSamplesParallel is FixedSamplesContext drawing from seed-derived
-// per-chunk substreams computed by a worker pool.
-func FixedSamplesParallel(ctx context.Context, p Parallel, eps, delta, meanLB float64, budget Budget) (Result, error) {
-	if meanLB <= 0 {
-		return Result{}, fmt.Errorf("estimator: FixedSamples requires a positive mean lower bound: %w", ErrInvalidOptions)
-	}
-	if err := p.validate(); err != nil {
-		return Result{}, err
-	}
-	cs := newChunkScheduler(ctx, p)
-	defer cs.stop()
-	res, err := fixedSamplesLoop(ctx, cs, eps, delta, meanLB, budget)
 	res.Chunks = cs.chunks
 	return res, err
 }

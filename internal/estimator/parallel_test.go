@@ -3,6 +3,7 @@ package estimator
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -36,10 +37,12 @@ func identicalResult(t *testing.T, tag string, a, b Result, aErr, bErr error) {
 
 // TestParallelWorkerInvariance is the parallel path's core determinism
 // property: for every kernel, shape, seed and budget (including
-// budget-exhaustion error paths), the parallel estimators return
+// budget-exhaustion error paths), MonteCarloParallel returns
 // byte-identical Results — estimate, sample count, phase breakdown,
-// chunk count — regardless of worker count. Run under -race in CI, this
-// also exercises the scheduler's synchronization.
+// chunk count — regardless of worker count. Its phases run the
+// stopping-rule loop and the fixed-count loop over the same scheduler.
+// Run under -race in CI, this also exercises the scheduler's
+// synchronization.
 func TestParallelWorkerInvariance(t *testing.T) {
 	pairs := map[string]*synopsis.Admissible{
 		"small":     refPair(),
@@ -58,23 +61,17 @@ func TestParallelWorkerInvariance(t *testing.T) {
 					tag := pname + "/" + sname
 
 					base := Parallel{Seed: seed, Workers: 1, NewSampler: mk}
-					sr1, sr1Err := StoppingRuleParallel(ctx, base, 0.3, 0.2, budget)
 					mc1, mc1Err := MonteCarloParallel(ctx, base, 0.25, 0.3, budget)
-					fs1, fs1Err := FixedSamplesParallel(ctx, base, 0.3, 0.3, 0.05, budget)
 
 					// Re-running with the same configuration must be
 					// byte-identical (bit-reproducibility).
-					sr1b, sr1bErr := StoppingRuleParallel(ctx, base, 0.3, 0.2, budget)
-					identicalResult(t, tag+"/StoppingRule/rerun", sr1, sr1b, sr1Err, sr1bErr)
+					mc1b, mc1bErr := MonteCarloParallel(ctx, base, 0.25, 0.3, budget)
+					identicalResult(t, tag+"/MonteCarlo/rerun", mc1, mc1b, mc1Err, mc1bErr)
 
 					for _, w := range workerCounts {
 						p := Parallel{Seed: seed, Workers: w, NewSampler: mk}
-						sr, srErr := StoppingRuleParallel(ctx, p, 0.3, 0.2, budget)
-						identicalResult(t, tag+"/StoppingRule", sr1, sr, sr1Err, srErr)
 						mc, mcErr := MonteCarloParallel(ctx, p, 0.25, 0.3, budget)
 						identicalResult(t, tag+"/MonteCarlo", mc1, mc, mc1Err, mcErr)
-						fs, fsErr := FixedSamplesParallel(ctx, p, 0.3, 0.3, 0.05, budget)
-						identicalResult(t, tag+"/FixedSamples", fs1, fs, fs1Err, fsErr)
 					}
 				}
 			}
@@ -82,48 +79,57 @@ func TestParallelWorkerInvariance(t *testing.T) {
 	}
 }
 
+// substreamSampler draws as the parallel path schedules draws: draw i
+// of a run comes from mt.Substream(seed, i/batchSize), so the source is
+// reseeded at every batchSize-th draw.
+type substreamSampler struct {
+	s    Sampler
+	seed uint64
+	i    int64
+}
+
+func (q *substreamSampler) Sample(src *mt.Source) float64 {
+	if q.i%batchSize == 0 {
+		src.Substream(q.seed, uint64(q.i/batchSize))
+	}
+	q.i++
+	return q.s.Sample(src)
+}
+
 // TestParallelMatchesManualSubstreamFold pins the parallel draw
-// schedule itself: a FixedSamples parallel run must see exactly the
-// values of substreams 0, 1, 2, ... folded in chunk order, as computed
-// by a single-threaded reference.
+// schedule itself: MonteCarloParallel must return, bit for bit, what the
+// one-at-a-time reference seqMonteCarlo returns when it draws from
+// substreams 0, 1, 2, ... in chunk order. This covers all three 𝒜𝒜
+// phases, budget failures in each, and the chunk count.
 func TestParallelMatchesManualSubstreamFold(t *testing.T) {
-	pair := refPair()
-	mk := refSamplers(pair)["KLIndexed"]
-	const seed = 9001
-
-	res, err := FixedSamplesParallel(context.Background(),
-		Parallel{Seed: seed, Workers: 3, NewSampler: mk}, 0.3, 0.3, 0.05, Budget{})
-	if err != nil {
-		t.Fatalf("FixedSamplesParallel: %v", err)
+	pairs := map[string]*synopsis.Admissible{
+		"small":     refPair(),
+		"one-image": refOneImage(),
 	}
-
-	// Reference: same sampler drawing n values from substream chunks
-	// sequentially.
-	n := int64(math.Ceil(upsilon(0.3, 0.3) / 0.05))
-	s := mk()
-	var sum float64
-	src := new(mt.Source)
-	for i := int64(0); i < n; i++ {
-		if i%batchSize == 0 {
-			src.Substream(seed, uint64(i/batchSize))
+	for pname, pair := range pairs {
+		for sname, mk := range refSamplers(pair) {
+			for _, seed := range []uint64{9001, mt.DefaultSeed} {
+				for _, max := range []int64{0, 37, 500, 5000} {
+					tag := fmt.Sprintf("%s/%s/seed %d/MaxSamples %d", pname, sname, seed, max)
+					budget := Budget{MaxSamples: max}
+					want, wantErr := seqMonteCarlo(&substreamSampler{s: mk(), seed: seed}, 0.25, 0.3, new(mt.Source), budget)
+					got, gotErr := MonteCarloParallel(context.Background(),
+						Parallel{Seed: seed, Workers: 3, NewSampler: mk}, 0.25, 0.3, budget)
+					sameResult(t, tag, want, got, wantErr, gotErr)
+					if gotErr != nil {
+						continue
+					}
+					if wantChunks := (got.Samples + batchSize - 1) / batchSize; got.Chunks != wantChunks {
+						t.Fatalf("%s: %d chunks for %d samples, want %d", tag, got.Chunks, got.Samples, wantChunks)
+					}
+				}
+			}
 		}
-		sum += s.Sample(src)
-	}
-	want := sum / float64(n)
-	if math.Float64bits(res.Estimate) != math.Float64bits(want) {
-		t.Fatalf("parallel estimate %v does not match manual substream fold %v", res.Estimate, want)
-	}
-	if res.Samples != n {
-		t.Fatalf("parallel samples %d, want %d", res.Samples, n)
-	}
-	wantChunks := (n + batchSize - 1) / batchSize
-	if res.Chunks != wantChunks {
-		t.Fatalf("parallel chunks %d, want %d", res.Chunks, wantChunks)
 	}
 }
 
-// TestParallelValidate covers the rejection paths shared by all three
-// parallel entry points.
+// TestParallelValidate covers the rejection paths of the parallel
+// configuration.
 func TestParallelValidate(t *testing.T) {
 	pair := refPair()
 	mk := refSamplers(pair)["KL"]
@@ -137,21 +143,9 @@ func TestParallelValidate(t *testing.T) {
 		{"nil-factory", Parallel{Seed: 1, Workers: 2}},
 	}
 	for _, c := range cases {
-		if _, err := StoppingRuleParallel(ctx, c.p, 0.3, 0.2, Budget{}); !errors.Is(err, ErrInvalidOptions) {
-			t.Errorf("%s: StoppingRuleParallel error %v, want ErrInvalidOptions", c.name, err)
-		}
 		if _, err := MonteCarloParallel(ctx, c.p, 0.25, 0.3, Budget{}); !errors.Is(err, ErrInvalidOptions) {
 			t.Errorf("%s: MonteCarloParallel error %v, want ErrInvalidOptions", c.name, err)
 		}
-		if _, err := FixedSamplesParallel(ctx, c.p, 0.3, 0.3, 0.05, Budget{}); !errors.Is(err, ErrInvalidOptions) {
-			t.Errorf("%s: FixedSamplesParallel error %v, want ErrInvalidOptions", c.name, err)
-		}
-	}
-	if _, err := MonteCarloParallel(ctx, Parallel{Seed: 1, Workers: 2, NewSampler: mk}, 1.5, 0.3, Budget{}); !errors.Is(err, ErrInvalidOptions) {
-		t.Errorf("bad eps: error %v, want ErrInvalidOptions", err)
-	}
-	if _, err := FixedSamplesParallel(ctx, Parallel{Seed: 1, Workers: 2, NewSampler: mk}, 0.3, 0.3, 0, Budget{}); !errors.Is(err, ErrInvalidOptions) {
-		t.Errorf("zero meanLB: error %v, want ErrInvalidOptions", err)
 	}
 }
 

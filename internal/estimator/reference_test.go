@@ -272,15 +272,15 @@ func TestBatchedLoopsMatchSequential(t *testing.T) {
 					tag := pname + "/" + sname
 
 					seq, seqErr := seqStoppingRule(mk(), 0.3, 0.2, mt.New(seed), budget)
-					bat, batErr := StoppingRule(mk(), 0.3, 0.2, mt.New(seed), budget)
+					bat, batErr := StoppingRuleContext(context.Background(), mk(), 0.3, 0.2, mt.New(seed), budget)
 					sameResult(t, tag+"/StoppingRule", seq, bat, seqErr, batErr)
 
 					seq, seqErr = seqMonteCarlo(mk(), 0.25, 0.3, mt.New(seed), budget)
-					bat, batErr = MonteCarlo(mk(), 0.25, 0.3, mt.New(seed), budget)
+					bat, batErr = MonteCarloContext(context.Background(), mk(), 0.25, 0.3, mt.New(seed), budget)
 					sameResult(t, tag+"/MonteCarlo", seq, bat, seqErr, batErr)
 
 					seq, seqErr = seqFixedSamples(mk(), 0.3, 0.3, 0.05, mt.New(seed), budget)
-					bat, batErr = FixedSamples(mk(), 0.3, 0.3, 0.05, mt.New(seed), budget)
+					bat, batErr = FixedSamplesContext(context.Background(), mk(), 0.3, 0.3, 0.05, mt.New(seed), budget)
 					sameResult(t, tag+"/FixedSamples", seq, bat, seqErr, batErr)
 				}
 			}
@@ -300,7 +300,7 @@ func TestBatchedFallbackSampler(t *testing.T) {
 	for _, max := range []int64{0, 37, 5000} {
 		budget := Budget{MaxSamples: max}
 		seq, seqErr := seqMonteCarlo(plainOnly{sampler.NewKL(pair)}, 0.25, 0.3, mt.New(7), budget)
-		bat, batErr := MonteCarlo(plainOnly{sampler.NewKL(pair)}, 0.25, 0.3, mt.New(7), budget)
+		bat, batErr := MonteCarloContext(context.Background(), plainOnly{sampler.NewKL(pair)}, 0.25, 0.3, mt.New(7), budget)
 		sameResult(t, "fallback/MonteCarlo", seq, bat, seqErr, batErr)
 	}
 }

@@ -1,6 +1,7 @@
 package repair
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
@@ -52,7 +53,7 @@ func NaiveNaturalFreq(db *relation.Database, q *cq.Query, t relation.Tuple, eps,
 		return estimator.Result{}, ErrFreqZero
 	}
 	s := &repairSampler{db: db, bi: bi, q: q, t: t}
-	return estimator.MonteCarlo(s, eps, delta, src, budget)
+	return estimator.MonteCarloContext(context.Background(), s, eps, delta, src, budget)
 }
 
 // ErrFreqZero reports a candidate tuple with relative frequency zero.
