@@ -80,35 +80,59 @@ func (s *Set) ImageFacts() []relation.FactRef {
 // (h(Q) |= Σ), groups them by answer tuple h(x̄), and encodes each group
 // as an admissible pair. This is the Go analogue of evaluating the SQL
 // rewriting Q^rew and decoding its (rid, bid, tid, kcnt) columns
-// (Appendix C).
+// (Appendix C). Entries are in ascending tuple order.
 func Build(db *relation.Database, q *cq.Query) (*Set, error) {
 	return BuildContext(context.Background(), db, q)
 }
 
-// buildCtxStride is how many homomorphisms BuildContext enumerates
+// buildCtxStride is how many homomorphisms the grouping pass enumerates
 // between cancellation polls: frequent enough that aborting a large
 // build is prompt, rare enough to stay off the enumeration hot path.
 const buildCtxStride = 1024
 
 // BuildContext is Build with cooperative cancellation: the homomorphism
-// enumeration polls ctx every buildCtxStride images and aborts with an
-// error wrapping cqaerr.ErrCanceled (and the context's own sentinel).
-// For a context that is never canceled the result is identical to Build.
+// enumeration polls ctx every buildCtxStride homomorphisms and aborts
+// with an error wrapping cqaerr.ErrCanceled (and the context's own
+// sentinel). For a context that is never canceled the result is
+// identical to Build.
 func BuildContext(ctx context.Context, db *relation.Database, q *cq.Query) (*Set, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	buildStart := time.Now()
+	set := &Set{}
+	images, err := group(ctx, db, q, func(e Entry) error {
+		set.Entries = append(set.Entries, e)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	set.HomomorphicSize = images
+	recordBuildMetrics(set, time.Since(buildStart))
+	return set, nil
+}
+
+// group is the one preprocessing pass behind Build and Stream. It
+// enumerates the homomorphisms from q to db, keeps the key-consistent
+// ones, stable-sorts them by answer tuple (the analogue of Q^rew's
+// ORDER BY ᾱ, so a group's images stay in enumeration order) and hands
+// fn one encoded entry at a time, in ascending tuple order. It polls ctx
+// every buildCtxStride homomorphisms, returns fn's first error as is,
+// and reports the number of distinct consistent images across all
+// groups (Set.HomomorphicSize).
+func group(ctx context.Context, db *relation.Database, q *cq.Query, fn func(Entry) error) (int, error) {
 	bi := relation.BuildBlocks(db)
 	ev := engine.NewEvaluator(db)
 
-	type group struct {
-		tuple  relation.Tuple
-		images [][]relation.FactRef
+	type rec struct {
+		tuple relation.Tuple
+		image []relation.FactRef
 	}
-	groups := make(map[string]*group)
-	var order []string // deterministic entry order: first occurrence
-
+	var recs []rec
+	// An image is identified by its set of database facts, which the
+	// engine hands over sorted.
+	distinct := make(map[string]struct{})
 	var homs int
 	err := ev.EnumerateHomomorphisms(q, func(h *engine.Homomorphism) error {
 		if homs++; homs%buildCtxStride == 0 {
@@ -123,42 +147,34 @@ func BuildContext(ctx context.Context, db *relation.Database, q *cq.Query) (*Set
 		for i, v := range q.Out {
 			t[i] = h.Assign[v]
 		}
-		key := encodeTupleKey(t)
-		g, ok := groups[key]
-		if !ok {
-			g = &group{tuple: t}
-			groups[key] = g
-			order = append(order, key)
-		}
-		g.images = append(g.images, append([]relation.FactRef(nil), h.Image...))
+		recs = append(recs, rec{tuple: t, image: append([]relation.FactRef(nil), h.Image...)})
+		distinct[encodeFactsKey(h.Image)] = struct{}{}
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 
-	set := &Set{}
-	distinctImages := make(map[string]bool)
-	for _, key := range order {
-		g := groups[key]
-		entry, err := encodeEntry(bi, g.tuple, g.images)
+	sort.SliceStable(recs, func(i, j int) bool { return recs[i].tuple.Less(recs[j].tuple) })
+	for lo := 0; lo < len(recs); {
+		hi := lo + 1
+		for hi < len(recs) && recs[hi].tuple.Equal(recs[lo].tuple) {
+			hi++
+		}
+		images := make([][]relation.FactRef, 0, hi-lo)
+		for k := lo; k < hi; k++ {
+			images = append(images, recs[k].image)
+		}
+		entry, err := encodeEntry(bi, recs[lo].tuple, images)
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
-		set.Entries = append(set.Entries, entry)
-		// Count distinct images globally: an image is identified by its
-		// set of database facts (already sorted by the engine).
-		for _, img := range g.images {
-			distinctImages[encodeFactsKey(img)] = true
+		if err := fn(entry); err != nil {
+			return 0, err
 		}
+		lo = hi
 	}
-	set.HomomorphicSize = len(distinctImages)
-	// Deterministic order by answer tuple.
-	sort.Slice(set.Entries, func(i, j int) bool {
-		return set.Entries[i].Tuple.Less(set.Entries[j].Tuple)
-	})
-	recordBuildMetrics(set, time.Since(buildStart))
-	return set, nil
+	return len(distinct), nil
 }
 
 // recordBuildMetrics publishes the preprocessing telemetry: build wall
@@ -221,20 +237,6 @@ func encodeEntry(bi *relation.BlockIndex, tuple relation.Tuple, images [][]relat
 	}
 	sort.Slice(facts, func(i, j int) bool { return facts[i].Less(facts[j]) })
 	return Entry{Tuple: tuple, Pair: pair, Facts: facts}, nil
-}
-
-func encodeTupleKey(t relation.Tuple) string {
-	var b strings.Builder
-	b.Grow(len(t) * 8)
-	for _, v := range t {
-		u := uint64(v)
-		var buf [8]byte
-		for k := 0; k < 8; k++ {
-			buf[k] = byte(u >> (8 * k))
-		}
-		b.Write(buf[:])
-	}
-	return b.String()
 }
 
 // encodeFactsKey identifies an image by its sorted global facts.

@@ -97,14 +97,14 @@ func BuildViaRewriting(db *relation.Database, q *cq.Query) (*Set, error) {
 		rew.Atoms = append(rew.Atoms, cq.Atom{Rel: a.Rel, Args: args})
 	}
 
-	// Step 3: evaluate and decode.
-	type group struct {
-		tuple  relation.Tuple
-		images [][]blockRef
-		kcnt   map[blockKey]int64
+	// Step 3: evaluate and decode, then group the consistent rows by
+	// answer tuple as Q^rew's ORDER BY does.
+	type row struct {
+		tuple relation.Tuple
+		refs  []blockRef
+		kcnts map[blockKey]int64
 	}
-	groups := make(map[string]*group)
-	var order []string
+	var rows []row
 
 	ev := engine.NewEvaluator(extDB)
 	err = ev.EnumerateHomomorphisms(rew, func(h *engine.Homomorphism) error {
@@ -138,40 +138,35 @@ func BuildViaRewriting(db *relation.Database, q *cq.Query) (*Set, error) {
 		for i, v := range q.Out {
 			t[i] = h.Assign[v]
 		}
-		key := encodeTupleKey(t)
-		g, ok := groups[key]
-		if !ok {
-			g = &group{tuple: t, kcnt: make(map[blockKey]int64)}
-			groups[key] = g
-			order = append(order, key)
-		}
-		g.images = append(g.images, refs)
-		for bk, k := range kcnts {
-			g.kcnt[bk] = k
-		}
+		rows = append(rows, row{tuple: t, refs: refs, kcnts: kcnts})
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
 
+	sort.SliceStable(rows, func(i, j int) bool { return rows[i].tuple.Less(rows[j].tuple) })
 	set := &Set{}
 	distinct := map[string]bool{}
-	for _, key := range order {
-		g := groups[key]
-		entry, err := decodeRewGroup(g.tuple, g.images, g.kcnt)
+	for lo := 0; lo < len(rows); {
+		var images [][]blockRef
+		kcnt := make(map[blockKey]int64)
+		hi := lo
+		for ; hi < len(rows) && rows[hi].tuple.Equal(rows[lo].tuple); hi++ {
+			images = append(images, rows[hi].refs)
+			for bk, k := range rows[hi].kcnts {
+				kcnt[bk] = k
+			}
+			distinct[encodeBlockRefs(rows[hi].refs)] = true
+		}
+		entry, err := decodeRewGroup(rows[lo].tuple, images, kcnt)
 		if err != nil {
 			return nil, err
 		}
 		set.Entries = append(set.Entries, entry)
-		for _, img := range g.images {
-			distinct[encodeBlockRefs(img)] = true
-		}
+		lo = hi
 	}
 	set.HomomorphicSize = len(distinct)
-	sort.Slice(set.Entries, func(i, j int) bool {
-		return set.Entries[i].Tuple.Less(set.Entries[j].Tuple)
-	})
 	return set, nil
 }
 

@@ -1,11 +1,10 @@
 package synopsis
 
 import (
+	"context"
 	"errors"
-	"sort"
 
 	"cqabench/internal/cq"
-	"cqabench/internal/engine"
 	"cqabench/internal/relation"
 )
 
@@ -14,60 +13,15 @@ var ErrStop = errors.New("synopsis: stop streaming")
 
 // Stream is the bounded-memory variant of Build from the remark in
 // Appendix C: instead of materializing the whole set syn_{Σ,Q}(D), it
-// groups the consistent homomorphisms by answer tuple (the analogue of
-// Q^rew's ORDER BY ᾱ) and encodes + emits one (Σ,Q)-synopsis at a time.
-// Only one Admissible pair is alive per callback, so the peak memory is
-// the homomorphism records plus the largest single synopsis, not the sum
-// of all synopses. The emitted entries arrive in ascending tuple order.
+// runs Build's grouping pass and hands fn one encoded (Σ,Q)-synopsis at
+// a time. Only one Admissible pair is alive per callback, so the peak
+// memory is the homomorphism records (and one key per distinct image)
+// plus the largest single synopsis, not the sum of all synopses. The
+// emitted entries arrive in ascending tuple order and equal Build's.
 func Stream(db *relation.Database, q *cq.Query, fn func(Entry) error) error {
-	bi := relation.BuildBlocks(db)
-	ev := engine.NewEvaluator(db)
-
-	// Pass 1: collect minimal per-homomorphism records.
-	type rec struct {
-		tuple relation.Tuple
-		image []relation.FactRef
-	}
-	var recs []rec
-	err := ev.EnumerateHomomorphisms(q, func(h *engine.Homomorphism) error {
-		if !bi.SatisfiesKeys(h.Image) {
-			return nil
-		}
-		t := make(relation.Tuple, len(q.Out))
-		for i, v := range q.Out {
-			t[i] = h.Assign[v]
-		}
-		recs = append(recs, rec{tuple: t, image: append([]relation.FactRef(nil), h.Image...)})
+	_, err := group(context.Background(), db, q, fn)
+	if errors.Is(err, ErrStop) {
 		return nil
-	})
-	if err != nil {
-		return err
 	}
-
-	// Group by answer tuple (the ORDER BY).
-	sort.SliceStable(recs, func(i, j int) bool { return recs[i].tuple.Less(recs[j].tuple) })
-
-	// Pass 2: encode and emit group by group.
-	for lo := 0; lo < len(recs); {
-		hi := lo + 1
-		for hi < len(recs) && recs[hi].tuple.Equal(recs[lo].tuple) {
-			hi++
-		}
-		images := make([][]relation.FactRef, 0, hi-lo)
-		for k := lo; k < hi; k++ {
-			images = append(images, recs[k].image)
-		}
-		entry, err := encodeEntry(bi, recs[lo].tuple, images)
-		if err != nil {
-			return err
-		}
-		if err := fn(entry); err != nil {
-			if errors.Is(err, ErrStop) {
-				return nil
-			}
-			return err
-		}
-		lo = hi
-	}
-	return nil
+	return err
 }
