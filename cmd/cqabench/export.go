@@ -12,7 +12,8 @@ import (
 
 // cmdExport builds one scenario family and writes it to a directory as a
 // portable artifact (schema + databases + manifest), like the paper's
-// published test scenarios.
+// published test scenarios. The flag of the parameter the family sweeps
+// is an error, as in figure.
 func cmdExport(args []string) error {
 	fs := flag.NewFlagSet("export", flag.ContinueOnError)
 	family := fs.String("family", "noise", "noise, balance or joins")
@@ -31,6 +32,9 @@ func cmdExport(args []string) error {
 	def, ok := familyLevels[axis]
 	if !ok {
 		return fmt.Errorf("unknown family %q (want noise, balance or joins)", *family)
+	}
+	if err := checkSweptFlag("export -family "+*family, axis, setFlags(fs)); err != nil {
+		return err
 	}
 	levels, err := parseLevels("levels", defaultStr(*levelsFlag, def))
 	if err != nil {

@@ -64,9 +64,7 @@ func cmdFigure(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	var set []string
-	fs.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
-	if err := checkFigureFlags(*id, set); err != nil {
+	if err := checkFigureFlags(*id, setFlags(fs)); err != nil {
 		return err
 	}
 
@@ -206,18 +204,34 @@ func checkFigureFlags(id int, set []string) error {
 	if !measured && id != 3 {
 		return fmt.Errorf("unknown figure id %d (figure makes 1-4; Figure 5 is validate, Figures 6-13 are grid)", id)
 	}
+	if err := checkSweptFlag(fmt.Sprintf("figure -id %d", id), axis, set); err != nil {
+		return err
+	}
 	for _, name := range set {
 		if id == 3 && !slices.Contains(prepFlags, name) {
 			return fmt.Errorf("figure -id 3 does not use -%s (it reads only -sf, -seed, -queries and -levels)", name)
-		}
-		if name == string(axis) {
-			return fmt.Errorf("figure -id %d sweeps %s along its x-axis, so -%s does not apply (set -levels)", id, axis, name)
 		}
 		if need, ok := flagNeeds[name]; ok && !slices.Contains(set, need) {
 			return fmt.Errorf("-%s needs -%s", name, need)
 		}
 	}
 	return nil
+}
+
+// checkSweptFlag rejects the flag in set that would fix the parameter
+// the family of cmd sweeps along its x-axis: the family ignores it.
+func checkSweptFlag(cmd string, axis scenario.Axis, set []string) error {
+	if slices.Contains(set, string(axis)) {
+		return fmt.Errorf("%s sweeps %s along its x-axis, so -%s does not apply (set -levels)", cmd, axis, axis)
+	}
+	return nil
+}
+
+// setFlags returns the names of the flags given on fs's command line.
+func setFlags(fs *flag.FlagSet) []string {
+	var set []string
+	fs.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
+	return set
 }
 
 // buildWorkload builds the workload of the scenario family that sweeps

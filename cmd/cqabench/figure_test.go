@@ -86,6 +86,7 @@ func TestRejectedCommandLines(t *testing.T) {
 	}
 	dir := t.TempDir()
 	gridOut := filepath.Join(dir, "grid")
+	exportOut := filepath.Join(dir, "export")
 	cases := []rejection{
 		{[]string{"report"}, `unknown subcommand "report"`},
 		{[]string{"figure", "-id", "6"}, "unknown figure id 6"},
@@ -95,6 +96,9 @@ func TestRejectedCommandLines(t *testing.T) {
 		{[]string{"figure", "-id", "1", "-hold", "1s"}, "-hold needs -metrics-addr"},
 		{[]string{"figure", "-id", "2", "-cache", "ro"}, "-cache needs -cache-dir"},
 		{[]string{"grid", "-families", "noise,nois", "-out", gridOut}, `-families: unknown family "nois"`},
+		{[]string{"export", "-family", "noise", "-noise", "0.9", "-levels", "0.2", "-out", exportOut},
+			"export -family noise sweeps noise along its x-axis, so -noise does not apply"},
+		{[]string{"export", "-family", "joins", "-joins", "2", "-out", exportOut}, "so -joins does not apply"},
 	}
 	// Figure 3 times synopsis builds only, so it reads no flag beyond
 	// -id, -sf, -seed, -queries and -levels.
@@ -109,7 +113,6 @@ func TestRejectedCommandLines(t *testing.T) {
 		args := append([]string{"figure", "-id", "3", "-queries", "1", "-levels", "0.2"}, extra...)
 		cases = append(cases, rejection{args, "figure -id 3 does not use " + extra[0] + " "})
 	}
-	// Last, because a validate run at -sf 0 panics rather than failing.
 	cases = append(cases, rejection{[]string{"figure", "-id", "5"}, "cqabench validate"})
 	for _, tc := range cases {
 		args := append(tc.args, "-sf", "0")
@@ -117,8 +120,21 @@ func TestRejectedCommandLines(t *testing.T) {
 			t.Errorf("%v: err %v, want one containing %q", args, err, tc.want)
 		}
 	}
-	if _, err := os.Stat(gridOut); !os.IsNotExist(err) {
-		t.Errorf("grid -families nois left %s behind (stat: %v)", gridOut, err)
+	for _, out := range []string{gridOut, exportOut} {
+		if _, err := os.Stat(out); !os.IsNotExist(err) {
+			t.Errorf("a rejected command line left %s behind (stat: %v)", out, err)
+		}
+	}
+}
+
+// TestValidateRejectsScaleFactor: validate reports the generator's error
+// for a scale factor it cannot generate instead of panicking.
+func TestValidateRejectsScaleFactor(t *testing.T) {
+	for _, bench := range []string{"tpch", "tpcds"} {
+		want := bench + ": scale factor must be positive, got 0"
+		if err := run([]string{"validate", "-benchmark", bench, "-sf", "0"}); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("validate -benchmark %s -sf 0: err %v, want one containing %q", bench, err, want)
+		}
 	}
 }
 

@@ -414,13 +414,16 @@ func cmdValidate(args []string) error {
 	var vqs []scenario.ValidationQuery
 	switch *benchmark {
 	case "tpch":
-		base = tpch.MustGenerate(tpch.Config{ScaleFactor: *sf, Seed: *seed})
+		base, err = tpch.Generate(tpch.Config{ScaleFactor: *sf, Seed: *seed})
 		vqs = scenario.TPCHValidationQueries()
 	case "tpcds":
-		base = tpcds.MustGenerate(tpcds.Config{ScaleFactor: *sf, Seed: *seed})
+		base, err = tpcds.Generate(tpcds.Config{ScaleFactor: *sf, Seed: *seed})
 		vqs = scenario.TPCDSValidationQueries()
 	default:
 		return fmt.Errorf("unknown benchmark %q", *benchmark)
+	}
+	if err != nil {
+		return err
 	}
 	hcfg := harness.Config{Opts: cqa.DefaultOptions(), Timeout: *timeout}
 	for _, vq := range vqs {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"slices"
 	"strconv"
 	"strings"
 	"syscall"
@@ -83,8 +84,8 @@ func cmdServe(args []string) error {
 	benchmark := fs.String("benchmark", "tpch", "tpch or tpcds")
 	schemaPath := fs.String("schema", "", "schema DSL file for -in (overrides -benchmark)")
 	in := fs.String("in", "", "database file to serve (empty = generate -benchmark at -sf)")
-	sf := fs.Float64("sf", 0.001, "scale factor when generating (no -in; 0 selects 0.001, as in a manifest)")
-	seed := fs.Uint64("seed", 1, "generator PRNG seed when generating (no -in; 0 selects 1, as in a manifest)")
+	sf := fs.Float64("sf", 0.001, "scale factor when generating (excludes -in; 0 selects 0.001, as in a manifest)")
+	seed := fs.Uint64("seed", 1, "generator PRNG seed when generating (excludes -in; 0 selects 1, as in a manifest)")
 	memBudget := fs.String("synopsis-mem-budget", "0", "resident synopsis memory budget (e.g. 64MiB; 0 = unlimited)")
 	workers := fs.Int("workers", 0, "concurrent estimations (0 = GOMAXPROCS)")
 	queue := fs.Int("queue", 0, "requests allowed to wait per instance beyond -workers (0 = 2x workers)")
@@ -182,9 +183,17 @@ func cmdServe(args []string) error {
 	} else {
 		// The flags describe one spec, so the instance's cache keys name
 		// the benchmark and schema it was loaded with, as a manifest
-		// entry's do.
+		// entry's do. -sf and -seed enter it when it generates or when
+		// given, so the spec refuses them beside -in.
 		spec := scenario.InstanceSpec{Name: "default", Benchmark: *benchmark,
-			ScaleFactor: *sf, Seed: *seed, Path: *in, SchemaPath: *schemaPath}
+			Path: *in, SchemaPath: *schemaPath}
+		set := setFlags(fs)
+		if *in == "" || slices.Contains(set, "sf") {
+			spec.ScaleFactor = *sf
+		}
+		if *in == "" || slices.Contains(set, "seed") {
+			spec.Seed = *seed
+		}
 		db, err := spec.Build()
 		if err != nil {
 			return err

@@ -45,6 +45,12 @@ func TestServeFlagErrors(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "requires a database path") {
 		t.Fatalf("-schema without -in: err %v, want a rejection", err)
 	}
+	// -sf and -seed only parameterize generation, so beside -in they are
+	// refused before the file is read (db.txt need not exist).
+	err = run([]string{"serve", "-in", "db.txt", "-sf", "5", "-seed", "9", "-addr", "no-port"})
+	if err == nil || !strings.Contains(err.Error(), "sf") {
+		t.Fatalf("-sf and -seed beside -in: err %v, want a rejection naming sf", err)
+	}
 	if err := run([]string{"serve", "-synopsis-mem-budget", "lots"}); err == nil {
 		t.Fatal("bad -synopsis-mem-budget accepted")
 	}

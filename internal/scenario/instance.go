@@ -56,8 +56,8 @@ type InstanceSpec struct {
 	// Benchmark is the schema and generator family: "tpch" (default) or
 	// "tpcds".
 	Benchmark string `json:"benchmark,omitempty"`
-	// ScaleFactor and Seed parameterize generation when no Path is
-	// given. Zero values select 0.001 and 1.
+	// ScaleFactor and Seed parameterize generation, so they must be
+	// zero when Path is given. Zero values select 0.001 and 1.
 	ScaleFactor float64 `json:"sf,omitempty"`
 	Seed        uint64  `json:"seed,omitempty"`
 	// Path is a database text file to load instead of generating; the
@@ -90,8 +90,8 @@ func ValidInstanceName(name string) bool { return instanceNameRE.MatchString(nam
 
 // Validate rejects specs that cannot produce an instance: a missing or
 // malformed name, an unknown benchmark, out-of-range generation or
-// noise parameters, or a noise step with neither a query nor the
-// oblivious flag.
+// noise parameters, generation parameters (sf, seed) beside a database
+// path, or a noise step with neither a query nor the oblivious flag.
 func (s *InstanceSpec) Validate() error {
 	if !ValidInstanceName(s.Name) {
 		return fmt.Errorf("scenario: invalid instance name %q (want 1-64 chars of [A-Za-z0-9._-], starting with an alphanumeric)", s.Name)
@@ -106,6 +106,9 @@ func (s *InstanceSpec) Validate() error {
 	}
 	if s.Path == "" && s.SchemaPath != "" {
 		return fmt.Errorf("scenario: instance %q: schema override requires a database path", s.Name)
+	}
+	if s.Path != "" && (s.ScaleFactor != 0 || s.Seed != 0) {
+		return fmt.Errorf("scenario: instance %q: a database path excludes sf and seed, which only parameterize generation", s.Name)
 	}
 	if n := s.Noise; n != nil {
 		if n.P <= 0 || n.P > 1 {

@@ -22,6 +22,9 @@ func TestInstanceSpecValidate(t *testing.T) {
 		{"bad benchmark", InstanceSpec{Name: "a", Benchmark: "tpcx"}, false},
 		{"negative sf", InstanceSpec{Name: "a", ScaleFactor: -1}, false},
 		{"schema without path", InstanceSpec{Name: "a", SchemaPath: "s.schema"}, false},
+		{"path", InstanceSpec{Name: "a", Path: "db.txt", SchemaPath: "s.schema"}, true},
+		{"path with sf", InstanceSpec{Name: "a", Path: "db.txt", ScaleFactor: 5}, false},
+		{"path with seed", InstanceSpec{Name: "a", Path: "db.txt", Seed: 9}, false},
 		{"noise p zero", InstanceSpec{Name: "a", Noise: &NoiseSpec{Query: "Q() :- region(k, n, c)"}}, false},
 		{"noise p over one", InstanceSpec{Name: "a", Noise: &NoiseSpec{Query: "q", P: 1.5}}, false},
 		{"noise without query", InstanceSpec{Name: "a", Noise: &NoiseSpec{P: 0.1}}, false},

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -82,6 +83,18 @@ func TestInstanceRegistryLifecycle(t *testing.T) {
 		if status, _, _ := doJSON(t, "POST", ts.URL+"/v1/instances", bad); status != http.StatusBadRequest {
 			t.Fatalf("register %s = %d, want 400", bad, status)
 		}
+	}
+
+	// A database path excludes sf and seed: the file exists, but the
+	// spec is refused before it is read.
+	dbPath := filepath.Join(t.TempDir(), "db.txt")
+	if err := os.WriteFile(dbPath, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	withGen := fmt.Sprintf(`{"name": "file", "path": %q, "sf": 5, "seed": 9}`, dbPath)
+	if status, code, body := doJSON(t, "POST", ts.URL+"/v1/instances", withGen); status != http.StatusBadRequest ||
+		code != "bad_instance" || !strings.Contains(body, "excludes sf and seed") {
+		t.Fatalf("register %s = %d/%s, want 400/bad_instance naming sf and seed: %s", withGen, status, code, body)
 	}
 
 	// A single registered instance resolves without naming it; naming it
