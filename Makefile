@@ -69,6 +69,7 @@ fuzz:
 	$(GO) test -fuzz FuzzReadDB -fuzztime 30s ./internal/relation/
 	$(GO) test -fuzz FuzzParseDIMACS -fuzztime 30s ./internal/dnf/
 	$(GO) test -fuzz FuzzCodecRoundTrip -fuzztime 30s ./internal/syncache/
+	$(GO) test -fuzz FuzzParseInstanceManifest -fuzztime 30s ./internal/scenario/
 
 # Regenerates the committed results/ files with the flags that made them;
 # results/README.md lists the same commands.
