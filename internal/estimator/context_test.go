@@ -124,7 +124,7 @@ func TestContextIdenticalWhenUncanceled(t *testing.T) {
 		t.Fatalf("unexpected errors: %v / %v", errA, errB)
 	}
 	if plain != withCtx {
-		t.Fatalf("context-free %+v != context %+v", plain, withCtx)
+		t.Fatalf("context.Background %+v != live context %+v", plain, withCtx)
 	}
 	if srcA.Uint64() != srcB.Uint64() {
 		t.Fatal("PRNG stream positions diverged")

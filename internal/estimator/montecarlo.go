@@ -197,15 +197,16 @@ func StoppingRuleContext(ctx context.Context, s Sampler, eps, delta float64, src
 	if err := checkArgs(eps, delta); err != nil {
 		return Result{}, err
 	}
-	bt := &budgetTracker{budget: budget, ctx: trackerCtx(ctx)}
-	return stoppingRuleLoop(ctx, &seqStream{br: newBatcher(s), src: src}, eps, delta, bt)
+	return stoppingRuleLoop(ctx, &seqStream{br: newBatcher(s), src: src}, eps, delta, budget)
 }
 
 // stoppingRuleLoop is the stopping-rule core, parameterized by the draw
-// supply. The sequential entry points hand it a seqStream; the parallel
-// ones a chunkScheduler. Budget accounting, cancellation polling and
+// supply: StoppingRuleContext hands it a seqStream, and monteCarloLoop,
+// as its first phase, the stream it was given (a chunkScheduler under
+// MonteCarloParallel). Budget accounting, cancellation polling and
 // convergence-recorder points are identical either way.
-func stoppingRuleLoop(ctx context.Context, ds drawStream, eps, delta float64, bt *budgetTracker) (Result, error) {
+func stoppingRuleLoop(ctx context.Context, ds drawStream, eps, delta float64, budget Budget) (Result, error) {
+	bt := &budgetTracker{budget: budget, ctx: trackerCtx(ctx)}
 	rec := RecorderFrom(ctx)
 	upsilon1 := 1 + (1+eps)*upsilon(eps, delta)
 	sum := 0.0
@@ -277,8 +278,7 @@ func monteCarloLoop(ctx context.Context, ds drawStream, eps, delta float64, budg
 	// Step 1: rough estimate via the stopping rule at accuracy
 	// min(1/2, √ε) and confidence δ/3.
 	eps1 := math.Min(0.5, math.Sqrt(eps))
-	bt1 := &budgetTracker{budget: budget, ctx: trackerCtx(ctx)}
-	r1, err := stoppingRuleLoop(ctx, ds, eps1, delta/3, bt1)
+	r1, err := stoppingRuleLoop(ctx, ds, eps1, delta/3, budget)
 	bt.samples = r1.Samples
 	if err != nil {
 		return Result{Samples: bt.samples}, err
