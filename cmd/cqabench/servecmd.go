@@ -214,14 +214,17 @@ func cmdServe(args []string) error {
 	if err != nil {
 		return err
 	}
+	// Catch SIGINT/SIGTERM before announcing the address: a supervisor
+	// that signals as soon as it reads "listening on" must get a drain,
+	// not the default action that kills the process.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 	bound, err := srv.Start(*addr)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("listening on %s\n", bound)
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	<-ctx.Done()
 	stop()
 

@@ -152,6 +152,17 @@ func TestArgumentChecks(t *testing.T) {
 	}
 }
 
+// TestMonteCarloParamValidation runs MonteCarloContext on a real
+// sampler: every ε or δ outside (0, 1) is refused with ErrInvalidOptions.
+func TestMonteCarloParamValidation(t *testing.T) {
+	for _, bad := range [][2]float64{{0, 0.1}, {1, 0.1}, {0.1, 0}, {0.1, 1}, {-1, 0.5}, {0.5, -1}} {
+		_, err := MonteCarloContext(context.Background(), constant{0.5}, bad[0], bad[1], mt.New(1), Budget{})
+		if !errors.Is(err, ErrInvalidOptions) {
+			t.Errorf("params %v: error %v, want ErrInvalidOptions", bad, err)
+		}
+	}
+}
+
 func TestMonteCarloAdaptsToMean(t *testing.T) {
 	// A larger mean must need fewer samples (the whole point of the
 	// optimal estimator).
@@ -275,6 +286,17 @@ func TestSelfAdjustingCoverageBudget(t *testing.T) {
 	_, err := SelfAdjustingCoverageContext(context.Background(), space, 0.05, 0.05, mt.New(15), Budget{MaxSamples: 5})
 	if !errors.Is(err, ErrBudget) {
 		t.Fatalf("err = %v, want ErrBudget", err)
+	}
+}
+
+// TestSelfAdjustingCoverageParamValidation runs the coverage algorithm
+// on a real symbolic space: ε = 0 is refused with ErrInvalidOptions.
+func TestSelfAdjustingCoverageParamValidation(t *testing.T) {
+	pair := coveragePair(t)
+	space := sampler.NewSymbolic(pair)
+	_, err := SelfAdjustingCoverageContext(context.Background(), space, 0, 0.5, mt.New(1), Budget{})
+	if !errors.Is(err, ErrInvalidOptions) {
+		t.Fatalf("eps=0: error %v, want ErrInvalidOptions", err)
 	}
 }
 
