@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"strings"
@@ -20,6 +21,21 @@ func (f FactRef) Less(g FactRef) bool {
 		return f.Rel < g.Rel
 	}
 	return f.Row < g.Row
+}
+
+// FactsKey encodes a fact sequence as a map key of 8 bytes per fact.
+// Equal keys mean equal sequences, so a homomorphic image, which the
+// engine hands over sorted, is keyed by its set of facts.
+func FactsKey(facts []FactRef) string {
+	var b strings.Builder
+	b.Grow(8 * len(facts))
+	var buf [8]byte
+	for _, f := range facts {
+		binary.LittleEndian.PutUint32(buf[:4], uint32(f.Rel))
+		binary.LittleEndian.PutUint32(buf[4:], uint32(f.Row))
+		b.Write(buf[:])
+	}
+	return b.String()
 }
 
 // Table holds the facts of one relation.

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"strings"
 	"time"
 
 	"cqabench/internal/cq"
@@ -148,7 +147,7 @@ func group(ctx context.Context, db *relation.Database, q *cq.Query, fn func(Entr
 			t[i] = h.Assign[v]
 		}
 		recs = append(recs, rec{tuple: t, image: append([]relation.FactRef(nil), h.Image...)})
-		distinct[encodeFactsKey(h.Image)] = struct{}{}
+		distinct[relation.FactsKey(h.Image)] = struct{}{}
 		return nil
 	})
 	if err != nil {
@@ -237,21 +236,4 @@ func encodeEntry(bi *relation.BlockIndex, tuple relation.Tuple, images [][]relat
 	}
 	sort.Slice(facts, func(i, j int) bool { return facts[i].Less(facts[j]) })
 	return Entry{Tuple: tuple, Pair: pair, Facts: facts}, nil
-}
-
-// encodeFactsKey identifies an image by its sorted global facts.
-func encodeFactsKey(facts []relation.FactRef) string {
-	var b strings.Builder
-	b.Grow(len(facts) * 8)
-	for _, f := range facts {
-		var buf [8]byte
-		u := uint32(f.Rel)
-		v := uint32(f.Row)
-		for k := 0; k < 4; k++ {
-			buf[k] = byte(u >> (8 * k))
-			buf[4+k] = byte(v >> (8 * k))
-		}
-		b.Write(buf[:])
-	}
-	return b.String()
 }
