@@ -62,7 +62,7 @@ cover:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Short fuzzing sessions over all parsers.
+# Short fuzzing sessions over all parsers and service request bodies.
 fuzz:
 	$(GO) test -fuzz FuzzParse -fuzztime 30s ./internal/cq/
 	$(GO) test -fuzz FuzzParseSchema -fuzztime 30s ./internal/relation/
@@ -70,6 +70,8 @@ fuzz:
 	$(GO) test -fuzz FuzzParseDIMACS -fuzztime 30s ./internal/dnf/
 	$(GO) test -fuzz FuzzCodecRoundTrip -fuzztime 30s ./internal/syncache/
 	$(GO) test -fuzz FuzzParseInstanceManifest -fuzztime 30s ./internal/scenario/
+	$(GO) test -fuzz FuzzEstimateRequest -fuzztime 30s ./internal/server/
+	$(GO) test -fuzz FuzzInstancePatch -fuzztime 30s ./internal/server/
 
 # Regenerates the committed results/ files with the flags that made them;
 # results/README.md lists the same commands.

@@ -12,7 +12,7 @@ import (
 // /v1/instances: no input panics it, and every accepted manifest
 // re-encodes to JSON that parses back to equal specs with equal
 // fingerprints. The seeds are the manifests of docs/REGISTRY.md,
-// docs/FORMATS.md and CI's serve-smoke job.
+// docs/FORMATS.md and CI's serve-smoke job, and one with trailing data.
 func FuzzParseInstanceManifest(f *testing.F) {
 	for _, seed := range []string{
 		// docs/REGISTRY.md, manifest format.
@@ -52,6 +52,8 @@ func FuzzParseInstanceManifest(f *testing.F) {
      "weight": 2, "quota": {"burst": 3}}
   ]
 }`,
+		// A valid manifest followed by a second document and garbage.
+		`{"instances": [{"name": "a"}]} {"instances": [{"name": "b b"}]} garbage`,
 	} {
 		f.Add([]byte(seed))
 	}

@@ -266,14 +266,18 @@ type InstanceManifest struct {
 }
 
 // ParseInstanceManifest reads and validates a manifest: strict JSON
-// (unknown fields rejected, catching typos like "scalefactor"), at
-// least one instance, no duplicate names, every spec valid.
+// (unknown fields rejected, catching typos like "scalefactor", and
+// nothing but whitespace after the document), at least one instance, no
+// duplicate names, every spec valid.
 func ParseInstanceManifest(r io.Reader) ([]InstanceSpec, error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	var m InstanceManifest
 	if err := dec.Decode(&m); err != nil {
 		return nil, fmt.Errorf("scenario: instance manifest: %w", err)
+	}
+	if dec.Decode(&struct{}{}) != io.EOF {
+		return nil, fmt.Errorf("scenario: instance manifest: data after the JSON document")
 	}
 	if len(m.Instances) == 0 {
 		return nil, fmt.Errorf("scenario: instance manifest declares no instances")

@@ -92,6 +92,9 @@ func TestParseInstanceManifest(t *testing.T) {
 	if len(specs) != 2 || specs[0].Name != "clean" || specs[1].Noise == nil {
 		t.Fatalf("parsed %+v", specs)
 	}
+	if _, err := ParseInstanceManifest(strings.NewReader(good + "\n\t \n")); err != nil {
+		t.Fatalf("trailing whitespace: %v", err)
+	}
 
 	for name, bad := range map[string]string{
 		"not json":        `instances:`,
@@ -99,6 +102,8 @@ func TestParseInstanceManifest(t *testing.T) {
 		"no instances":    `{"instances": []}`,
 		"duplicate names": `{"instances": [{"name": "a"}, {"name": "a"}]}`,
 		"invalid spec":    `{"instances": [{"name": "bad name"}]}`,
+		"trailing data":   `{"instances": [{"name": "a"}]} {"instances": [{"name": "b b"}]} garbage`,
+		"trailing object": `{"instances": [{"name": "a"}]} {}`,
 	} {
 		if _, err := ParseInstanceManifest(strings.NewReader(bad)); err == nil {
 			t.Errorf("%s: manifest accepted", name)

@@ -99,6 +99,9 @@ func TestEstimateHandlerTable(t *testing.T) {
 		{"budget exhausted", `{"query": "Q(n) :- Employee(i, n, d)", "scheme": "KLM", "max_samples": 1}`, http.StatusUnprocessableEntity, "budget_exhausted"},
 		{"ok", `{"query": "Q() :- Employee(1, n1, d), Employee(2, n2, d)", "scheme": "KLM"}`, http.StatusOK, ""},
 		{"ok auto", `{"query": "Q() :- Employee(1, n1, d), Employee(2, n2, d)"}`, http.StatusOK, ""},
+		{"trailing whitespace", "{\"query\": \"Q() :- Employee(1, n1, d), Employee(2, n2, d)\"}\n\t ", http.StatusOK, ""},
+		{"trailing object", `{"query": "Q() :- Employee(1, n1, d), Employee(2, n2, d)"} {}`, http.StatusBadRequest, "bad_request"},
+		{"trailing garbage", `{"query": "Q() :- Employee(1, n1, d), Employee(2, n2, d)"} x`, http.StatusBadRequest, "bad_request"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
