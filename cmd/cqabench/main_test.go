@@ -323,6 +323,52 @@ func stdoutOf(t *testing.T, args ...string) (string, error) {
 	return string(<-done), runErr
 }
 
+// The fields of an answer's stdout that measure time: the synopsis
+// build in the header and each scheme's elapsed time in the notes under
+// the table.
+var (
+	prepField    = regexp.MustCompile(`\(prep [^)]*\)`)
+	elapsedField = regexp.MustCompile(`(?m)^(\S+:\s+)\S+(, \d+ samples)$`)
+)
+
+// TestAnswerStdoutGolden pins, byte for byte apart from the times, what
+// the exact answer and the side-by-side comparison of every scheme print
+// on a noisy SF 0.0002 TPC-H pair of 23 tuples whose exact column takes
+// milliseconds. The table and its notes are in testdata.
+func TestAnswerStdoutGolden(t *testing.T) {
+	dir := t.TempDir()
+	dbPath := filepath.Join(dir, "db.txt")
+	noisyPath := filepath.Join(dir, "noisy.txt")
+	query := "Q(nn) :- customer(c, n, a, nk, ph, b, seg, cm), nation(nk, nn, r, ncm)"
+	if err := run([]string{"gen", "-benchmark", "tpch", "-sf", "0.0002", "-seed", "1", "-out", dbPath}); err != nil {
+		t.Fatalf("gen: %v", err)
+	}
+	if err := run([]string{"noise", "-benchmark", "tpch", "-in", dbPath, "-query", query, "-p", "0.5", "-out", noisyPath}); err != nil {
+		t.Fatalf("noise: %v", err)
+	}
+	for _, tc := range []struct {
+		golden string
+		args   []string
+	}{
+		{"answer_exact.txt", []string{"exact"}},
+		{"answer_all.txt", []string{"compare", "-seed", "5489", "-timeout", "30s"}},
+	} {
+		args := append(tc.args, "-benchmark", "tpch", "-in", noisyPath, "-query", query)
+		out, err := stdoutOf(t, args...)
+		if err != nil {
+			t.Fatalf("%v: %v", args, err)
+		}
+		got := elapsedField.ReplaceAllString(prepField.ReplaceAllString(out, "(prep *)"), "${1}*${2}")
+		want, err := os.ReadFile(filepath.Join("testdata", tc.golden))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != string(want) {
+			t.Errorf("%v printed\n%s\nwant (testdata/%s)\n%s", args, got, tc.golden, want)
+		}
+	}
+}
+
 // TestRunScenarioPrintsAxisTable: an exported joins family reads back
 // with its axis, so runscenario prints the share table that figure -id 4
 // prints, with no flag to say so.
