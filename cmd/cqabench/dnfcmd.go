@@ -26,6 +26,11 @@ func cmdDNF(args []string) error {
 	if *in == "" {
 		return fmt.Errorf("dnf requires -in")
 	}
+	if *exact {
+		if err := checkFlagUse("dnf -exact", setFlags(fs), "method", "eps", "delta", "seed"); err != nil {
+			return err
+		}
+	}
 	f, err := os.Open(*in)
 	if err != nil {
 		return err

@@ -186,8 +186,10 @@ func cmdFigure(args []string) error {
 // times nothing else.
 var prepFlags = []string{"id", "sf", "seed", "queries", "levels"}
 
-// flagNeeds maps a flag to the flag without which it does nothing.
-var flagNeeds = map[string]string{"hold": "metrics-addr", "cache": "cache-dir"}
+// flagNeeds maps a flag, in any subcommand, to the flag without which
+// it does nothing.
+var flagNeeds = map[string]string{"hold": "metrics-addr", "cache": "cache-dir",
+	"explain": "query", "dqg-iterations": "balances"}
 
 // checkFigureFlags rejects a figure id that figure does not make and
 // any flag in set (the names given on the command line) that figure id
@@ -210,6 +212,18 @@ func checkFigureFlags(id int, set []string) error {
 	for _, name := range set {
 		if id == 3 && !slices.Contains(prepFlags, name) {
 			return fmt.Errorf("figure -id 3 does not use -%s (it reads only -sf, -seed, -queries and -levels)", name)
+		}
+	}
+	return checkFlagUse("figure", set)
+}
+
+// checkFlagUse rejects a flag in set (the names given on the command
+// line) that mode ignores, or that does nothing without the flag
+// flagNeeds names for it.
+func checkFlagUse(mode string, set []string, ignored ...string) error {
+	for _, name := range set {
+		if slices.Contains(ignored, name) {
+			return fmt.Errorf("%s does not use -%s", mode, name)
 		}
 		if need, ok := flagNeeds[name]; ok && !slices.Contains(set, need) {
 			return fmt.Errorf("-%s needs -%s", name, need)

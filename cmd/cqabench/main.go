@@ -1,16 +1,18 @@
 // Command cqabench is the benchmark front-end: it generates TPC-H /
 // TPC-DS-style data, injects query-aware noise, answers conjunctive
-// queries approximately (Natural / KL / KLM / Cover) or exactly, generates
-// stress-test queries (SQG / DQG), and regenerates the paper's figures as
-// text tables and CSV, one command per figure: figure makes Figures 1-4,
-// validate Figure 5 and grid the appendix Figures 6-13.
+// queries approximately (Natural / KL / KLM / Cover), exactly, or with
+// every scheme beside the exact answer, generates stress-test queries
+// (SQG / DQG), and regenerates the paper's figures as text tables and
+// CSV, one command per figure: figure makes Figures 1-4, validate
+// Figure 5 and grid the appendix Figures 6-13.
 //
 // Usage:
 //
 //	cqabench gen      -benchmark tpch -sf 0.001 -seed 1 -out db.txt
 //	cqabench noise    -benchmark tpch -in db.txt -query 'Q() :- ...' -p 0.5 -out noisy.txt
 //	cqabench answer   -benchmark tpch -in noisy.txt -query 'Q(x) :- ...' -scheme KLM
-//	cqabench exact    -benchmark tpch -in noisy.txt -query 'Q(x) :- ...'
+//	cqabench answer   -benchmark tpch -in noisy.txt -query 'Q(x) :- ...' -scheme exact
+//	cqabench answer   -benchmark tpch -in noisy.txt -query 'Q(x) :- ...' -scheme all -timeout 10s
 //	cqabench querygen -benchmark tpch -in db.txt -joins 3 -constants 2
 //	cqabench figure   -id 1 [-sf 0.0005] [-timeout 10s] [-csv out.csv]
 //	cqabench validate -benchmark tpch [-template 4]
@@ -18,7 +20,6 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -32,9 +33,6 @@ import (
 	"cqabench/internal/qgen"
 	"cqabench/internal/relation"
 	"cqabench/internal/scenario"
-	"cqabench/internal/synopsis"
-	"cqabench/internal/tpcds"
-	"cqabench/internal/tpch"
 )
 
 func main() {
@@ -44,113 +42,55 @@ func main() {
 	}
 }
 
+// commands is the subcommand table, in the order usage lists it: run
+// dispatches on it and usage prints it, so each subcommand is named
+// once.
+var commands = []struct {
+	name, help string
+	run        func(args []string) error
+}{
+	{"gen", "generate a consistent TPC-H or TPC-DS database", cmdGen},
+	{"noise", "inject query-aware primary-key noise into a database", cmdNoise},
+	{"answer", "answer a CQ: one scheme (Natural/KL/KLM/Cover), exact, or all of them beside exact", cmdAnswer},
+	{"querygen", "generate stress-test queries (SQG, optionally DQG balance targets)", cmdQuerygen},
+	{"figure", "regenerate paper Figures 1-4 (1=noise 2=balance 3=prep 4=joins), with live telemetry", cmdFigure},
+	{"validate", "run the validation scenarios (Figure 5, Appendix F)", cmdValidate},
+	{"stats", "inconsistency statistics and dynamic query parameters", cmdStats},
+	{"grid", "regenerate the full appendix scenario matrix (Figures 6-13)", cmdGrid},
+	{"audit", "calibrate the (eps, delta) guarantee over repeated trials (JSON + violation gate)", cmdAudit},
+	{"export", "write one scenario family to a directory (schema + dbs + manifest)", cmdExport},
+	{"runscenario", "measure all schemes over an exported scenario directory", cmdRunScenario},
+	{"dnf", "count satisfying assignments of a DIMACS DNF formula", cmdDNF},
+	{"selftest", "verify the installation end to end in seconds", cmdSelftest},
+	{"serve", "HTTP estimation service over named instances (POST /v1/estimate)", cmdServe},
+}
+
 func run(args []string) error {
 	if len(args) == 0 {
 		usage()
 		return fmt.Errorf("missing subcommand")
 	}
 	switch args[0] {
-	case "gen":
-		return cmdGen(args[1:])
-	case "noise":
-		return cmdNoise(args[1:])
-	case "answer":
-		return cmdAnswer(args[1:])
-	case "exact":
-		return cmdExact(args[1:])
-	case "querygen":
-		return cmdQuerygen(args[1:])
-	case "figure":
-		return cmdFigure(args[1:])
-	case "validate":
-		return cmdValidate(args[1:])
-	case "stats":
-		return cmdStats(args[1:])
-	case "grid":
-		return cmdGrid(args[1:])
-	case "audit":
-		return cmdAudit(args[1:])
-	case "export":
-		return cmdExport(args[1:])
-	case "runscenario":
-		return cmdRunScenario(args[1:])
-	case "dnf":
-		return cmdDNF(args[1:])
-	case "compare":
-		return cmdCompare(args[1:])
-	case "selftest":
-		return cmdSelftest(args[1:])
-	case "serve":
-		return cmdServe(args[1:])
 	case "help", "-h", "--help":
 		usage()
 		return nil
-	default:
-		usage()
-		return fmt.Errorf("unknown subcommand %q", args[0])
 	}
+	for _, c := range commands {
+		if c.name == args[0] {
+			return c.run(args[1:])
+		}
+	}
+	usage()
+	return fmt.Errorf("unknown subcommand %q", args[0])
 }
 
 func usage() {
-	fmt.Fprint(os.Stderr, `cqabench — benchmarking approximate consistent query answering
-
-subcommands:
-  gen       generate a consistent TPC-H or TPC-DS database
-  noise     inject query-aware primary-key noise into a database
-  answer    approximate the consistent answer of a CQ (Natural/KL/KLM/Cover)
-  exact     compute the exact consistent answer of a CQ
-  querygen  generate stress-test queries (SQG, optionally DQG balance targets)
-  figure    regenerate paper Figures 1-4 (1=noise 2=balance 3=prep 4=joins), with live telemetry
-  validate  run the validation scenarios (Figure 5, Appendix F)
-  stats     inconsistency statistics and dynamic query parameters
-  grid      regenerate the full appendix scenario matrix (Figures 6-13)
-  audit     calibrate the (eps, delta) guarantee over repeated trials (JSON + violation gate)
-  export    write one scenario family to a directory (schema + dbs + manifest)
-  runscenario  measure all schemes over an exported scenario directory
-  dnf       count satisfying assignments of a DIMACS DNF formula
-  compare   run every scheme (and exact) on one query, side by side
-  selftest  verify the installation end to end in seconds
-  serve     HTTP estimation service over named instances (POST /v1/estimate)
-`)
-}
-
-func schemaFor(benchmark string) (*relation.Schema, error) {
-	switch benchmark {
-	case "tpch":
-		return tpch.Schema(), nil
-	case "tpcds":
-		return tpcds.Schema(), nil
-	default:
-		return nil, fmt.Errorf("unknown benchmark %q (want tpch or tpcds)", benchmark)
+	var b strings.Builder
+	b.WriteString("cqabench — benchmarking approximate consistent query answering\n\nsubcommands:\n")
+	for _, c := range commands {
+		fmt.Fprintf(&b, "  %-11s  %s\n", c.name, c.help)
 	}
-}
-
-// resolveSchema picks the schema: an explicit -schema DSL file wins over
-// the built-in benchmark schemas, letting every data command run on
-// arbitrary user schemas.
-func resolveSchema(benchmark, schemaPath string) (*relation.Schema, error) {
-	if schemaPath != "" {
-		f, err := os.Open(schemaPath)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return relation.ParseSchema(f)
-	}
-	return schemaFor(benchmark)
-}
-
-func loadDBWithSchema(path, benchmark, schemaPath string) (*relation.Database, error) {
-	s, err := resolveSchema(benchmark, schemaPath)
-	if err != nil {
-		return nil, err
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return relation.ReadDB(f, s)
+	fmt.Fprint(os.Stderr, b.String())
 }
 
 func saveDB(path string, db *relation.Database) error {
@@ -174,16 +114,7 @@ func cmdGen(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	var db *relation.Database
-	var err error
-	switch *benchmark {
-	case "tpch":
-		db, err = tpch.Generate(tpch.Config{ScaleFactor: *sf, Seed: *seed})
-	case "tpcds":
-		db, err = tpcds.Generate(tpcds.Config{ScaleFactor: *sf, Seed: *seed})
-	default:
-		return fmt.Errorf("unknown benchmark %q", *benchmark)
-	}
+	db, err := scenario.GenerateDB(*benchmark, *sf, *seed)
 	if err != nil {
 		return err
 	}
@@ -215,7 +146,14 @@ func cmdNoise(args []string) error {
 	if !*oblivious && *queryText == "" {
 		return fmt.Errorf("noise requires -query (or -oblivious)")
 	}
-	db, err := loadDBWithSchema(*in, *benchmark, *schemaPath)
+	var ignored []string
+	if *oblivious {
+		ignored = []string{"query"}
+	}
+	if err := checkFlagUse("noise -oblivious", setFlags(fs), ignored...); err != nil {
+		return err
+	}
+	db, err := scenario.LoadDB(*in, *benchmark, *schemaPath)
 	if err != nil {
 		return err
 	}
@@ -253,99 +191,6 @@ func parseQueryFor(db *relation.Database, text string) (*cq.Query, error) {
 	return q, nil
 }
 
-func cmdAnswer(args []string) error {
-	fs := flag.NewFlagSet("answer", flag.ContinueOnError)
-	benchmark := fs.String("benchmark", "tpch", "tpch or tpcds")
-	schemaPath := fs.String("schema", "", "schema DSL file (overrides -benchmark)")
-	in := fs.String("in", "", "input database file")
-	queryText := fs.String("query", "", "conjunctive query")
-	schemeName := fs.String("scheme", "KLM", "Natural, KL, KLM or Cover")
-	eps := fs.Float64("eps", 0.1, "relative error")
-	delta := fs.Float64("delta", 0.25, "failure probability")
-	seed := fs.Uint64("seed", 5489, "PRNG seed")
-	timeout := fs.Duration("timeout", 0, "one deadline for the whole run, counted from the start and shared by every tuple's estimation (0 = none)")
-	workers := fs.Int("parallel", 0, "tuple-level workers: 0 = one sequential loop, n = a pool of n, -1 = GOMAXPROCS")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *in == "" || *queryText == "" {
-		return fmt.Errorf("answer requires -in and -query")
-	}
-	scheme, err := cqa.ParseScheme(*schemeName)
-	if err != nil {
-		return err
-	}
-	db, err := loadDBWithSchema(*in, *benchmark, *schemaPath)
-	if err != nil {
-		return err
-	}
-	q, err := parseQueryFor(db, *queryText)
-	if err != nil {
-		return err
-	}
-	opts := cqa.Options{Eps: *eps, Delta: *delta, Seed: *seed, TupleWorkers: *workers}
-	if *timeout > 0 {
-		opts.Budget.Deadline = time.Now().Add(*timeout)
-	}
-	if err := opts.Validate(); err != nil {
-		return err
-	}
-	ctx := context.Background()
-	start := time.Now()
-	set, err := synopsis.BuildContext(ctx, db, q)
-	if err != nil {
-		return err
-	}
-	prep := time.Since(start)
-	res, stats, err := cqa.ApxAnswersFromSetContext(ctx, set, scheme, opts)
-	if err != nil {
-		return err
-	}
-	printAnswers(db, res)
-	fmt.Fprintf(os.Stderr, "scheme=%s tuples=%d samples=%d prep=%s run=%s\n",
-		scheme, stats.NumTuples, stats.Samples, prep, stats.Elapsed)
-	return nil
-}
-
-func cmdExact(args []string) error {
-	fs := flag.NewFlagSet("exact", flag.ContinueOnError)
-	benchmark := fs.String("benchmark", "tpch", "tpch or tpcds")
-	schemaPath := fs.String("schema", "", "schema DSL file (overrides -benchmark)")
-	in := fs.String("in", "", "input database file")
-	queryText := fs.String("query", "", "conjunctive query")
-	maxImages := fs.Int("max-images", 22, "inclusion-exclusion limit on |H|")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *in == "" || *queryText == "" {
-		return fmt.Errorf("exact requires -in and -query")
-	}
-	db, err := loadDBWithSchema(*in, *benchmark, *schemaPath)
-	if err != nil {
-		return err
-	}
-	q, err := parseQueryFor(db, *queryText)
-	if err != nil {
-		return err
-	}
-	res, err := cqa.ExactAnswers(db, q, *maxImages)
-	if err != nil {
-		return err
-	}
-	printAnswers(db, res)
-	return nil
-}
-
-func printAnswers(db *relation.Database, res []cqa.TupleFreq) {
-	for _, tf := range res {
-		parts := make([]string, len(tf.Tuple))
-		for i, v := range tf.Tuple {
-			parts[i] = db.Dict.Render(v)
-		}
-		fmt.Printf("(%s)\t%.6f\n", strings.Join(parts, ", "), tf.Freq)
-	}
-}
-
 func cmdQuerygen(args []string) error {
 	fs := flag.NewFlagSet("querygen", flag.ContinueOnError)
 	benchmark := fs.String("benchmark", "tpch", "tpch or tpcds")
@@ -360,6 +205,9 @@ func cmdQuerygen(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if err := checkFlagUse("querygen", setFlags(fs)); err != nil {
+		return err
+	}
 	var targets []float64
 	if *balances != "" {
 		var err error
@@ -370,7 +218,7 @@ func cmdQuerygen(args []string) error {
 	if *in == "" {
 		return fmt.Errorf("querygen requires -in")
 	}
-	db, err := loadDBWithSchema(*in, *benchmark, *schemaPath)
+	db, err := scenario.LoadDB(*in, *benchmark, *schemaPath)
 	if err != nil {
 		return err
 	}
@@ -410,18 +258,11 @@ func cmdValidate(args []string) error {
 	if err != nil {
 		return err
 	}
-	var base *relation.Database
-	var vqs []scenario.ValidationQuery
-	switch *benchmark {
-	case "tpch":
-		base, err = tpch.Generate(tpch.Config{ScaleFactor: *sf, Seed: *seed})
-		vqs = scenario.TPCHValidationQueries()
-	case "tpcds":
-		base, err = tpcds.Generate(tpcds.Config{ScaleFactor: *sf, Seed: *seed})
-		vqs = scenario.TPCDSValidationQueries()
-	default:
-		return fmt.Errorf("unknown benchmark %q", *benchmark)
+	vqs, err := scenario.ValidationQueries(*benchmark)
+	if err != nil {
+		return err
 	}
+	base, err := scenario.GenerateDB(*benchmark, *sf, *seed)
 	if err != nil {
 		return err
 	}

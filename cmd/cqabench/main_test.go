@@ -28,8 +28,11 @@ func TestRunNoArgs(t *testing.T) {
 		t.Fatalf("help errored: %v", err)
 	}
 	// figure -id 1|2|4 measures the scenario families; there is no run.
-	if err := run([]string{"run"}); err == nil || !strings.Contains(err.Error(), "unknown subcommand") {
-		t.Fatalf("run: err %v, want an unknown subcommand", err)
+	// answer -scheme exact|all prints what exact and compare printed.
+	for _, sub := range []string{"run", "exact", "compare"} {
+		if err := run([]string{sub}); err == nil || !strings.Contains(err.Error(), "unknown subcommand") {
+			t.Fatalf("%s: err %v, want an unknown subcommand", sub, err)
+		}
 	}
 }
 
@@ -65,8 +68,8 @@ func TestExactOnSmallInput(t *testing.T) {
 	if err := os.WriteFile(dbPath, []byte(content), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{"exact", "-benchmark", "tpch", "-in", dbPath, "-query", "Q(n) :- region(k, n, c)"}); err != nil {
-		t.Fatalf("exact: %v", err)
+	if err := run([]string{"answer", "-scheme", "exact", "-benchmark", "tpch", "-in", dbPath, "-query", "Q(n) :- region(k, n, c)"}); err != nil {
+		t.Fatalf("answer -scheme exact: %v", err)
 	}
 }
 
@@ -81,20 +84,34 @@ func TestQuerygen(t *testing.T) {
 	}
 }
 
+// TestSubcommandFlagErrors: each command refuses a missing or unknown
+// value, and a flag the chosen mode ignores, before it reads a file (the
+// input x does not exist).
 func TestSubcommandFlagErrors(t *testing.T) {
-	cases := [][]string{
-		{"gen", "-benchmark", "bogus"},
-		{"noise"},
-		{"answer"},
-		{"exact"},
-		{"querygen"},
-		{"stats"},
-		{"answer", "-in", "x", "-query", "Q() :- r(x)", "-scheme", "Bogus"},
-		{"figure", "-id", "99"},
-	}
-	for _, args := range cases {
-		if err := run(args); err == nil {
-			t.Errorf("args %v accepted", args)
+	q := "Q() :- r(x)"
+	for _, tc := range []struct {
+		args []string
+		want string // a part of the error
+	}{
+		{[]string{"gen", "-benchmark", "bogus"}, `unknown benchmark "bogus"`},
+		{[]string{"noise"}, "requires -in"},
+		{[]string{"answer"}, "requires -in"},
+		{[]string{"answer", "-scheme", "exact"}, "requires -in"},
+		{[]string{"querygen"}, "requires -in"},
+		{[]string{"stats"}, "requires -in"},
+		{[]string{"answer", "-in", "x", "-query", q, "-scheme", "Bogus"}, `unknown -scheme "Bogus"`},
+		{[]string{"answer", "-in", "x", "-query", q, "-scheme", "exact", "-seed", "7"}, "answer -scheme exact does not use -seed"},
+		{[]string{"answer", "-in", "x", "-query", q, "-scheme", "exact", "-timeout", "1s"}, "answer -scheme exact does not use -timeout"},
+		{[]string{"answer", "-in", "x", "-query", q, "-scheme", "KL", "-max-images", "9"}, "answer -scheme KL does not use -max-images"},
+		{[]string{"answer", "-in", "x", "-query", q, "-scheme", "all", "-eps", "2"}, "eps 2 outside (0, 1)"},
+		{[]string{"dnf", "-in", "x", "-exact", "-method", "KL"}, "dnf -exact does not use -method"},
+		{[]string{"noise", "-in", "x", "-oblivious", "-query", q}, "noise -oblivious does not use -query"},
+		{[]string{"stats", "-in", "x", "-explain"}, "-explain needs -query"},
+		{[]string{"querygen", "-in", "x", "-dqg-iterations", "20"}, "-dqg-iterations needs -balances"},
+		{[]string{"figure", "-id", "99"}, "unknown figure id 99"},
+	} {
+		if err := run(tc.args); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%v: err %v, want an error containing %q", tc.args, err, tc.want)
 		}
 	}
 }
@@ -264,8 +281,8 @@ func TestCustomSchemaFlow(t *testing.T) {
 		t.Fatal(err)
 	}
 	query := "Q(n) :- Employee(i, n, d), Dept(d, b)"
-	if err := run([]string{"exact", "-schema", schemaPath, "-in", dbPath, "-query", query}); err != nil {
-		t.Fatalf("exact with custom schema: %v", err)
+	if err := run([]string{"answer", "-scheme", "exact", "-schema", schemaPath, "-in", dbPath, "-query", query}); err != nil {
+		t.Fatalf("answer -scheme exact with custom schema: %v", err)
 	}
 	if err := run([]string{"answer", "-schema", schemaPath, "-in", dbPath, "-query", query, "-scheme", "Natural"}); err != nil {
 		t.Fatalf("answer with custom schema: %v", err)
@@ -273,7 +290,7 @@ func TestCustomSchemaFlow(t *testing.T) {
 	if err := run([]string{"stats", "-schema", schemaPath, "-in", dbPath}); err != nil {
 		t.Fatalf("stats with custom schema: %v", err)
 	}
-	if err := run([]string{"exact", "-schema", filepath.Join(dir, "missing.txt"), "-in", dbPath, "-query", query}); err == nil {
+	if err := run([]string{"answer", "-scheme", "exact", "-schema", filepath.Join(dir, "missing.txt"), "-in", dbPath, "-query", query}); err == nil {
 		t.Fatal("missing schema file accepted")
 	}
 }
@@ -350,8 +367,8 @@ func TestAnswerStdoutGolden(t *testing.T) {
 		golden string
 		args   []string
 	}{
-		{"answer_exact.txt", []string{"exact"}},
-		{"answer_all.txt", []string{"compare", "-seed", "5489", "-timeout", "30s"}},
+		{"answer_exact.txt", []string{"answer", "-scheme", "exact"}},
+		{"answer_all.txt", []string{"answer", "-scheme", "all", "-seed", "5489", "-timeout", "30s"}},
 	} {
 		args := append(tc.args, "-benchmark", "tpch", "-in", noisyPath, "-query", query)
 		out, err := stdoutOf(t, args...)
@@ -430,11 +447,11 @@ func TestCompareSubcommand(t *testing.T) {
 	if err := run([]string{"gen", "-benchmark", "tpch", "-sf", "0.0002", "-out", dbPath}); err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{"compare", "-benchmark", "tpch", "-in", dbPath,
-		"-query", "Q(n) :- region(k, n, c)", "-eps", "0.2", "-delta", "0.3", "-timeout", "5s"}); err != nil {
-		t.Fatalf("compare: %v", err)
+	if err := run([]string{"answer", "-scheme", "all", "-benchmark", "tpch", "-in", dbPath,
+		"-query", "Q(n) :- region(k, n, c)", "-eps", "0.2", "-delta", "0.3", "-timeout", "5s", "-parallel", "2"}); err != nil {
+		t.Fatalf("answer -scheme all: %v", err)
 	}
-	if err := run([]string{"compare"}); err == nil {
+	if err := run([]string{"answer", "-scheme", "all"}); err == nil {
 		t.Fatal("missing flags accepted")
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"cqabench/internal/cq"
 	"cqabench/internal/engine"
 	"cqabench/internal/relation"
+	"cqabench/internal/scenario"
 	"cqabench/internal/synopsis"
 )
 
@@ -27,7 +28,10 @@ func cmdStats(args []string) error {
 	if *in == "" {
 		return fmt.Errorf("stats requires -in")
 	}
-	db, err := loadDBWithSchema(*in, *benchmark, *schemaPath)
+	if err := checkFlagUse("stats", setFlags(fs)); err != nil {
+		return err
+	}
+	db, err := scenario.LoadDB(*in, *benchmark, *schemaPath)
 	if err != nil {
 		return err
 	}
@@ -43,11 +47,8 @@ func cmdStats(args []string) error {
 	if *queryText == "" {
 		return nil
 	}
-	q, err := cq.Parse(*queryText, db.Dict)
+	q, err := parseQueryFor(db, *queryText)
 	if err != nil {
-		return err
-	}
-	if err := q.Validate(db.Schema); err != nil {
 		return err
 	}
 	set, err := synopsis.Build(db, q)

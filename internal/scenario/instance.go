@@ -10,8 +10,6 @@ import (
 	"cqabench/internal/cq"
 	"cqabench/internal/noise"
 	"cqabench/internal/relation"
-	"cqabench/internal/tpcds"
-	"cqabench/internal/tpch"
 )
 
 // This file is the named-instance construction layer behind the
@@ -96,10 +94,10 @@ func (s *InstanceSpec) Validate() error {
 	if !ValidInstanceName(s.Name) {
 		return fmt.Errorf("scenario: invalid instance name %q (want 1-64 chars of [A-Za-z0-9._-], starting with an alphanumeric)", s.Name)
 	}
-	switch s.Benchmark {
-	case "", "tpch", "tpcds":
-	default:
-		return fmt.Errorf("scenario: instance %q: unknown benchmark %q (want tpch or tpcds)", s.Name, s.Benchmark)
+	if s.Benchmark != "" {
+		if _, err := lookupBenchmark(s.Benchmark); err != nil {
+			return fmt.Errorf("scenario: instance %q: %w", s.Name, err)
+		}
 	}
 	if s.ScaleFactor < 0 {
 		return fmt.Errorf("scenario: instance %q: negative scale factor %g", s.Name, s.ScaleFactor)
@@ -218,43 +216,9 @@ func (s *InstanceSpec) Build() (*relation.Database, error) {
 // baseDatabase resolves the pre-noise database of a defaulted spec.
 func (s *InstanceSpec) baseDatabase() (*relation.Database, error) {
 	if s.Path != "" {
-		schema, err := s.schema()
-		if err != nil {
-			return nil, err
-		}
-		f, err := os.Open(s.Path)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return relation.ReadDB(f, schema)
+		return LoadDB(s.Path, s.Benchmark, s.SchemaPath)
 	}
-	switch s.Benchmark {
-	case "tpch":
-		return tpch.Generate(tpch.Config{ScaleFactor: s.ScaleFactor, Seed: s.Seed})
-	case "tpcds":
-		return tpcds.Generate(tpcds.Config{ScaleFactor: s.ScaleFactor, Seed: s.Seed})
-	}
-	return nil, fmt.Errorf("unknown benchmark %q", s.Benchmark)
-}
-
-// schema resolves the schema for a file-backed spec.
-func (s *InstanceSpec) schema() (*relation.Schema, error) {
-	if s.SchemaPath != "" {
-		f, err := os.Open(s.SchemaPath)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return relation.ParseSchema(f)
-	}
-	switch s.Benchmark {
-	case "tpch":
-		return tpch.Schema(), nil
-	case "tpcds":
-		return tpcds.Schema(), nil
-	}
-	return nil, fmt.Errorf("unknown benchmark %q", s.Benchmark)
+	return GenerateDB(s.Benchmark, s.ScaleFactor, s.Seed)
 }
 
 // InstanceManifest is the instance-manifest file format: the JSON

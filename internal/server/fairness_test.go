@@ -397,15 +397,17 @@ func TestInstancePatchLifecycle(t *testing.T) {
 		t.Fatalf("conditional patch summary = %+v (%v)", sum, err)
 	}
 
-	// Error model: unknown instance, invalid weight, empty patch.
+	// Error model: unknown instance; an invalid weight, an invalid quota
+	// and an empty patch are bad requests.
 	if status, body = patchJSON(t, ts.URL+"/v1/instances/nope", `{"weight": 2}`); status != http.StatusNotFound {
 		t.Fatalf("unknown-instance patch = %d: %s", status, body)
 	}
-	if status, body = patchJSON(t, url, `{"weight": -1}`); status != http.StatusBadRequest {
-		t.Fatalf("invalid-weight patch = %d: %s", status, body)
-	}
-	if status, body = patchJSON(t, url, `{}`); status != http.StatusBadRequest {
-		t.Fatalf("empty patch = %d: %s", status, body)
+	for _, bad := range []string{`{"weight": -1}`, `{"quota": {"rate": -1}}`, `{}`} {
+		status, body = patchJSON(t, url, bad)
+		var e ErrorEnvelope
+		if err := json.Unmarshal([]byte(body), &e); status != http.StatusBadRequest || err != nil || e.Error.Code != "bad_request" {
+			t.Fatalf("patch %s = %d %+v (%v), want 400 bad_request", bad, status, e.Error, err)
+		}
 	}
 
 	// A patched quota takes effect: drop to a 1-request fixed pool and
