@@ -108,12 +108,17 @@ func estimate(set *synopsis.Set, scheme cqa.Scheme, opts cqa.Options, timeout ti
 
 func printAnswers(db *relation.Database, res []cqa.TupleFreq) {
 	for _, tf := range res {
-		parts := make([]string, len(tf.Tuple))
-		for i, v := range tf.Tuple {
-			parts[i] = db.Dict.Render(v)
-		}
-		fmt.Printf("(%s)\t%.6f\n", strings.Join(parts, ", "), tf.Freq)
+		fmt.Printf("%s\t%.6f\n", renderTuple(db, tf.Tuple, ", "), tf.Freq)
 	}
+}
+
+// renderTuple renders t's values in parentheses, separated by sep.
+func renderTuple(db *relation.Database, t relation.Tuple, sep string) string {
+	parts := make([]string, len(t))
+	for i, v := range t {
+		parts[i] = db.Dict.Render(v)
+	}
+	return "(" + strings.Join(parts, sep) + ")"
 }
 
 // printAll prints the synopses' sizes and the recommended scheme, then
@@ -130,9 +135,8 @@ func printAll(db *relation.Database, set *synopsis.Set, prep time.Duration, opts
 		res  []cqa.TupleFreq
 		note string
 	}
-	exact := column{name: "exact"}
-	var err error
-	exact.res, err = cqa.ExactAnswersFromSet(set, maxImages)
+	res, err := cqa.ExactAnswersFromSet(set, maxImages)
+	exact := column{name: "exact", res: res}
 	if errors.Is(err, synopsis.ErrTooLarge) {
 		exact.note = "intractable"
 	} else if err != nil {
@@ -161,11 +165,7 @@ func printAll(db *relation.Database, set *synopsis.Set, prep time.Duration, opts
 	}
 	fmt.Println()
 	for i := range set.Entries {
-		parts := make([]string, len(set.Entries[i].Tuple))
-		for k, v := range set.Entries[i].Tuple {
-			parts[k] = db.Dict.Render(v)
-		}
-		label := "(" + strings.Join(parts, ",") + ")"
+		label := renderTuple(db, set.Entries[i].Tuple, ",")
 		if len(label) > 23 {
 			label = label[:20] + "..."
 		}
