@@ -157,7 +157,7 @@ func TestParallelBudgetViaAPI(t *testing.T) {
 func TestExactViaSynopsisMatchesSchemes(t *testing.T) {
 	db := exampleDB(t)
 	q := cqabench.MustParseQuery("Q() :- Employee(1, n1, d), Employee(2, n2, d)", db)
-	exact, err := cqabench.ExactAnswers(db, q, 0)
+	exact, err := cqabench.ExactAnswers(db, q)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -441,8 +441,9 @@ func BenchmarkAblation_StoppingRuleVsAA(b *testing.B) {
 	})
 }
 
-// BenchmarkAblation_ExactAlgorithms compares the three exact baselines on
-// a structured pair within all their reaches.
+// BenchmarkAblation_ExactAlgorithms compares inclusion–exclusion with
+// the exact count that splits, simplifies and compiles, on a structured
+// pair within both their reaches.
 func BenchmarkAblation_ExactAlgorithms(b *testing.B) {
 	pair := ablationExactPair()
 	b.Run("InclusionExclusion", func(b *testing.B) {
@@ -452,16 +453,9 @@ func BenchmarkAblation_ExactAlgorithms(b *testing.B) {
 			}
 		}
 	})
-	b.Run("Auto", func(b *testing.B) {
+	b.Run("Exact", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := pair.ExactRatioAuto(0, 0); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("Compiled", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := pair.ExactRatioCompiled(0); err != nil {
+			if _, err := pair.Exact(context.Background()); err != nil {
 				b.Fatal(err)
 			}
 		}

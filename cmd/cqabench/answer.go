@@ -33,9 +33,8 @@ func cmdAnswer(args []string) error {
 	eps := fs.Float64("eps", 0.1, "relative error")
 	delta := fs.Float64("delta", 0.25, "failure probability")
 	seed := fs.Uint64("seed", 5489, "PRNG seed")
-	timeout := fs.Duration("timeout", 0, "deadline of each scheme's estimation, counted from that scheme's start (0 = none)")
+	timeout := fs.Duration("timeout", 0, "deadline of each scheme's estimation and of the exact frequencies, each counted from its own start (0 = none)")
 	workers := fs.Int("parallel", 0, "tuple-level workers: 0 = one sequential loop, n = a pool of n, -1 = GOMAXPROCS")
-	maxImages := fs.Int("max-images", 22, "exact and all: inclusion-exclusion limit on a component's |H| (larger ones are compiled)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -43,12 +42,11 @@ func cmdAnswer(args []string) error {
 		return fmt.Errorf("answer requires -in and -query")
 	}
 	var scheme cqa.Scheme
-	ignored := []string{"max-images"}
+	var ignored []string
 	switch *schemeName {
 	case "exact":
-		ignored = []string{"eps", "delta", "seed", "timeout", "parallel"}
+		ignored = []string{"eps", "delta", "seed", "parallel"}
 	case "all":
-		ignored = nil
 	default:
 		var err error
 		if scheme, err = cqa.ParseScheme(*schemeName); err != nil {
@@ -78,14 +76,14 @@ func cmdAnswer(args []string) error {
 	prep := time.Since(start)
 	switch *schemeName {
 	case "exact":
-		res, err := cqa.ExactAnswersFromSet(set, *maxImages)
+		res, err := cqa.ExactAnswersFromSet(set, *timeout)
 		if err != nil {
 			return err
 		}
 		printAnswers(db, res)
 		return nil
 	case "all":
-		return printAll(db, set, prep, opts, *timeout, *maxImages)
+		return printAll(db, set, prep, opts, *timeout)
 	}
 	res, stats, err := estimate(set, scheme, opts, *timeout)
 	if err != nil {
@@ -123,9 +121,11 @@ func renderTuple(db *relation.Database, t relation.Tuple, sep string) string {
 
 // printAll prints the synopses' sizes and the recommended scheme, then
 // one row per tuple with the exact frequency and each scheme's estimate,
-// and under the table a note per column: the exact column's when its
-// components are too large, each scheme's time and samples or timeout.
-func printAll(db *relation.Database, set *synopsis.Set, prep time.Duration, opts cqa.Options, timeout time.Duration, maxImages int) error {
+// and under the table a note per column: the exact column's when it
+// exceeds its node bound or timeout, each scheme's time and samples or
+// timeout. timeout bounds the exact column and each scheme, each from its
+// own start.
+func printAll(db *relation.Database, set *synopsis.Set, prep time.Duration, opts cqa.Options, timeout time.Duration) error {
 	fmt.Printf("synopses: %d tuples, %d images, balance %.3f (prep %s); recommended scheme: %v\n",
 		set.OutputSize(), set.HomomorphicSize, set.Balance(),
 		prep.Round(time.Microsecond), cqa.SelectScheme(set))
@@ -135,11 +135,14 @@ func printAll(db *relation.Database, set *synopsis.Set, prep time.Duration, opts
 		res  []cqa.TupleFreq
 		note string
 	}
-	res, err := cqa.ExactAnswersFromSet(set, maxImages)
+	res, err := cqa.ExactAnswersFromSet(set, timeout)
 	exact := column{name: "exact", res: res}
-	if errors.Is(err, synopsis.ErrTooLarge) {
+	switch {
+	case errors.Is(err, synopsis.ErrTooLarge):
 		exact.note = "intractable"
-	} else if err != nil {
+	case errors.Is(err, context.DeadlineExceeded):
+		exact.note = "timeout"
+	case err != nil:
 		return err
 	}
 	cols := []column{exact}

@@ -32,7 +32,6 @@ func cmdAudit(args []string) error {
 	joins := fs.Int("joins", 1, "join level")
 	noisep := fs.Float64("noise", 0.4, "noise level")
 	balanceLevels := fs.String("balance-levels", "0.5,1.0", "balance targets")
-	maxImages := fs.Int("max-images", 22, "exact computation limit per component")
 	timeout := fs.Duration("timeout", 10*time.Second, "per-estimate timeout (0 = none)")
 	schemesFlag := fs.String("schemes", "", "comma-separated schemes to audit (default all)")
 	out := fs.String("out", filepath.Join("results", "audit.json"), "write the calibration JSON here (empty = skip)")
@@ -70,13 +69,12 @@ func cmdAudit(args []string) error {
 	}
 
 	rep, err := audit.Run(w, audit.Config{
-		Eps:       *eps,
-		Delta:     *delta,
-		Trials:    *trials,
-		Seed:      *seed,
-		Schemes:   schemes,
-		MaxImages: *maxImages,
-		Timeout:   *timeout,
+		Eps:     *eps,
+		Delta:   *delta,
+		Trials:  *trials,
+		Seed:    *seed,
+		Schemes: schemes,
+		Timeout: *timeout,
 	})
 	if err != nil {
 		return err

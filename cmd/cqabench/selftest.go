@@ -57,7 +57,7 @@ func cmdSelftest(args []string) error {
 	check("exact relative frequency (repairs)", err == nil && exact == 0.5,
 		fmt.Sprintf("got %v, %v", exact, err))
 
-	synExact, err := cqa.ExactAnswers(db, q, 0)
+	synExact, err := cqa.ExactAnswers(db, q)
 	check("exact relative frequency (synopsis)",
 		err == nil && len(synExact) == 1 && math.Abs(synExact[0].Freq-0.5) < 1e-12,
 		fmt.Sprintf("%v, %v", synExact, err))

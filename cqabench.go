@@ -152,17 +152,18 @@ func MustParseQuery(text string, db *Database) *Query {
 // δ = 0.25, MT19937-64 with its reference seed.
 func DefaultOptions() Options { return cqa.DefaultOptions() }
 
-// ExactAnswers computes the exact consistent answer by inclusion–
-// exclusion over each tuple's synopsis; maxImages (0 = default 22) bounds
-// the per-tuple image count it will attempt.
-func ExactAnswers(db *Database, q *Query, maxImages int) ([]TupleFreq, error) {
-	return cqa.ExactAnswers(db, q, maxImages)
+// ExactAnswers computes the exact consistent answer from each tuple's
+// synopsis with one exact count per tuple, which simplifies the synopsis
+// and compiles what is left; it fails on a tuple whose compilation
+// exceeds 2^20 nodes.
+func ExactAnswers(db *Database, q *Query) ([]TupleFreq, error) {
+	return cqa.ExactAnswers(db, q)
 }
 
 // CertainAnswers returns the classic CQA certain answers: tuples true in
-// every repair.
-func CertainAnswers(db *Database, q *Query, maxImages int) ([]Tuple, error) {
-	return cqa.CertainAnswers(db, q, maxImages)
+// every repair. It fails as ExactAnswers does.
+func CertainAnswers(db *Database, q *Query) ([]Tuple, error) {
+	return cqa.CertainAnswers(db, q)
 }
 
 // CountRepairs returns |rep(D, Σ)| as a decimal string (the count is

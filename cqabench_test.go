@@ -29,7 +29,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		t.Fatalf("CountRepairs = %s", got)
 	}
 	q := cqabench.MustParseQuery("Q() :- Employee(1, n1, d), Employee(2, n2, d)", db)
-	exact, err := cqabench.ExactAnswers(db, q, 0)
+	exact, err := cqabench.ExactAnswers(db, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 func TestPublicAPICertainAnswers(t *testing.T) {
 	db := exampleDB(t)
 	q := cqabench.MustParseQuery("Q(d) :- Employee(2, n, d)", db)
-	certain, err := cqabench.CertainAnswers(db, q, 0)
+	certain, err := cqabench.CertainAnswers(db, q)
 	if err != nil {
 		t.Fatal(err)
 	}

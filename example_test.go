@@ -23,7 +23,7 @@ func Example() {
 	fmt.Println("repairs:", cqabench.CountRepairs(db))
 
 	q := cqabench.MustParseQuery("Q() :- Employee(1, n1, d), Employee(2, n2, d)", db)
-	exact, _ := cqabench.ExactAnswers(db, q, 0)
+	exact, _ := cqabench.ExactAnswers(db, q)
 	fmt.Printf("relative frequency: %.2f\n", exact[0].Freq)
 	// Output:
 	// consistent: false
@@ -41,7 +41,7 @@ func ExampleCertainAnswers() {
 	db.MustInsert("Employee", 2, "Tim", "IT")
 
 	q := cqabench.MustParseQuery("Q(d) :- Employee(2, n, d)", db)
-	certain, _ := cqabench.CertainAnswers(db, q, 0)
+	certain, _ := cqabench.CertainAnswers(db, q)
 	for _, t := range certain {
 		fmt.Println(db.Dict.Render(t[0]))
 	}

@@ -48,7 +48,7 @@ func main() {
 		db.Dict)
 	fmt.Println("Query:", q.Render(db.Dict))
 
-	certain, err := cqa.CertainAnswers(db, q, 0)
+	certain, err := cqa.CertainAnswers(db, q)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func main() {
 		fmt.Println("  " + render(db, t))
 	}
 
-	exact, err := cqa.ExactAnswers(db, q, 0)
+	exact, err := cqa.ExactAnswers(db, q)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -49,7 +49,7 @@ func main() {
 		"Q(ward) :- shift(ward, day, doc), doctor(doc, n, 'cardiology', pg)", db)
 	fmt.Println("query:", q.Render(db.Dict))
 
-	exact, err := cqabench.ExactAnswers(db, q, 0)
+	exact, err := cqabench.ExactAnswers(db, q)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func main() {
 	}
 	fmt.Printf("(%d samples, %s)\n", stats.Samples, stats.Elapsed.Round(1000))
 
-	certain, err := cqabench.CertainAnswers(db, q, 0)
+	certain, err := cqabench.CertainAnswers(db, q)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -66,7 +67,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rViaCQA, err := pair.ExactRatioCompiled(0)
+	rViaCQA, err := pair.Exact(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}

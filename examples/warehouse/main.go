@@ -2,7 +2,7 @@
 // warehouse: generate consistent data, inject query-aware noise, compute
 // the synopsis preprocessing step, answer a non-Boolean CQ with all four
 // approximation schemes, and cross-check against the exact relative
-// frequencies computed by inclusion–exclusion.
+// frequencies.
 package main
 
 import (
@@ -49,14 +49,14 @@ func main() {
 	fmt.Printf("Synopses: %d answer tuples, %d homomorphic images, balance %.3f\n",
 		set.OutputSize(), set.HomomorphicSize, set.Balance())
 
-	// Exact frequencies via inclusion-exclusion where tractable.
+	// Exact frequencies, to check the estimates against.
+	exactRes, err := cqa.ExactAnswersFromSet(set, 0)
+	if err != nil {
+		log.Fatal(err)
+	}
 	exact := map[string]float64{}
-	for _, e := range set.Entries {
-		r, err := e.Pair.ExactRatio(22)
-		if err != nil {
-			continue // too many images; the schemes still estimate it
-		}
-		exact[renderTuple(noisy, e.Tuple)] = r
+	for _, tf := range exactRes {
+		exact[renderTuple(noisy, tf.Tuple)] = tf.Freq
 	}
 
 	fmt.Println("\nApproximate consistent answers (eps=0.1, delta=0.25):")

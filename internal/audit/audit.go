@@ -46,10 +46,6 @@ type Config struct {
 	Seed uint64
 	// Schemes restricts the audit; nil audits all four.
 	Schemes []cqa.Scheme
-	// MaxImages bounds the exact computation per entangled component
-	// (0 = the synopsis package's default). Tuples whose exact frequency
-	// is intractable are skipped and counted.
-	MaxImages int
 	// Timeout bounds each estimate; timed-out estimates are excluded from
 	// the distributions and counted per scheme.
 	Timeout time.Duration
@@ -60,7 +56,7 @@ type Config struct {
 // DefaultConfig returns the paper's guarantee (ε = 0.1, δ = 0.25) with a
 // small trial count suitable for smoke calibration.
 func DefaultConfig() Config {
-	return Config{Eps: 0.1, Delta: 0.25, Trials: 3, Seed: 5489, MaxImages: 22}
+	return Config{Eps: 0.1, Delta: 0.25, Trials: 3, Seed: 5489}
 }
 
 func (c Config) validate() error {
@@ -172,7 +168,7 @@ func Run(w *scenario.Workload, cfg Config) (*Report, error) {
 			entry := &set.Entries[i]
 			ord := tupleOrd
 			tupleOrd++
-			exact, err := entry.Pair.ExactRatioAuto(cfg.MaxImages, 0)
+			exact, err := entry.Pair.Exact(context.Background())
 			if err != nil {
 				if errors.Is(err, synopsis.ErrTooLarge) {
 					rep.SkippedTuples++

@@ -80,7 +80,9 @@ type Options struct {
 	Seed  uint64
 	// Budget applies per relative-frequency estimation (per tuple); its
 	// Deadline, if set, also bounds the run as a whole, mirroring the
-	// paper's per-scenario timeout.
+	// paper's per-scenario timeout: a tuple that starts after it fails
+	// with ErrBudget before its first draw, and a running tuple checks it
+	// every 8,192 draws.
 	Budget estimator.Budget
 	// SamplingWorkers selects the intra-query sampling mode: 0 or 1 run
 	// the classic sequential single-stream estimators (the default,
@@ -349,7 +351,7 @@ func estimateTuple(ctx context.Context, pair *synopsis.Admissible, scheme Scheme
 
 // recordRunMetrics publishes one scheme run's telemetry into the default
 // registry. Called on both completed and failed (budget-exhausted) runs.
-// kernels counts the tuples that ran on each sampler.Kernel: one lookup
+// kernels counts the tuples that drew on each sampler.Kernel: one lookup
 // per kernel and run, where a lookup per tuple cost about as much as a
 // one-image tuple's estimation loop.
 func recordRunMetrics(scheme Scheme, stats Stats, kernels [2]int64, err error) {
@@ -407,6 +409,12 @@ func ApxAnswersFromSetContext(ctx context.Context, set *synopsis.Set, scheme Sch
 	}
 	slots := make([]tupleResult, len(set.Entries))
 	estimate := func(i int, src *mt.Source, parent *obs.Span) error {
+		// Reading the clock draws no PRNG word, so a run that finishes
+		// is unchanged by the check.
+		if d := opts.Budget.Deadline; !d.IsZero() && time.Now().After(d) {
+			slots[i] = tupleResult{err: estimator.ErrBudget}
+			return slots[i].err
+		}
 		o := opts
 		o.Convergence.Enabled = opts.Convergence.records(i)
 		slots[i] = estimateTuple(ctx, set.Entries[i].Pair, scheme, o, src, tupleSeed(opts.Seed, i), parent)
@@ -452,7 +460,9 @@ func ApxAnswersFromSetContext(ctx context.Context, set *synopsis.Set, scheme Sch
 	var kernels [2]int64
 	var err error
 	for i, r := range slots[:ran] {
-		kernels[r.kernel]++
+		if r.samples > 0 {
+			kernels[r.kernel]++
+		}
 		stats.Samples += r.samples
 		stats.Chunks += r.chunks
 		goodSum += r.good * float64(r.samples)
@@ -486,43 +496,53 @@ func ApxAnswersFromSetContext(ctx context.Context, set *synopsis.Set, scheme Sch
 }
 
 // ExactAnswersFromSet computes the exact ans_{D,Σ}(Q) from a synopsis set
-// by independent-component decomposition with per-component inclusion–
-// exclusion, falling back to knowledge compilation on large components
-// (Lemma 4.1(3)); it fails with synopsis.ErrTooLarge only on components
-// too dense for both.
-func ExactAnswersFromSet(set *synopsis.Set, maxImages int) ([]TupleFreq, error) {
+// (Lemma 4.1(3)), one synopsis.Admissible.Exact call per tuple. timeout,
+// if positive, bounds the whole set, counted from the call; past it the
+// call fails with an error wrapping cqaerr.ErrCanceled and
+// context.DeadlineExceeded. A tuple whose
+// compilation exceeds Exact's node bound fails it with
+// synopsis.ErrTooLarge.
+func ExactAnswersFromSet(set *synopsis.Set, timeout time.Duration) ([]TupleFreq, error) {
+	ctx := context.Background()
+	if timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, timeout)
+		defer cancel()
+	}
 	out := make([]TupleFreq, 0, len(set.Entries))
 	for i := range set.Entries {
 		e := &set.Entries[i]
-		r, err := e.Pair.ExactRatioAuto(maxImages, 0)
+		r, err := e.Pair.Exact(ctx)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("cqa: tuple %d: %w", i, err)
 		}
 		out = append(out, TupleFreq{Tuple: e.Tuple, Freq: r})
 	}
 	return out, nil
 }
 
-// ExactAnswers computes the exact consistent answer end-to-end.
-func ExactAnswers(db *relation.Database, q *cq.Query, maxImages int) ([]TupleFreq, error) {
+// ExactAnswers computes the exact consistent answer end-to-end, with no
+// time bound.
+func ExactAnswers(db *relation.Database, q *cq.Query) ([]TupleFreq, error) {
 	set, err := synopsis.Build(db, q)
 	if err != nil {
 		return nil, err
 	}
-	return ExactAnswersFromSet(set, maxImages)
+	return ExactAnswersFromSet(set, 0)
 }
 
 // CertainAnswers returns the classic certain answers — tuples whose exact
 // relative frequency is 1 — from the synopsis route. A tuple is certain
-// iff every database in db(B) is covered by some image.
-func CertainAnswers(db *relation.Database, q *cq.Query, maxImages int) ([]relation.Tuple, error) {
-	all, err := ExactAnswers(db, q, maxImages)
+// iff every database in db(B) is covered by some image. It fails as
+// ExactAnswers does.
+func CertainAnswers(db *relation.Database, q *cq.Query) ([]relation.Tuple, error) {
+	all, err := ExactAnswers(db, q)
 	if err != nil {
 		return nil, err
 	}
 	var out []relation.Tuple
 	for _, tf := range all {
-		// Inclusion–exclusion is exact up to float rounding; 1 is attained
+		// The exact count is exact up to float rounding; 1 is attained
 		// exactly when the union covers db(B), but guard the comparison.
 		if tf.Freq >= 1-1e-9 {
 			out = append(out, tf.Tuple)

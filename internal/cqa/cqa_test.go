@@ -6,6 +6,7 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"cqabench/internal/cq"
 	"cqabench/internal/estimator"
@@ -125,7 +126,7 @@ func TestEmptyAnswer(t *testing.T) {
 func TestExactAnswersMatchesRepairEnumeration(t *testing.T) {
 	db := employeeDB(t)
 	q := cq.MustParse("Q(n) :- Employee(i, n, d)", db.Dict)
-	viaSynopsis, err := ExactAnswers(db, q, 0)
+	viaSynopsis, err := ExactAnswers(db, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +151,7 @@ func TestExactAnswersMatchesRepairEnumeration(t *testing.T) {
 func TestCertainAnswers(t *testing.T) {
 	db := employeeDB(t)
 	q := cq.MustParse("Q(d) :- Employee(2, n, d)", db.Dict)
-	certain, err := CertainAnswers(db, q, 0)
+	certain, err := CertainAnswers(db, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,6 +172,30 @@ func TestBudgetPropagates(t *testing.T) {
 	_, _, err := apx(t, db, q, Natural, opts)
 	if !errors.Is(err, estimator.ErrBudget) {
 		t.Fatalf("err = %v, want ErrBudget", err)
+	}
+}
+
+// TestPastDeadlineFailsEveryScheme: a deadline that has passed before
+// the run fails every scheme with ErrBudget, in both tuple modes and both
+// sampling modes, however few draws each tuple would take (the 64 tuples
+// of manySmallSet draw too few to reach the estimators' own check).
+func TestPastDeadlineFailsEveryScheme(t *testing.T) {
+	set := manySmallSet()
+	for _, scheme := range Schemes {
+		for _, mode := range []struct{ tuple, sampling int }{{0, 0}, {0, 2}, {2, 0}, {2, 2}} {
+			opts := DefaultOptions()
+			opts.TupleWorkers, opts.SamplingWorkers = mode.tuple, mode.sampling
+			opts.Budget.Deadline = time.Now().Add(-time.Millisecond)
+			_, stats, err := ApxAnswersFromSetContext(context.Background(), set, scheme, opts)
+			if !errors.Is(err, estimator.ErrBudget) {
+				t.Errorf("%v, tuple workers %d, sampling workers %d: err = %v, want ErrBudget",
+					scheme, mode.tuple, mode.sampling, err)
+			}
+			if stats.Samples != 0 {
+				t.Errorf("%v, tuple workers %d, sampling workers %d: %d samples drawn past the deadline",
+					scheme, mode.tuple, mode.sampling, stats.Samples)
+			}
+		}
 	}
 }
 

@@ -12,7 +12,6 @@ package synopsis
 
 import (
 	"fmt"
-	"math"
 	"math/big"
 	"sort"
 )
@@ -107,15 +106,6 @@ func (a *Admissible) DBSize() *big.Int {
 	return n
 }
 
-// LogDBSize returns ln |db(B)|; safe for arbitrarily many blocks.
-func (a *Admissible) LogDBSize() float64 {
-	s := 0.0
-	for _, sz := range a.BlockSizes {
-		s += math.Log(float64(sz))
-	}
-	return s
-}
-
 // ImageWeight returns |I^i| / |db(B)| = Π_{b ∈ blocks(H_i)} 1/size(b):
 // the fraction of db(B) whose databases contain image i. Image sizes are
 // bounded by |Q|, so the product never underflows in practice.
@@ -136,25 +126,6 @@ func (a *Admissible) SymbolicWeight() float64 {
 		s += a.ImageWeight(i)
 	}
 	return s
-}
-
-// SymbolicSize returns |S•| = Σ_i |I^i| exactly.
-func (a *Admissible) SymbolicSize() *big.Int {
-	total := big.NewInt(0)
-	for i := range a.Images {
-		sz := big.NewInt(1)
-		touched := make(map[int32]bool, len(a.Images[i]))
-		for _, m := range a.Images[i] {
-			touched[m.Block] = true
-		}
-		for b, bs := range a.BlockSizes {
-			if !touched[int32(b)] {
-				sz.Mul(sz, big.NewInt(int64(bs)))
-			}
-		}
-		total.Add(total, sz)
-	}
-	return total
 }
 
 // Covers reports whether image i is contained in the database of db(B)

@@ -1,6 +1,7 @@
 package synopsis
 
 import (
+	"context"
 	"math"
 	"sort"
 	"testing"
@@ -42,8 +43,8 @@ func assertSetsEquivalent(t *testing.T, a, b *Set) {
 				t.Fatalf("entry %d block-size multisets differ: %v vs %v", i, sa, sb)
 			}
 		}
-		ra, err1 := ea.Pair.ExactRatioAuto(0, 0)
-		rb, err2 := eb.Pair.ExactRatioAuto(0, 0)
+		ra, err1 := ea.Pair.Exact(context.Background())
+		rb, err2 := eb.Pair.Exact(context.Background())
 		if err1 != nil || err2 != nil {
 			continue
 		}
@@ -125,8 +126,8 @@ func TestRewritingMatchesBuildProperty(t *testing.T) {
 			return false
 		}
 		for i := range direct.Entries {
-			ra, e1 := direct.Entries[i].Pair.ExactRatioAuto(0, 0)
-			rb, e2 := rew.Entries[i].Pair.ExactRatioAuto(0, 0)
+			ra, e1 := direct.Entries[i].Pair.Exact(context.Background())
+			rb, e2 := rew.Entries[i].Pair.Exact(context.Background())
 			if e1 != nil || e2 != nil {
 				continue
 			}
