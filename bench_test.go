@@ -546,12 +546,39 @@ func oneKernelPair() *synopsis.Admissible {
 	return pair
 }
 
+// fig1KernelPair is the Boolean pair of Figure 1 at one join and 60%
+// noise, the one that `figure -id 1 -balance 0 -joins 1 -sf 0.0002
+// -queries 1` runs at that level: one answer tuple whose images span
+// 246 blocks.
+func fig1KernelPair() *synopsis.Admissible {
+	cfg := scenario.DefaultConfig()
+	cfg.ScaleFactor = 0.0002
+	cfg.QueriesPerJoin = 1
+	l, err := scenario.NewLab(cfg)
+	if err != nil {
+		panic(err)
+	}
+	w, err := l.NoiseScenario(0, 1, []float64{0.6})
+	if err != nil {
+		panic(err)
+	}
+	set, err := synopsis.Build(w.Pairs[0].DB, w.Pairs[0].Query)
+	if err != nil {
+		panic(err)
+	}
+	if len(set.Entries) != 1 {
+		panic(fmt.Sprintf("Figure 1's Boolean pair has %d answer tuples, want 1", len(set.Entries)))
+	}
+	return set.Entries[0].Pair
+}
+
 // BenchmarkKernels compares, per scheme, the plain kernel (bit-sliced
 // coverage test) against the first-member-indexed one, one draw at a
-// time and in estimator-sized batches, on three shapes: the large-|H|
+// time and in estimator-sized batches, on four shapes: the large-|H|
 // pair where the kernel selector picks the index ("huge"), the
-// Boolean-synopsis shape where it keeps the plain kernel ("wide"), and
-// the one-image pair of most non-Boolean answer tuples ("one").
+// Boolean-synopsis shape where it keeps the plain kernel ("wide"), the
+// one-image pair of most non-Boolean answer tuples ("one"), and Figure
+// 1's Boolean pair at 60% noise ("fig1").
 // samples/sec is the headline throughput number EXPERIMENTS.md quotes;
 // all variants draw from identical PRNG streams. Cover/walk times one
 // SelfAdjustingCoverage run per iteration at the paper's ε = 0.1,
@@ -564,6 +591,7 @@ func BenchmarkKernels(b *testing.B) {
 		{"huge", kernelPair()},
 		{"wide", wideKernelPair()},
 		{"one", oneKernelPair()},
+		{"fig1", fig1KernelPair()},
 	}
 	for _, p := range pairs {
 		kernels := []struct {
