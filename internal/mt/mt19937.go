@@ -77,19 +77,37 @@ func (s *Source) SeedBySlice(key []uint64) {
 	s.index = nn
 }
 
+// useAVX2 selects the AVX2 refill, decided once from the CPU.
+var useAVX2 = hasAVX2()
+
 func (s *Source) refill() {
-	var x uint64
-	for i := 0; i < nn-mm; i++ {
-		x = (s.state[i] & upperMask) | (s.state[i+1] & lowerMask)
-		s.state[i] = s.state[i+mm] ^ (x >> 1) ^ ((x & 1) * matrixA)
-	}
-	for i := nn - mm; i < nn-1; i++ {
-		x = (s.state[i] & upperMask) | (s.state[i+1] & lowerMask)
-		s.state[i] = s.state[i+mm-nn] ^ (x >> 1) ^ ((x & 1) * matrixA)
-	}
-	x = (s.state[nn-1] & upperMask) | (s.state[0] & lowerMask)
-	s.state[nn-1] = s.state[mm-1] ^ (x >> 1) ^ ((x & 1) * matrixA)
+	refillState(&s.state, useAVX2)
 	s.index = 0
+}
+
+// refillState computes the next nn state words in place. With avx2 set,
+// refillAVX2 computes words 0 to nn-5 and the scalar loop only the rest;
+// both paths give the same words.
+func refillState(st *[nn]uint64, avx2 bool) {
+	i := 0
+	if avx2 {
+		refillAVX2(st)
+		i = nn - 4
+	}
+	for ; i < nn-mm; i++ {
+		st[i] = twist(st[i], st[i+1], st[i+mm])
+	}
+	for ; i < nn-1; i++ {
+		st[i] = twist(st[i], st[i+1], st[i+mm-nn])
+	}
+	st[nn-1] = twist(st[nn-1], st[0], st[mm-1])
+}
+
+// twist is the recurrence's step: the new value of a word from its old
+// value a, its successor b and the word c that lies mm words away.
+func twist(a, b, c uint64) uint64 {
+	x := (a & upperMask) | (b & lowerMask)
+	return c ^ (x >> 1) ^ ((x & 1) * matrixA)
 }
 
 // Uint64 returns the next value of the MT19937-64 stream.
