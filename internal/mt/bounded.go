@@ -19,6 +19,17 @@ type Bound struct {
 	// the word instead and never rejects.
 	max uint64
 	m   uint64 // ⌊(2⁶⁴−1)/n⌋, the reciprocal rem multiplies by
+
+	// Match's AVX2 kernel (match_amd64.s) reads m and these. It decides
+	// whether word v draws w < n without computing v's value: v − w is
+	// a multiple of n exactly when rotr((v − w)·inv, shr) ≤ m. That is
+	// Intn's verdict for every v in the window [n, max), and for every
+	// v when n is a power of two. v lies in the window exactly when
+	// v + winOff ≤ winMax as signed words.
+	inv      uint64 // the inverse of n's odd part mod 2⁶⁴
+	shr, shl uint64 // tz(n) and 64 − tz(n)
+	winOff   uint64 // 2⁶³ − the window's low end
+	winMax   uint64 // (the window's width − 1) ^ 2⁶³
 }
 
 // NewBound compiles Intn(n). It panics if n <= 0, as Intn does.
@@ -27,11 +38,20 @@ func NewBound(n int) Bound {
 		panic("mt: NewBound with non-positive n")
 	}
 	un := uint64(n)
-	if un&(un-1) == 0 {
-		return Bound{n: un}
+	tz := uint64(bits.TrailingZeros64(un))
+	odd := un >> tz
+	inv := odd // correct to 3 bits; each step doubles that
+	for k := 0; k < 5; k++ {
+		inv *= 2 - odd*inv
 	}
-	m := ^uint64(0) / un
-	return Bound{n: un, max: m * un, m: m}
+	b := Bound{n: un, m: ^uint64(0) / un, inv: inv, shr: tz, shl: 64 - tz}
+	lo, hi := uint64(0), ^uint64(0) // a power of two decides every word
+	if un&(un-1) != 0 {
+		b.max = b.m * un
+		lo, hi = un, b.max-1
+	}
+	b.winOff, b.winMax = (1<<63)-lo, (hi-lo)^(1<<63)
+	return b
 }
 
 // rem returns v % n for a bound that is not a power of two. With
@@ -197,11 +217,18 @@ func (s *Source) advanceFixed(f *Fill, pre, n int) int {
 
 // Match runs f len(dst) times, reading the words Fill would, and sets
 // dst[d] to 1 if draw d drew want[b] in every block b of size above 1,
-// else to 0. A draw ORs each block's difference into one word instead
-// of branching on each compare.
+// else to 0. Each want[b] must lie in [0, sizes[b]). A draw ORs each
+// block's difference into one word instead of branching on each
+// compare.
 func (s *Source) Match(f *Fill, want []int32, dst []float64) {
+	s.match(f, want, dst, useAVX2)
+}
+
+// match is Match, with avx2 choosing whether matchFixed starts with
+// the AVX2 kernel; both paths give the same values and stream.
+func (s *Source) match(f *Fill, want []int32, dst []float64, avx2 bool) {
 	for d := 0; ; d++ {
-		if d += s.matchFixed(f, want, dst[d:]); d == len(dst) {
+		if d += s.matchFixed(f, want, dst[d:], avx2); d == len(dst) {
 			return
 		}
 		i, miss := s.index, uint64(0)
@@ -217,10 +244,21 @@ func (s *Source) Match(f *Fill, want []int32, dst []float64) {
 
 // matchFixed is Match at fixed offsets. It returns how many draws it
 // made, stopping before the first draw that would cross a refill or in
-// which a bound rejects its word.
-func (s *Source) matchFixed(f *Fill, want []int32, dst []float64) int {
+// which a bound rejects its word. With avx2 set, matchAVX2 makes the
+// draws it can decide, four at a time, and the loop here the rest.
+func (s *Source) matchFixed(f *Fill, want []int32, dst []float64, avx2 bool) int {
 	i, w, steps := s.index, f.width, f.steps
-	for d := range dst {
+	d := 0
+	// A batch too short for a group skips the kernel's set-up, the
+	// divide included.
+	if avx2 && len(steps) > 0 && len(dst) >= 4 {
+		if groups := min(len(dst), (nn-i)/w) / 4; groups > 0 {
+			_ = want[w-1] // the kernel reads want unchecked
+			d = matchAVX2(&s.state, i, w, steps, want, dst, groups)
+			i += d * w
+		}
+	}
+	for ; d < len(dst); d++ {
 		if i+w > nn {
 			s.index = i
 			return d
