@@ -82,7 +82,7 @@ type Options struct {
 	// Deadline, if set, also bounds the run as a whole, mirroring the
 	// paper's per-scenario timeout: a tuple that starts after it fails
 	// with ErrBudget before its first draw, and a running tuple checks it
-	// every 8,192 draws.
+	// every 256 draws, so it stops within one batch of them.
 	Budget estimator.Budget
 	// SamplingWorkers selects the intra-query sampling mode: 0 or 1 run
 	// the classic sequential single-stream estimators (the default,

@@ -195,6 +195,37 @@ func TestBudgetDeadline(t *testing.T) {
 	}
 }
 
+// napper is a batch sampler that draws 0 and sleeps for nap in its
+// first batch.
+type napper struct {
+	nap   time.Duration
+	slept bool
+}
+
+func (n *napper) Sample(*mt.Source) float64 { return 0 }
+
+func (n *napper) SampleBatch(_ *mt.Source, dst []float64) {
+	if !n.slept {
+		n.slept = true
+		time.Sleep(n.nap)
+	}
+	clear(dst)
+}
+
+// TestDeadlineWithinTwoChunks: a run whose first batch sleeps past the
+// deadline fails with ErrBudget at the next chunk's charge, within 512
+// draws.
+func TestDeadlineWithinTwoChunks(t *testing.T) {
+	r, err := MonteCarloContext(context.Background(), &napper{nap: 20 * time.Millisecond}, 0.1, 0.25, mt.New(12),
+		Budget{Deadline: time.Now().Add(5 * time.Millisecond)})
+	if !errors.Is(err, ErrBudget) {
+		t.Fatalf("err = %v, want ErrBudget", err)
+	}
+	if r.Samples > 2*batchSize {
+		t.Fatalf("the run drew %d samples past its deadline, want at most %d", r.Samples, 2*batchSize)
+	}
+}
+
 func TestFixedSamples(t *testing.T) {
 	r, err := FixedSamplesContext(context.Background(), bernoulli{0.4}, 0.1, 0.25, 0.1, mt.New(11), Budget{})
 	if err != nil {

@@ -80,25 +80,23 @@ type Result struct {
 	Chunks int64
 }
 
-// budgetTracker meters samples against a budget, checking the wall clock
-// only every deadlineStride draws. When ctx is non-nil, cancellation is
-// polled at chunk boundaries (every reserve call) and, for unbatched
-// unit-charge loops like the coverage walk, every ctxStride draws — so
-// abort latency is about one batchSize chunk either way. The checks never
-// touch the PRNG: for a run that is not canceled, every estimate, sample
-// count and stream position is byte-identical to a run under
-// context.Background, which polls nothing.
+// budgetTracker meters samples against a budget, reading the wall clock
+// every ctxStride draws. When ctx is non-nil, cancellation is polled at
+// chunk boundaries (every reserve call) and, for unbatched unit-charge
+// loops like the coverage walk, every ctxStride draws — so a deadline
+// or a cancellation stops a run within about one batchSize chunk. The
+// checks never touch the PRNG: for a run that is not stopped, every
+// estimate, sample count and stream position is byte-identical to a run
+// under context.Background with no deadline, which polls nothing.
 type budgetTracker struct {
 	budget  Budget
 	ctx     context.Context // nil: no cancellation checks
 	samples int64
 }
 
-const deadlineStride = 8192
-
-// ctxStride bounds the cancellation latency of loops that charge draws
-// one at a time (the coverage walk): the context is polled once per
-// ctxStride draws, matching the batched loops' one-chunk latency.
+// ctxStride is how many draws pass between two readings of the clock,
+// and of the context in loops that charge draws one at a time (the
+// coverage walk): the batched loops' one-chunk latency.
 const ctxStride = batchSize
 
 // checkCtx reports cancellation as an error wrapping both ErrCanceled
@@ -123,7 +121,7 @@ func (b *budgetTracker) charge(n int64) error {
 			return err
 		}
 	}
-	if !b.budget.Deadline.IsZero() && prev/deadlineStride != b.samples/deadlineStride {
+	if !b.budget.Deadline.IsZero() && prev/ctxStride != b.samples/ctxStride {
 		if time.Now().After(b.budget.Deadline) {
 			return ErrBudget
 		}

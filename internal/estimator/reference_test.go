@@ -354,7 +354,7 @@ func TestBatchedCoverageMatchesStepLoop(t *testing.T) {
 	}
 	const eps, delta = 0.1, 0.25
 	n := CoverageIterations(1, eps, delta)
-	if CoverageIterations(1, 0.05, delta) <= deadlineStride {
+	if CoverageIterations(1, 0.05, delta) <= ctxStride {
 		t.Fatal("the deadline run takes no more steps than one deadline check")
 	}
 	bg := context.Background()
