@@ -161,11 +161,6 @@ func (s *Source) Float64() float64 {
 	return float64(s.Uint64()>>11) / (1 << 53)
 }
 
-// Bernoulli returns true with probability p.
-func (s *Source) Bernoulli(p float64) bool {
-	return s.Float64() < p
-}
-
 // Perm returns a uniform random permutation of [0, n) via Fisher-Yates.
 func (s *Source) Perm(n int) []int {
 	p := make([]int, n)

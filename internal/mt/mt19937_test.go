@@ -137,21 +137,6 @@ func TestFloat64Range(t *testing.T) {
 	}
 }
 
-func TestBernoulli(t *testing.T) {
-	s := New(19)
-	const draws = 200000
-	hits := 0
-	for i := 0; i < draws; i++ {
-		if s.Bernoulli(0.3) {
-			hits++
-		}
-	}
-	p := float64(hits) / draws
-	if math.Abs(p-0.3) > 0.01 {
-		t.Fatalf("Bernoulli(0.3) hit rate %.4f", p)
-	}
-}
-
 func TestPermIsPermutation(t *testing.T) {
 	s := New(23)
 	for _, n := range []int{0, 1, 2, 5, 100} {

@@ -35,7 +35,7 @@ func TestRefillAVX2MatchesScalar(t *testing.T) {
 	}
 	for _, root := range []uint64{0, 1, DefaultSeed, ^uint64(0)} {
 		for chunk := uint64(0); chunk < 16; chunk++ {
-			checkRefills(t, fmt.Sprintf("Substream(%d, %d)", root, chunk), NewSubstream(root, chunk).state, 5)
+			checkRefills(t, fmt.Sprintf("Substream(%d, %d)", root, chunk), substream(root, chunk).state, 5)
 		}
 	}
 	var s Source

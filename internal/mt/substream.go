@@ -25,11 +25,3 @@ package mt
 func (s *Source) Substream(rootSeed, chunk uint64) {
 	s.SeedBySlice([]uint64{rootSeed, chunk})
 }
-
-// NewSubstream returns a fresh Source positioned at the start of the
-// (rootSeed, chunk) substream. Equivalent to New followed by Substream.
-func NewSubstream(rootSeed, chunk uint64) *Source {
-	s := &Source{}
-	s.Substream(rootSeed, chunk)
-	return s
-}

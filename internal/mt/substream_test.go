@@ -2,8 +2,16 @@ package mt
 
 import "testing"
 
+// substream returns a fresh Source at the start of the (root, chunk)
+// substream: New followed by Substream.
+func substream(root, chunk uint64) *Source {
+	s := New(0)
+	s.Substream(root, chunk)
+	return s
+}
+
 // TestSubstreamGolden pins the substream derivation: the first outputs
-// of NewSubstream(root, chunk) for a spread of keys. These values were
+// of substream(root, chunk) for a spread of keys. These values were
 // recorded from the initial implementation (SeedBySlice over the
 // two-word key {root, chunk}, i.e. init_by_array64); any change here is
 // a determinism break in the parallel sampling path, because committed
@@ -24,17 +32,17 @@ func TestSubstreamGolden(t *testing.T) {
 		{^uint64(0), 4096, [4]uint64{0xd22c35fc8c5c6601, 0x2ce1b4370516533e, 0x9cf9e46f3f620bf2, 0x7caca74d70a1512d}},
 	}
 	for _, c := range cases {
-		s := NewSubstream(c.root, c.chunk)
+		s := substream(c.root, c.chunk)
 		for i, want := range c.first {
 			if got := s.Uint64(); got != want {
-				t.Errorf("NewSubstream(%d, %d) output %d: got %#016x want %#016x",
+				t.Errorf("substream (%d, %d) output %d: got %#016x want %#016x",
 					c.root, c.chunk, i, got, want)
 			}
 		}
 	}
 	// A longer-horizon checksum over one full state refill, so drift past
 	// the first words is caught too.
-	s := NewSubstream(5489, 0)
+	s := substream(5489, 0)
 	var x uint64
 	for i := 0; i < 312; i++ {
 		x ^= s.Uint64()
@@ -45,8 +53,9 @@ func TestSubstreamGolden(t *testing.T) {
 }
 
 // TestSubstreamEquivalences pins the definitional properties callers
-// rely on: Substream reseeds in place to exactly the NewSubstream
-// state, and both match a raw SeedBySlice over {root, chunk}.
+// rely on: Substream reseeds a used Source in place to exactly a fresh
+// Source's substream state, and both match a raw SeedBySlice over
+// {root, chunk}.
 func TestSubstreamEquivalences(t *testing.T) {
 	reseeded := New(12345)
 	for i := 0; i < 1000; i++ {
@@ -54,7 +63,7 @@ func TestSubstreamEquivalences(t *testing.T) {
 	}
 	reseeded.Substream(99, 7)
 
-	fresh := NewSubstream(99, 7)
+	fresh := substream(99, 7)
 
 	raw := &Source{}
 	raw.SeedBySlice([]uint64{99, 7})
@@ -62,7 +71,7 @@ func TestSubstreamEquivalences(t *testing.T) {
 	for i := 0; i < 640; i++ {
 		a, b, c := reseeded.Uint64(), fresh.Uint64(), raw.Uint64()
 		if a != b || b != c {
-			t.Fatalf("output %d diverges: Substream=%#x NewSubstream=%#x SeedBySlice=%#x", i, a, b, c)
+			t.Fatalf("output %d diverges: reseeded=%#x fresh=%#x SeedBySlice=%#x", i, a, b, c)
 		}
 	}
 }
@@ -74,7 +83,7 @@ func TestSubstreamDistinct(t *testing.T) {
 	seen := make(map[uint64][2]uint64)
 	for root := uint64(0); root < 8; root++ {
 		for chunk := uint64(0); chunk < 512; chunk++ {
-			v := NewSubstream(root, chunk).Uint64()
+			v := substream(root, chunk).Uint64()
 			if prev, dup := seen[v]; dup {
 				t.Fatalf("first output collision: (%d,%d) and (%d,%d) both yield %#x",
 					root, chunk, prev[0], prev[1], v)
