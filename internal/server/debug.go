@@ -104,7 +104,7 @@ func (s *Server) handleDebugRequestTrace(w http.ResponseWriter, r *http.Request)
 	id := r.PathValue("id")
 	rec, ok := s.reqlog.find(id)
 	if !ok {
-		writeError(w, http.StatusNotFound, "not_found",
+		writeError(w, http.StatusNotFound, codeNotFound,
 			"no recorded request with trace id "+strconv.Quote(id))
 		return
 	}
@@ -126,12 +126,12 @@ func (s *Server) handleDebugRequestConvergence(w http.ResponseWriter, r *http.Re
 	id := r.PathValue("id")
 	rec, ok := s.reqlog.find(id)
 	if !ok {
-		writeError(w, http.StatusNotFound, "not_found",
+		writeError(w, http.StatusNotFound, codeNotFound,
 			"no recorded request with trace id "+strconv.Quote(id))
 		return
 	}
 	if rec.convergence == nil {
-		writeError(w, http.StatusNotFound, "no_convergence",
+		writeError(w, http.StatusNotFound, codeNoConvergence,
 			`request `+strconv.Quote(id)+` did not record convergence (set "convergence": true on /v1/estimate)`)
 		return
 	}
