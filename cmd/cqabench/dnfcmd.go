@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -19,7 +20,7 @@ func cmdDNF(args []string) error {
 	eps := fs.Float64("eps", 0.1, "relative error")
 	delta := fs.Float64("delta", 0.25, "failure probability")
 	seed := fs.Uint64("seed", 5489, "PRNG seed")
-	exact := fs.Bool("exact", false, "exhaustive count instead (<= 24 variables)")
+	exact := fs.Bool("exact", false, "exact count instead (clauses over <= 45 variables)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -42,7 +43,7 @@ func cmdDNF(args []string) error {
 	}
 	fmt.Fprintf(os.Stderr, "formula: %d variables, %d clauses\n", formula.NumVars, len(formula.Clauses))
 	if *exact {
-		n, err := formula.CountSatisfying()
+		n, err := formula.CountSatisfying(context.Background())
 		if err != nil {
 			return err
 		}

@@ -29,7 +29,7 @@ func main() {
 			{12},
 		},
 	}
-	exact, err := boolean.CountSatisfying()
+	exact, err := boolean.CountSatisfying(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rViaDNF, err := formula.ExactFraction(0)
+	rViaDNF, err := formula.ExactFraction(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package dnf
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/big"
@@ -92,44 +93,39 @@ func (b *Boolean) ToBlock() (*Formula, error) {
 	return f, nil
 }
 
+// maxExactVars bounds the variables that a formula's clauses may
+// mention for CountSatisfying. Every value Exact computes on the formula's
+// pair, whose blocks all have two members, is a multiple of 2⁻ᵗ, where t
+// is the number of variables the clauses mention. Its inclusion–exclusion
+// sums up to 255 signed terms 2⁻ʲ with j ≤ t, so a partial sum can reach
+// 255 < 2⁸ in magnitude, and float64 holds every such sum exactly only
+// while t + 8 ≤ 53. Below the bound the fraction is exact, and so is the
+// count scaled from it.
+const maxExactVars = 45
+
 // CountSatisfying returns the exact number of satisfying boolean
-// assignments by exhaustive enumeration (NumVars <= 24 for sanity).
-func (b *Boolean) CountSatisfying() (*big.Int, error) {
-	if err := b.Validate(); err != nil {
+// assignments: the fraction R that synopsis.(*Admissible).Exact computes
+// on the block encoding's pair, times 2^NumVars. It refuses a formula
+// whose clauses mention more than maxExactVars variables, and fails as
+// Exact does when ctx is done or the compilation bound is exceeded.
+func (b *Boolean) CountSatisfying(ctx context.Context) (*big.Int, error) {
+	f, err := b.ToBlock()
+	if err != nil {
 		return nil, err
 	}
-	if b.NumVars > 24 {
-		return nil, fmt.Errorf("dnf: exhaustive counting limited to 24 variables, got %d", b.NumVars)
+	pair, err := f.ToAdmissible()
+	if err != nil {
+		return nil, err
 	}
-	count := int64(0)
-	for a := uint64(0); a < uint64(1)<<b.NumVars; a++ {
-		if b.satisfied(a) {
-			count++
-		}
+	if t := len(pair.BlockSizes); t > maxExactVars {
+		return nil, fmt.Errorf("dnf: exact counting limited to %d variables in clauses, got %d", maxExactVars, t)
 	}
-	return big.NewInt(count), nil
-}
-
-func (b *Boolean) satisfied(assignment uint64) bool {
-	for _, c := range b.Clauses {
-		ok := true
-		for _, l := range c {
-			v := l
-			want := true
-			if v < 0 {
-				v = -v
-				want = false
-			}
-			if (assignment>>(v-1))&1 == 1 != want {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			return true
-		}
+	r, err := pair.Exact(ctx)
+	if err != nil {
+		return nil, err
 	}
-	return false
+	count, _ := new(big.Float).SetMantExp(big.NewFloat(r), b.NumVars).Int(nil)
+	return count, nil
 }
 
 // ApproxCountSatisfying estimates the number of satisfying boolean

@@ -86,19 +86,3 @@ func ParseDIMACS(r io.Reader) (*Boolean, error) {
 	}
 	return b, nil
 }
-
-// WriteDIMACS renders the formula in the same syntax.
-func WriteDIMACS(w io.Writer, b *Boolean) error {
-	if err := b.Validate(); err != nil {
-		return err
-	}
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "p dnf %d %d\n", b.NumVars, len(b.Clauses))
-	for _, c := range b.Clauses {
-		for _, l := range c {
-			fmt.Fprintf(bw, "%d ", l)
-		}
-		fmt.Fprintln(bw, "0")
-	}
-	return bw.Flush()
-}

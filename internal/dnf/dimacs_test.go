@@ -1,6 +1,10 @@
 package dnf
 
 import (
+	"bufio"
+	"context"
+	"fmt"
+	"io"
 	"strings"
 	"testing"
 )
@@ -49,7 +53,7 @@ func TestParseDIMACSErrors(t *testing.T) {
 func TestDIMACSRoundTrip(t *testing.T) {
 	b := &Boolean{NumVars: 4, Clauses: [][]int{{1, -2}, {3}, {-1, 4}}}
 	var buf strings.Builder
-	if err := WriteDIMACS(&buf, b); err != nil {
+	if err := writeDIMACS(&buf, b); err != nil {
 		t.Fatal(err)
 	}
 	back, err := ParseDIMACS(strings.NewReader(buf.String()))
@@ -59,11 +63,11 @@ func TestDIMACSRoundTrip(t *testing.T) {
 	if back.NumVars != b.NumVars || len(back.Clauses) != len(b.Clauses) {
 		t.Fatalf("round trip changed formula: %+v", back)
 	}
-	e1, err := b.CountSatisfying()
+	e1, err := b.CountSatisfying(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	e2, err := back.CountSatisfying()
+	e2, err := back.CountSatisfying(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +77,7 @@ func TestDIMACSRoundTrip(t *testing.T) {
 }
 
 func TestWriteDIMACSInvalid(t *testing.T) {
-	if err := WriteDIMACS(&strings.Builder{}, &Boolean{}); err == nil {
+	if err := writeDIMACS(&strings.Builder{}, &Boolean{}); err == nil {
 		t.Fatal("invalid formula written")
 	}
 }
@@ -90,11 +94,27 @@ func FuzzParseDIMACS(f *testing.F) {
 			return
 		}
 		var buf strings.Builder
-		if err := WriteDIMACS(&buf, b); err != nil {
+		if err := writeDIMACS(&buf, b); err != nil {
 			t.Fatalf("accepted formula failed to render: %v", err)
 		}
 		if _, err := ParseDIMACS(strings.NewReader(buf.String())); err != nil {
 			t.Fatalf("rendering rejected: %v", err)
 		}
 	})
+}
+
+// writeDIMACS renders the formula in ParseDIMACS's syntax.
+func writeDIMACS(w io.Writer, b *Boolean) error {
+	if err := b.Validate(); err != nil {
+		return err
+	}
+	bw := bufio.NewWriter(w)
+	fmt.Fprintf(bw, "p dnf %d %d\n", b.NumVars, len(b.Clauses))
+	for _, c := range b.Clauses {
+		for _, l := range c {
+			fmt.Fprintf(bw, "%d ", l)
+		}
+		fmt.Fprintln(bw, "0")
+	}
+	return bw.Flush()
 }

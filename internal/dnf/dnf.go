@@ -10,16 +10,15 @@
 // The package provides the Block DNF type, a lossless bridge to and from
 // admissible pairs (so every approximation scheme in internal/cqa doubles
 // as a DNF counter), classic DNF formulas with negative literals encoded
-// as two-variable blocks, exact counting by enumeration and by
-// inclusion–exclusion, and approximate counting through cqa's answer
-// call.
+// as two-variable blocks, exact counting through the pair's
+// synopsis.(*Admissible).Exact, and approximate counting through cqa's
+// answer call.
 package dnf
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"math/big"
 
 	"cqabench/internal/cqa"
 	"cqabench/internal/synopsis"
@@ -76,16 +75,6 @@ func (f *Formula) Validate() error {
 	return nil
 }
 
-// NumAssignments returns the number of block assignments: the product of
-// block sizes.
-func (f *Formula) NumAssignments() *big.Int {
-	n := big.NewInt(1)
-	for _, sz := range f.BlockSizes {
-		n.Mul(n, big.NewInt(int64(sz)))
-	}
-	return n
-}
-
 // ToAdmissible converts the formula into an admissible pair, dropping
 // blocks no clause touches (they contribute equally to the numerator and
 // denominator of the satisfying fraction, so the fraction is unchanged).
@@ -138,25 +127,14 @@ func FromAdmissible(pair *synopsis.Admissible) (*Formula, error) {
 	return f, nil
 }
 
-// ExactFraction computes the fraction of satisfying block assignments by
-// inclusion–exclusion; maxClauses bounds the clause count (0 = 22).
-func (f *Formula) ExactFraction(maxClauses int) (float64, error) {
+// ExactFraction computes the fraction of satisfying block assignments
+// with the formula's admissible pair's Exact, which polls ctx.
+func (f *Formula) ExactFraction(ctx context.Context) (float64, error) {
 	pair, err := f.ToAdmissible()
 	if err != nil {
 		return 0, err
 	}
-	return pair.ExactRatio(maxClauses)
-}
-
-// BruteForceFraction enumerates all block assignments (bounded by limit;
-// 0 = 1<<20) and counts the satisfying ones.
-func (f *Formula) BruteForceFraction(limit int64) (float64, error) {
-	pair, err := f.ToAdmissible()
-	if err != nil {
-		return 0, err
-	}
-	// The dropped untouched blocks do not change the fraction.
-	return pair.BruteForceRatio(limit)
+	return pair.Exact(ctx)
 }
 
 // ApproxFraction estimates the satisfying fraction with relative error
@@ -174,16 +152,4 @@ func (f *Formula) ApproxFraction(s cqa.Scheme, eps, delta float64, seed uint64) 
 		return 0, err
 	}
 	return res[0].Freq, nil
-}
-
-// ApproxCount estimates the number of satisfying block assignments as a
-// float (it can exceed float64 integer precision but tracks the magnitude;
-// use ApproxFraction with NumAssignments for exact big-number work).
-func (f *Formula) ApproxCount(s cqa.Scheme, eps, delta float64, seed uint64) (*big.Float, error) {
-	frac, err := f.ApproxFraction(s, eps, delta, seed)
-	if err != nil {
-		return nil, err
-	}
-	total := new(big.Float).SetInt(f.NumAssignments())
-	return total.Mul(total, big.NewFloat(frac)), nil
 }

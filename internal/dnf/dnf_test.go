@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/big"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -46,30 +47,27 @@ func TestValidateRejects(t *testing.T) {
 	}
 }
 
-func TestNumAssignments(t *testing.T) {
-	f := blockFormula(t)
-	if f.NumAssignments().Cmp(big.NewInt(12)) != 0 {
-		t.Fatalf("assignments = %v, want 12", f.NumAssignments())
-	}
-}
-
 func TestExactMatchesBruteForce(t *testing.T) {
 	f := blockFormula(t)
-	ie, err := f.ExactFraction(0)
+	exact, err := f.ExactFraction(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	bf, err := f.BruteForceFraction(0)
+	pair, err := f.ToAdmissible()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(ie-bf) > 1e-12 {
-		t.Fatalf("exact %v vs brute force %v", ie, bf)
+	bf, err := pair.BruteForceRatio(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(exact-bf) > 1e-12 {
+		t.Fatalf("exact %v vs brute force %v", exact, bf)
 	}
 	// Hand count: clause 1 covers 6 of 12; clause 2 covers 2 of 12;
 	// overlap 1. Union 7/12.
-	if math.Abs(ie-7.0/12) > 1e-12 {
-		t.Fatalf("fraction = %v, want 7/12", ie)
+	if math.Abs(exact-7.0/12) > 1e-12 {
+		t.Fatalf("fraction = %v, want 7/12", exact)
 	}
 }
 
@@ -81,7 +79,7 @@ func TestUntouchedBlocksDropped(t *testing.T) {
 			{{Block: 0, Var: 0}, {Block: 2, Var: 1}},
 		},
 	}
-	frac, err := f.ExactFraction(0)
+	frac, err := f.ExactFraction(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +120,7 @@ func TestRoundTripAdmissible(t *testing.T) {
 
 func TestApproxFractionAllMethods(t *testing.T) {
 	f := blockFormula(t)
-	want, err := f.ExactFraction(0)
+	want, err := f.ExactFraction(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,18 +228,6 @@ func TestApproxFractionMatchesSamplerPath(t *testing.T) {
 	}
 }
 
-func TestApproxCount(t *testing.T) {
-	f := blockFormula(t)
-	c, err := f.ApproxCount(cqa.KLM, 0.1, 0.25, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _ := c.Float64()
-	if math.Abs(got-7) > 1 {
-		t.Fatalf("count = %v, want ~7", got)
-	}
-}
-
 func TestBooleanValidate(t *testing.T) {
 	cases := map[string]*Boolean{
 		"no vars":       {NumVars: 0, Clauses: [][]int{{1}}},
@@ -263,7 +249,7 @@ func TestBooleanExactCount(t *testing.T) {
 	// (x1 AND x2) OR (NOT x3): over 3 vars.
 	// x1&x2: assignments 2 (x3 free). !x3: 4. Overlap: x1&x2&!x3: 1. Union 5.
 	b := &Boolean{NumVars: 3, Clauses: [][]int{{1, 2}, {-3}}}
-	n, err := b.CountSatisfying()
+	n, err := b.CountSatisfying(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,19 +260,16 @@ func TestBooleanExactCount(t *testing.T) {
 
 func TestBooleanBlockEncodingMatchesEnumeration(t *testing.T) {
 	b := &Boolean{NumVars: 4, Clauses: [][]int{{1, -2}, {3}, {-1, 4}}}
-	exact, err := b.CountSatisfying()
-	if err != nil {
-		t.Fatal(err)
-	}
+	exact := countByEnumeration(b)
 	f, err := b.ToBlock()
 	if err != nil {
 		t.Fatal(err)
 	}
-	frac, err := f.ExactFraction(0)
+	frac, err := f.ExactFraction(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := float64(exact.Int64()) / 16
+	want := float64(exact) / 16
 	if math.Abs(frac-want) > 1e-12 {
 		t.Fatalf("block fraction %v, enumeration %v", frac, want)
 	}
@@ -294,7 +277,7 @@ func TestBooleanBlockEncodingMatchesEnumeration(t *testing.T) {
 
 func TestBooleanApproxCount(t *testing.T) {
 	b := &Boolean{NumVars: 6, Clauses: [][]int{{1, 2, 3}, {-4, 5}, {6}}}
-	exact, err := b.CountSatisfying()
+	exact, err := b.CountSatisfying(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,8 +303,8 @@ func TestBooleanDuplicateLiteralDeduped(t *testing.T) {
 	}
 }
 
-// Property: for random small boolean DNFs, the block encoding's exact
-// fraction always equals exhaustive enumeration.
+// Property: for random small boolean DNFs, the block encoding's
+// brute-force fraction always equals exhaustive enumeration.
 func TestBooleanEncodingProperty(t *testing.T) {
 	f := func(raw [][3]int8, nv uint8) bool {
 		n := int(nv%5) + 1
@@ -348,22 +331,134 @@ func TestBooleanEncodingProperty(t *testing.T) {
 		if err := b.Validate(); err != nil {
 			return true // contradictory random clause: fine to reject
 		}
-		exact, err := b.CountSatisfying()
-		if err != nil {
-			return false
-		}
 		blk, err := b.ToBlock()
 		if err != nil {
 			return false
 		}
-		frac, err := blk.BruteForceFraction(0)
+		pair, err := blk.ToAdmissible()
 		if err != nil {
 			return false
 		}
-		want := float64(exact.Int64()) / math.Pow(2, float64(n))
+		frac, err := pair.BruteForceRatio(0)
+		if err != nil {
+			return false
+		}
+		want := float64(countByEnumeration(b)) / math.Pow(2, float64(n))
 		return math.Abs(frac-want) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// countByEnumeration counts the satisfying assignments of b by trying all
+// 2^NumVars of them: the oracle CountSatisfying is checked against.
+func countByEnumeration(b *Boolean) int64 {
+	count := int64(0)
+	for a := uint64(0); a < uint64(1)<<b.NumVars; a++ {
+		if b.satisfied(a) {
+			count++
+		}
+	}
+	return count
+}
+
+func (b *Boolean) satisfied(assignment uint64) bool {
+	for _, c := range b.Clauses {
+		ok := true
+		for _, l := range c {
+			v := l
+			want := true
+			if v < 0 {
+				v = -v
+				want = false
+			}
+			if (assignment>>(v-1))&1 == 1 != want {
+				ok = false
+				break
+			}
+		}
+		if ok {
+			return true
+		}
+	}
+	return false
+}
+
+// randomBoolean returns a DNF over n variables of the given number of
+// clauses, each of 1 to width distinct variables with random signs.
+func randomBoolean(src *mt.Source, n, clauses, width int) *Boolean {
+	b := &Boolean{NumVars: n}
+	for len(b.Clauses) < clauses {
+		vars := src.Perm(n)[:1+src.Intn(min(n, width))]
+		c := make([]int, len(vars))
+		for i, v := range vars {
+			c[i] = v + 1
+			if src.Intn(2) == 0 {
+				c[i] = -c[i]
+			}
+		}
+		b.Clauses = append(b.Clauses, c)
+	}
+	return b
+}
+
+// Property: on random formulas of 1 to 18 variables, CountSatisfying's
+// count through Exact equals enumeration's.
+func TestCountSatisfyingMatchesEnumeration(t *testing.T) {
+	src := mt.New(29)
+	for i := 0; i < 3000; i++ {
+		n := 1 + i%18
+		b := randomBoolean(src, n, 1+src.Intn(2*n), 3)
+		got, err := b.CountSatisfying(context.Background())
+		if err != nil {
+			t.Fatalf("formula %d (%d variables): %v", i, n, err)
+		}
+		if want := countByEnumeration(b); !got.IsInt64() || got.Int64() != want {
+			t.Fatalf("formula %d (%d variables, %d clauses): count %v, enumeration %d", i, n, len(b.Clauses), got, want)
+		}
+	}
+}
+
+// At 24 variables and 60 clauses, the size where enumeration was the
+// only exact count, Exact agrees with it.
+func TestCountSatisfyingMatchesEnumerationAt24Variables(t *testing.T) {
+	b := randomBoolean(mt.New(24), 24, 60, 3)
+	got, err := b.CountSatisfying(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := countByEnumeration(b); got.Int64() != want {
+		t.Fatalf("count %v, enumeration %d", got, want)
+	}
+}
+
+// A 3-DNF of 40 variables and 30 clauses, beyond enumeration's reach,
+// counts exactly: an integer within KLM's (ε, δ) estimate of it.
+func TestCountSatisfyingWideFormula(t *testing.T) {
+	b := randomBoolean(mt.New(40), 40, 30, 3)
+	got, err := b.CountSatisfying(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	approx, err := b.ApproxCountSatisfying(cqa.KLM, 0.05, 0.01, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exact, _ := new(big.Float).SetInt(got).Float64()
+	if a, _ := approx.Float64(); exact <= 0 || exact > math.Pow(2, 40) || math.Abs(a-exact) > 0.05*exact {
+		t.Fatalf("count %v, KLM estimate %v", got, approx)
+	}
+}
+
+// A formula whose clauses mention 46 variables is refused with the bound.
+func TestCountSatisfyingRefusesOverBound(t *testing.T) {
+	b := &Boolean{NumVars: 46}
+	for v := 1; v <= 46; v += 2 {
+		b.Clauses = append(b.Clauses, []int{v, -(v + 1)})
+	}
+	_, err := b.CountSatisfying(context.Background())
+	if err == nil || !strings.Contains(err.Error(), "45") {
+		t.Fatalf("error %v, want the 45-variable bound", err)
 	}
 }
