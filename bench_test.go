@@ -218,7 +218,8 @@ func BenchmarkFig5_Validation(b *testing.B) {
 	}
 }
 
-// benchPair returns a moderately sized admissible pair for the ablations.
+// ablationPair returns a moderately sized admissible pair for the sampler
+// ablations. internal/estimator's estimator ablations build the same pair.
 func ablationPair() *synopsis.Admissible {
 	pair := &synopsis.Admissible{}
 	src := mt.New(7)
@@ -255,31 +256,6 @@ func ablationPair() *synopsis.Admissible {
 		panic(err)
 	}
 	return pair
-}
-
-// BenchmarkAblation_OptEstimateVsHoeffding compares the optimal estimator
-// of [8] against the non-adaptive fixed-N baseline sized from the
-// worst-case 1/|H| mean lower bound — the design choice Section 4.2
-// attributes the KL(M) schemes' performance to.
-func BenchmarkAblation_OptEstimateVsHoeffding(b *testing.B) {
-	pair := ablationPair()
-	b.Run("OptEstimate", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			s := sampler.NewKL(pair)
-			if _, err := estimator.MonteCarloContext(context.Background(), s, 0.2, 0.3, mt.New(uint64(i)), estimator.Budget{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("FixedN", func(b *testing.B) {
-		lb := 1 / float64(pair.NumImages())
-		for i := 0; i < b.N; i++ {
-			s := sampler.NewKL(pair)
-			if _, err := estimator.FixedSamplesContext(context.Background(), s, 0.2, 0.3, lb, mt.New(uint64(i)), estimator.Budget{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkAblation_KLvsKLM_SamplerCost isolates the per-sample cost gap
@@ -411,30 +387,6 @@ func BenchmarkAblation_SynopsisSharing(b *testing.B) {
 				b.Fatal(err)
 			}
 			if _, _, err := cqa.ApxAnswersFromSetContext(context.Background(), set, cqa.KLM, opts); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkAblation_StoppingRuleVsAA compares the plain stopping-rule
-// estimator (one (eps, delta) pass) against the full three-step optimal
-// algorithm of [8]: the stopping rule alone needs ~1/(eps^2 mu) samples
-// where the AA algorithm adapts to the sampler's variance.
-func BenchmarkAblation_StoppingRuleVsAA(b *testing.B) {
-	pair := ablationPair()
-	b.Run("StoppingRule", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			s := sampler.NewKLM(pair)
-			if _, err := estimator.StoppingRuleContext(context.Background(), s, 0.2, 0.3, mt.New(uint64(i)), estimator.Budget{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("AA", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			s := sampler.NewKLM(pair)
-			if _, err := estimator.MonteCarloContext(context.Background(), s, 0.2, 0.3, mt.New(uint64(i)), estimator.Budget{}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -559,16 +560,17 @@ func TestFigureTraceOutAndManifest(t *testing.T) {
 		t.Errorf("trace manifest: %+v", chrome.Metadata.Manifest)
 	}
 
-	entries, err := func() ([]trace.JournalEntry, error) {
-		f, err := os.Open(filepath.Join(dir, "trace.jsonl"))
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return trace.ReadJournal(f)
-	}()
+	journal, err := os.ReadFile(filepath.Join(dir, "trace.jsonl"))
 	if err != nil {
 		t.Fatalf("journal: %v", err)
+	}
+	var entries []trace.JournalEntry
+	for dec := json.NewDecoder(bytes.NewReader(journal)); dec.More(); {
+		var e trace.JournalEntry
+		if err := dec.Decode(&e); err != nil {
+			t.Fatalf("journal entry %d: %v", len(entries), err)
+		}
+		entries = append(entries, e)
 	}
 	if len(entries) < 3 || entries[0].Type != "manifest" {
 		t.Fatalf("journal entries: %d, first %+v", len(entries), entries[0])

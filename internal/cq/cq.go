@@ -133,26 +133,6 @@ func (q *Query) NumConstants() int {
 	return n
 }
 
-// TotalAttrs returns the total number of attribute occurrences in the body.
-func (q *Query) TotalAttrs() int {
-	n := 0
-	for _, a := range q.Atoms {
-		n += len(a.Args)
-	}
-	return n
-}
-
-// ProjectionRatio returns |Out| over the number of distinct variables: the
-// fraction of the query's variables that are projected (the SQG's p
-// parameter applies to attributes; on generated queries each attribute
-// holds a distinct variable, so the two coincide).
-func (q *Query) ProjectionRatio() float64 {
-	if q.NumVars == 0 {
-		return 0
-	}
-	return float64(len(q.Out)) / float64(q.NumVars)
-}
-
 // WithOutput returns a copy of q whose answer variables are vars (which
 // must occur in the body). The dynamic query generator uses it to explore
 // projections of a fixed body.
@@ -238,18 +218,4 @@ func (q *Query) Vars() []int {
 		}
 	}
 	return out
-}
-
-// HasSelfJoin reports whether some relation name occurs in two atoms.
-// Self-join-free CQs are the well-behaved fragment in the CQA literature;
-// the generators expose this as a filter.
-func (q *Query) HasSelfJoin() bool {
-	seen := make(map[string]bool, len(q.Atoms))
-	for _, a := range q.Atoms {
-		if seen[a.Rel] {
-			return true
-		}
-		seen[a.Rel] = true
-	}
-	return false
 }

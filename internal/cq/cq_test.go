@@ -33,10 +33,10 @@ func TestParseBasic(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := q.Atoms[0]
-	if a.Rel != "R" || !a.Args[0].IsVar || a.Args[1].IsVar || a.Args[1].Const != d.MustOf("a") {
+	if a.Rel != "R" || !a.Args[0].IsVar || a.Args[1].IsVar || a.Args[1].Const != d.String("a") {
 		t.Fatalf("atom 0 = %+v", a)
 	}
-	if q.Atoms[1].Args[1].Const != d.MustOf(42) {
+	if q.Atoms[1].Args[1].Const != d.Int(42) {
 		t.Fatal("integer constant wrong")
 	}
 }
@@ -137,17 +137,21 @@ func TestStaticFeatures(t *testing.T) {
 	if got := q.NumConstants(); got != 2 {
 		t.Fatalf("NumConstants = %d, want 2", got)
 	}
-	if got := q.TotalAttrs(); got != 7 {
-		t.Fatalf("TotalAttrs = %d, want 7", got)
+	attrs := 0
+	for _, a := range q.Atoms {
+		attrs += len(a.Args)
 	}
-	if got := q.ProjectionRatio(); got != 0.5 {
-		t.Fatalf("ProjectionRatio = %v, want 0.5", got)
+	if attrs != 7 {
+		t.Fatalf("attribute occurrences = %d, want 7", attrs)
 	}
-	if !q.HasSelfJoin() {
+	if len(q.Out) != 1 || q.NumVars != 2 {
+		t.Fatalf("projects %d of %d variables, want 1 of 2", len(q.Out), q.NumVars)
+	}
+	if !hasSelfJoin(q) {
 		t.Fatal("self-join not detected")
 	}
 	q2 := MustParse("Q() :- R(x, y, z), S(u, v)", d)
-	if q2.HasSelfJoin() {
+	if hasSelfJoin(q2) {
 		t.Fatal("false self-join")
 	}
 	if q2.NumJoins() != 0 {
@@ -204,4 +208,16 @@ func TestRenderWithoutDict(t *testing.T) {
 	if got := q.String(); got != "Q(x) :- S(x, 7)" {
 		t.Fatalf("String = %q", got)
 	}
+}
+
+// hasSelfJoin reports whether some relation name occurs in two atoms.
+func hasSelfJoin(q *Query) bool {
+	seen := make(map[string]bool, len(q.Atoms))
+	for _, a := range q.Atoms {
+		if seen[a.Rel] {
+			return true
+		}
+		seen[a.Rel] = true
+	}
+	return false
 }

@@ -293,17 +293,6 @@ func (e *Evaluator) HasAnswer(q *cq.Query, t relation.Tuple) (bool, error) {
 	return found, err
 }
 
-// CountHomomorphisms returns the number of homomorphisms from q to the
-// database; used by the dynamic query parameters and by tests.
-func (e *Evaluator) CountHomomorphisms(q *cq.Query) (int, error) {
-	n := 0
-	err := e.EnumerateHomomorphisms(q, func(*Homomorphism) error {
-		n++
-		return nil
-	})
-	return n, err
-}
-
 // CountHomomorphismsUpTo counts homomorphisms but stops at limit,
 // reporting whether the count stayed within it. Scenario construction
 // uses it to reject queries whose evaluation would explode.

@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -204,9 +205,9 @@ func TestCountHomomorphisms(t *testing.T) {
 	db := smallDB(t)
 	e := NewEvaluator(db)
 	q := cq.MustParse("Q() :- R(a, b), S(b, y)", db.Dict)
-	n, err := e.CountHomomorphisms(q)
+	n, _, err := e.CountHomomorphismsUpTo(q, math.MaxInt)
 	if err != nil || n != 4 {
-		t.Fatalf("CountHomomorphisms = %d, %v; want 4", n, err)
+		t.Fatalf("homomorphisms = %d, %v; want 4", n, err)
 	}
 }
 
@@ -214,7 +215,7 @@ func TestCartesianProduct(t *testing.T) {
 	db := smallDB(t)
 	e := NewEvaluator(db)
 	q := cq.MustParse("Q() :- R(a, b), S(x, y)", db.Dict)
-	n, err := e.CountHomomorphisms(q)
+	n, _, err := e.CountHomomorphismsUpTo(q, math.MaxInt)
 	if err != nil || n != 9 {
 		t.Fatalf("cross product homs = %d, %v; want 9", n, err)
 	}
@@ -350,7 +351,7 @@ func TestAllConstantAtom(t *testing.T) {
 	db := smallDB(t)
 	e := NewEvaluator(db)
 	q := cq.MustParse("Q() :- R(1, 10), S(x, y)", db.Dict)
-	n, err := e.CountHomomorphisms(q)
+	n, _, err := e.CountHomomorphismsUpTo(q, math.MaxInt)
 	if err != nil || n != 3 {
 		t.Fatalf("constant-atom homs = %d, %v; want 3", n, err)
 	}
@@ -367,7 +368,7 @@ func BenchmarkJoinEnumeration(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		n, err := e.CountHomomorphisms(q)
+		n, _, err := e.CountHomomorphismsUpTo(q, math.MaxInt)
 		if err != nil || n == 0 {
 			b.Fatal(n, err)
 		}
@@ -393,7 +394,7 @@ func TestAtomOrderInvarianceProperty(t *testing.T) {
 			VarNames: q.VarNames,
 		}
 		count := func(query *cq.Query) (int, bool) {
-			n, err := NewEvaluator(db).CountHomomorphisms(query)
+			n, _, err := NewEvaluator(db).CountHomomorphismsUpTo(query, math.MaxInt)
 			return n, err == nil
 		}
 		n1, ok1 := count(q)

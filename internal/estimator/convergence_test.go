@@ -118,7 +118,7 @@ func checkTrajectory(t *testing.T, pts []TrajectoryPoint, res Result, phases ...
 func TestStoppingRuleTrajectory(t *testing.T) {
 	rec := NewRecorder(0)
 	ctx := WithRecorder(context.Background(), rec)
-	res, err := StoppingRuleContext(ctx, bernoulli{0.3}, 0.1, 0.1, mt.New(31), Budget{})
+	res, err := stoppingRule(ctx, bernoulli{0.3}, 0.1, 0.1, mt.New(31), Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestMonteCarloTrajectory(t *testing.T) {
 func TestFixedSamplesTrajectory(t *testing.T) {
 	rec := NewRecorder(0)
 	ctx := WithRecorder(context.Background(), rec)
-	res, err := FixedSamplesContext(ctx, bernoulli{0.4}, 0.1, 0.25, 0.1, mt.New(33), Budget{})
+	res, err := fixedSamples(ctx, bernoulli{0.4}, 0.1, 0.25, 0.1, mt.New(33), Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,13 +176,13 @@ func TestRecordingPreservesResults(t *testing.T) {
 		run  func(ctx context.Context) (Result, error)
 	}{
 		{"stopping", func(ctx context.Context) (Result, error) {
-			return StoppingRuleContext(ctx, bernoulli{0.3}, 0.1, 0.1, mt.New(41), Budget{})
+			return stoppingRule(ctx, bernoulli{0.3}, 0.1, 0.1, mt.New(41), Budget{})
 		}},
 		{"montecarlo", func(ctx context.Context) (Result, error) {
 			return MonteCarloContext(ctx, bernoulli{0.3}, 0.1, 0.25, mt.New(42), Budget{})
 		}},
 		{"fixed", func(ctx context.Context) (Result, error) {
-			return FixedSamplesContext(ctx, bernoulli{0.4}, 0.1, 0.25, 0.1, mt.New(43), Budget{})
+			return fixedSamples(ctx, bernoulli{0.4}, 0.1, 0.25, 0.1, mt.New(43), Budget{})
 		}},
 		{"coverage", func(ctx context.Context) (Result, error) {
 			return SelfAdjustingCoverageContext(ctx, sampler.NewSymbolic(pair), 0.1, 0.25, mt.New(44), Budget{})

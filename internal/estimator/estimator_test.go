@@ -30,7 +30,7 @@ func (c constant) Sample(*mt.Source) float64 { return c.v }
 
 func TestStoppingRuleAccuracy(t *testing.T) {
 	for _, p := range []float64{0.9, 0.5, 0.1} {
-		r, err := StoppingRuleContext(context.Background(), bernoulli{p}, 0.1, 0.1, mt.New(1), Budget{})
+		r, err := stoppingRule(context.Background(), bernoulli{p}, 0.1, 0.1, mt.New(1), Budget{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,7 +103,7 @@ func (d *drawCounter) WalkOne(_ *mt.Source, n int) {
 }
 
 // TestArgumentChecks shows every estimation call rejecting an ε or δ
-// outside (0, 1), NaN included, and FixedSamplesContext a mean lower
+// outside (0, 1), NaN included, and the fixedSamples baseline a mean lower
 // bound that is not positive, with ErrInvalidOptions before any draw.
 // The budget only bounds a call that fails to check.
 func TestArgumentChecks(t *testing.T) {
@@ -111,8 +111,8 @@ func TestArgumentChecks(t *testing.T) {
 	budget := Budget{MaxSamples: 1000}
 	type call func(d *drawCounter, eps, delta, meanLB float64) (Result, error)
 	calls := map[string]call{
-		"StoppingRuleContext": func(d *drawCounter, eps, delta, _ float64) (Result, error) {
-			return StoppingRuleContext(ctx, d, eps, delta, mt.New(1), budget)
+		"stoppingRule": func(d *drawCounter, eps, delta, _ float64) (Result, error) {
+			return stoppingRule(ctx, d, eps, delta, mt.New(1), budget)
 		},
 		"MonteCarloContext": func(d *drawCounter, eps, delta, _ float64) (Result, error) {
 			return MonteCarloContext(ctx, d, eps, delta, mt.New(1), budget)
@@ -121,8 +121,8 @@ func TestArgumentChecks(t *testing.T) {
 			p := Parallel{Seed: 1, Workers: 2, NewSampler: func() Sampler { return d }}
 			return MonteCarloParallel(ctx, p, eps, delta, budget)
 		},
-		"FixedSamplesContext": func(d *drawCounter, eps, delta, meanLB float64) (Result, error) {
-			return FixedSamplesContext(ctx, d, eps, delta, meanLB, mt.New(1), budget)
+		"fixedSamples": func(d *drawCounter, eps, delta, meanLB float64) (Result, error) {
+			return fixedSamples(ctx, d, eps, delta, meanLB, mt.New(1), budget)
 		},
 		"SelfAdjustingCoverageContext": func(d *drawCounter, eps, delta, _ float64) (Result, error) {
 			return SelfAdjustingCoverageContext(ctx, d, eps, delta, mt.New(1), budget)
@@ -136,7 +136,7 @@ func TestArgumentChecks(t *testing.T) {
 	}
 	for name, c := range calls {
 		cases := bad
-		if name == "FixedSamplesContext" {
+		if name == "fixedSamples" {
 			cases = append(cases, args{0.25, 0.25, 0}, args{0.25, 0.25, nan}, args{0.25, 0.25, -1})
 		}
 		for _, a := range cases {
@@ -227,14 +227,14 @@ func TestDeadlineWithinTwoChunks(t *testing.T) {
 }
 
 func TestFixedSamples(t *testing.T) {
-	r, err := FixedSamplesContext(context.Background(), bernoulli{0.4}, 0.1, 0.25, 0.1, mt.New(11), Budget{})
+	r, err := fixedSamples(context.Background(), bernoulli{0.4}, 0.1, 0.25, 0.1, mt.New(11), Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(r.Estimate-0.4) > 0.1*0.4 {
 		t.Fatalf("FixedSamples estimate = %v", r.Estimate)
 	}
-	if _, err := FixedSamplesContext(context.Background(), bernoulli{0.4}, 0.1, 0.25, 0, mt.New(1), Budget{}); err == nil {
+	if _, err := fixedSamples(context.Background(), bernoulli{0.4}, 0.1, 0.25, 0, mt.New(1), Budget{}); err == nil {
 		t.Fatal("zero mean lower bound accepted")
 	}
 }
@@ -242,7 +242,7 @@ func TestFixedSamples(t *testing.T) {
 func TestFixedSamplesWastefulVsOptimal(t *testing.T) {
 	// With a loose lower bound the fixed-N estimator must draw more than
 	// the optimal one on a high-mean sampler.
-	fixed, err := FixedSamplesContext(context.Background(), bernoulli{0.9}, 0.1, 0.25, 0.01, mt.New(12), Budget{})
+	fixed, err := fixedSamples(context.Background(), bernoulli{0.9}, 0.1, 0.25, 0.01, mt.New(12), Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}

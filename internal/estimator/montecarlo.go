@@ -1,17 +1,12 @@
 // Package estimator implements the estimation layer the approximation
-// schemes share (Section 4.2–4.3). Five calls make it up:
+// schemes share (Section 4.2–4.3). Three calls make it up:
 //
 //   - MonteCarloContext: the optimal Monte Carlo estimator of Dagum,
 //     Karp, Luby and Ross [8] (their 𝒜𝒜 algorithm), which the paper
 //     calls MonteCarlo[Sample] with OptEstimate[Sample] choosing the
 //     number of iterations; the two are fused here, exactly as in [8].
-//     MonteCarloParallel runs the same loops over seed-derived
-//     per-chunk substreams (see parallel.go).
-//   - StoppingRuleContext: the stopping rule of [8] on its own, the
-//     first phase of 𝒜𝒜; used by the ablation benchmarks.
-//   - FixedSamplesContext: a non-adaptive baseline that sizes the
-//     sample count from a worst-case lower bound on the mean via the
-//     zero-one estimator theorem; used by the ablation benchmarks.
+//   - MonteCarloParallel: the same loops over seed-derived per-chunk
+//     substreams (see parallel.go).
 //   - SelfAdjustingCoverageContext: Algorithm 6, the Karp–Luby–Madras
 //     self-adjusting coverage algorithm [15] over the symbolic space.
 //
@@ -64,8 +59,7 @@ var ErrBudget = errors.New("estimator: budget exhausted")
 var ErrCanceled = cqaerr.ErrCanceled
 
 // ErrInvalidOptions is wrapped by errors rejecting malformed estimation
-// parameters (ε or δ outside (0, 1), a FixedSamplesContext mean lower
-// bound that is not positive) before any sampling work starts.
+// parameters (ε or δ outside (0, 1)) before any sampling work starts.
 var ErrInvalidOptions = cqaerr.ErrInvalidOptions
 
 // Result reports an estimate together with the work performed.
@@ -179,10 +173,13 @@ func checkArgs(eps, delta float64) error {
 	return nil
 }
 
-// StoppingRuleContext implements the Stopping Rule Algorithm of [8]: it
-// draws samples until their running sum reaches Υ1 = 1 + (1+ε)Υ and
-// returns Υ1/N, an (ε, δ)-approximation of the mean provided the mean is
-// positive.
+// stoppingRuleLoop implements the Stopping Rule Algorithm of [8], the
+// first phase of monteCarloLoop: it draws samples until their running
+// sum reaches Υ1 = 1 + (1+ε)Υ and returns Υ1/N, an (ε, δ)-approximation
+// of the mean provided the mean is positive. It draws from the stream
+// monteCarloLoop was given (a chunkScheduler under MonteCarloParallel);
+// budget accounting, cancellation polling and convergence-recorder
+// points are identical either way.
 //
 // Draws are consumed in chunks bounded by ⌊Υ1 − sum⌋: samples lie in
 // [0, 1], so the running sum cannot cross Υ1 before that many further
@@ -191,18 +188,6 @@ func checkArgs(eps, delta float64) error {
 // the same stream order — as the one-at-a-time loop. The context is
 // polled at every chunk boundary, so an abort is observed within one
 // batchSize chunk of draws.
-func StoppingRuleContext(ctx context.Context, s Sampler, eps, delta float64, src *mt.Source, budget Budget) (Result, error) {
-	if err := checkArgs(eps, delta); err != nil {
-		return Result{}, err
-	}
-	return stoppingRuleLoop(ctx, &seqStream{br: newBatcher(s), src: src}, eps, delta, budget)
-}
-
-// stoppingRuleLoop is the stopping-rule core, parameterized by the draw
-// supply: StoppingRuleContext hands it a seqStream, and monteCarloLoop,
-// as its first phase, the stream it was given (a chunkScheduler under
-// MonteCarloParallel). Budget accounting, cancellation polling and
-// convergence-recorder points are identical either way.
 func stoppingRuleLoop(ctx context.Context, ds drawStream, eps, delta float64, budget Budget) (Result, error) {
 	bt := &budgetTracker{budget: budget, ctx: trackerCtx(ctx)}
 	rec := RecorderFrom(ctx)
@@ -345,32 +330,9 @@ func recordMCMetrics(res Result) {
 	r.Counter("estimator_mc_samples_total", obs.L("phase", "final")).Add(res.Phases[2])
 }
 
-// FixedSamplesContext estimates E[Sample] with a sample count fixed up
-// front from a lower bound on the mean: N = ⌈Υ/meanLB⌉, the generalized
-// zero-one estimator theorem bound of [8] with the worst-case variance
-// ρ ≤ μ. It is correct whenever E[Sample] ≥ meanLB but typically draws
-// far more samples than MonteCarloContext; the ablation benchmarks
-// quantify the gap. meanLB must be positive. The context is polled at
-// chunk boundaries, as in MonteCarloContext.
-func FixedSamplesContext(ctx context.Context, s Sampler, eps, delta, meanLB float64, src *mt.Source, budget Budget) (Result, error) {
-	if err := checkArgs(eps, delta); err != nil {
-		return Result{}, err
-	}
-	if !(meanLB > 0) {
-		return Result{}, fmt.Errorf("estimator: require a positive mean lower bound, got %v: %w", meanLB, ErrInvalidOptions)
-	}
-	bt := &budgetTracker{budget: budget, ctx: trackerCtx(ctx)}
-	n := int64(math.Ceil(upsilon(eps, delta) / meanLB))
-	est, err := fixedLoop(&seqStream{br: newBatcher(s), src: src}, n, bt, RecorderFrom(ctx), "fixed")
-	if err != nil {
-		return Result{Samples: bt.samples}, err
-	}
-	return Result{Estimate: est, Samples: bt.samples}, nil
-}
-
 // fixedLoop draws max(n, 1) samples from ds in chunks and returns their
-// mean. It is the 𝒜𝒜 final phase and the whole of FixedSamplesContext;
-// phase names the recorder's checkpoints.
+// mean. It is the 𝒜𝒜 final phase; phase names the recorder's
+// checkpoints.
 func fixedLoop(ds drawStream, n int64, bt *budgetTracker, rec *Recorder, phase string) (float64, error) {
 	n = max(n, 1)
 	var sum float64

@@ -272,7 +272,7 @@ func TestBatchedLoopsMatchSequential(t *testing.T) {
 					tag := pname + "/" + sname
 
 					seq, seqErr := seqStoppingRule(mk(), 0.3, 0.2, mt.New(seed), budget)
-					bat, batErr := StoppingRuleContext(context.Background(), mk(), 0.3, 0.2, mt.New(seed), budget)
+					bat, batErr := stoppingRule(context.Background(), mk(), 0.3, 0.2, mt.New(seed), budget)
 					sameResult(t, tag+"/StoppingRule", seq, bat, seqErr, batErr)
 
 					seq, seqErr = seqMonteCarlo(mk(), 0.25, 0.3, mt.New(seed), budget)
@@ -280,7 +280,7 @@ func TestBatchedLoopsMatchSequential(t *testing.T) {
 					sameResult(t, tag+"/MonteCarlo", seq, bat, seqErr, batErr)
 
 					seq, seqErr = seqFixedSamples(mk(), 0.3, 0.3, 0.05, mt.New(seed), budget)
-					bat, batErr = FixedSamplesContext(context.Background(), mk(), 0.3, 0.3, 0.05, mt.New(seed), budget)
+					bat, batErr = fixedSamples(context.Background(), mk(), 0.3, 0.3, 0.05, mt.New(seed), budget)
 					sameResult(t, tag+"/FixedSamples", seq, bat, seqErr, batErr)
 				}
 			}

@@ -60,20 +60,6 @@ func (f *Figure) seriesPoints(s cqa.Scheme) []Point {
 	return nil
 }
 
-// WinnerAt returns the fastest scheme at one level.
-func (f *Figure) WinnerAt(level float64) (cqa.Scheme, bool) {
-	best := cqa.Scheme(-1)
-	var bestMean time.Duration
-	for _, ser := range f.Series {
-		for _, p := range ser.Points {
-			if p.Level == level && (best < 0 || p.Mean < bestMean) {
-				best, bestMean = ser.Scheme, p.Mean
-			}
-		}
-	}
-	return best, best >= 0
-}
-
 // CrossoverSummary reports, for every ordered scheme pair, where the
 // second overtakes the first — the textual companion to the figures.
 func (f *Figure) CrossoverSummary() string {

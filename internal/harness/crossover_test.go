@@ -57,21 +57,6 @@ func TestCrossoverAbsentWhenDominated(t *testing.T) {
 	}
 }
 
-func TestWinnerAt(t *testing.T) {
-	fig := crossoverFigure()
-	w, ok := fig.WinnerAt(0)
-	if !ok || w != cqa.Natural {
-		t.Fatalf("winner at 0 = %v", w)
-	}
-	w, ok = fig.WinnerAt(100)
-	if !ok || w != cqa.KLM {
-		t.Fatalf("winner at 100 = %v", w)
-	}
-	if _, ok := fig.WinnerAt(999); ok {
-		t.Fatal("winner at absent level")
-	}
-}
-
 func TestCrossoverSummary(t *testing.T) {
 	fig := crossoverFigure()
 	s := fig.CrossoverSummary()

@@ -525,18 +525,3 @@ func (f *Figure) Winner() cqa.Scheme {
 	}
 	return best
 }
-
-// TotalMean returns a scheme's summed mean runtime across levels, for
-// ordering comparisons in tests and EXPERIMENTS.md.
-func (f *Figure) TotalMean(s cqa.Scheme) time.Duration {
-	for _, ser := range f.Series {
-		if ser.Scheme == s {
-			var total time.Duration
-			for _, p := range ser.Points {
-				total += p.Mean
-			}
-			return total
-		}
-	}
-	return 0
-}

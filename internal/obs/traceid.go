@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"context"
 	cryptorand "crypto/rand"
 	"encoding/hex"
 	"sync/atomic"
@@ -9,10 +8,7 @@ import (
 )
 
 // Trace IDs tie one request's spans, access-log line and debug records
-// together. They are carried on the context.Context beside the span, so
-// any layer reached by the request's context can attribute its work.
-
-type traceIDKey struct{}
+// together.
 
 var traceIDFallback atomic.Uint64
 
@@ -48,15 +44,4 @@ func IsValidTraceID(s string) bool {
 		}
 	}
 	return true
-}
-
-// WithTraceID returns a context carrying id.
-func WithTraceID(ctx context.Context, id string) context.Context {
-	return context.WithValue(ctx, traceIDKey{}, id)
-}
-
-// TraceIDFromContext returns the trace ID carried by ctx, or "".
-func TraceIDFromContext(ctx context.Context) string {
-	id, _ := ctx.Value(traceIDKey{}).(string)
-	return id
 }

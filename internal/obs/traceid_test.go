@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"context"
 	"strings"
 	"testing"
 )
@@ -32,22 +31,5 @@ func TestIsValidTraceID(t *testing.T) {
 		if IsValidTraceID(s) {
 			t.Errorf("IsValidTraceID(%q) = true, want false", s)
 		}
-	}
-}
-
-func TestTraceIDContextRoundTrip(t *testing.T) {
-	ctx := context.Background()
-	if got := TraceIDFromContext(ctx); got != "" {
-		t.Fatalf("empty context carries trace id %q", got)
-	}
-	ctx = WithTraceID(ctx, "abc123")
-	if got := TraceIDFromContext(ctx); got != "abc123" {
-		t.Fatalf("round trip = %q, want abc123", got)
-	}
-	// A child context (e.g. one carrying a span) keeps the ID.
-	child, sp := StartSpan(ctx, "stage")
-	defer sp.End()
-	if got := TraceIDFromContext(child); got != "abc123" {
-		t.Fatalf("child context trace id = %q", got)
 	}
 }

@@ -117,9 +117,6 @@ func (w *WindowedHistogram) Windows() []time.Duration {
 	return append([]time.Duration(nil), w.windows...)
 }
 
-// Cumulative returns the underlying whole-process histogram.
-func (w *WindowedHistogram) Cumulative() *Histogram { return w.hist }
-
 // slotAt returns the ring slot for absolute interval idx, resetting it
 // if it still holds a previous lap's data. Caller holds w.mu.
 func (w *WindowedHistogram) slotAt(idx int64) *winSlot {

@@ -51,7 +51,7 @@ func TestWindowedHistogramQuantilesAndDecay(t *testing.T) {
 	if s := wh.WindowSnapshot(5 * time.Minute); s.Count != 100 {
 		t.Fatalf("5m window after 2m idle: count=%d, want 100", s.Count)
 	}
-	if s := wh.Cumulative().Snapshot(); s.Count != 100 {
+	if s := wh.hist.Snapshot(); s.Count != 100 {
 		t.Fatalf("cumulative count = %d, want 100", s.Count)
 	}
 
@@ -100,7 +100,7 @@ func TestWindowedHistogramDefaultsAndReuse(t *testing.T) {
 	if again := r.WindowedHistogram("x_seconds", []time.Duration{time.Hour}); again != wh {
 		t.Fatal("second WindowedHistogram call did not reuse the ring")
 	}
-	if r.Histogram("x_seconds") != wh.Cumulative() {
+	if r.Histogram("x_seconds") != wh.hist {
 		t.Fatal("Histogram() does not alias the windowed cumulative histogram")
 	}
 }
@@ -180,7 +180,7 @@ func TestWindowedHistogramConcurrent(t *testing.T) {
 	close(stop)
 	<-exporterDone
 
-	if got := wh.Cumulative().Snapshot().Count; got != 8000 {
+	if got := wh.hist.Snapshot().Count; got != 8000 {
 		t.Fatalf("cumulative count = %d, want 8000", got)
 	}
 }
@@ -275,7 +275,7 @@ func TestWindowedHistogramClockBackwards(t *testing.T) {
 	if s := wh.WindowSnapshot(time.Minute); s.Count != 2 || s.Min != 1.0 || s.Max != 2.0 {
 		t.Fatalf("recovered snapshot = %+v, want both points", s)
 	}
-	if got := wh.Cumulative().Snapshot().Count; got != 2 {
+	if got := wh.hist.Snapshot().Count; got != 2 {
 		t.Fatalf("cumulative count = %d, want 2", got)
 	}
 	// A pre-epoch clock produces negative slot indices; reads and writes

@@ -50,8 +50,12 @@ func TestSQGStaticParameters(t *testing.T) {
 		if got := q.NumConstants(); got != 2 {
 			t.Fatalf("j=%d: NumConstants = %d", joins, got)
 		}
-		if q.HasSelfJoin() {
-			t.Fatalf("j=%d: generated self-join", joins)
+		rels := make(map[string]bool, len(q.Atoms))
+		for _, a := range q.Atoms {
+			if rels[a.Rel] {
+				t.Fatalf("j=%d: generated self-join on %s", joins, a.Rel)
+			}
+			rels[a.Rel] = true
 		}
 		if err := q.Validate(db.Schema); err != nil {
 			t.Fatal(err)

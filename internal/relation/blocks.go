@@ -110,22 +110,6 @@ func IsConsistentDB(db *Database) bool {
 	return BuildBlocks(db).IsConsistent()
 }
 
-// NoiseFraction measures the amount of inconsistency in db: the fraction
-// of blocks that are non-singletons. The harness reports it alongside the
-// noise generator's requested percentage.
-func (bi *BlockIndex) NoiseFraction() float64 {
-	if len(bi.Blocks) == 0 {
-		return 0
-	}
-	bad := 0
-	for i := range bi.Blocks {
-		if len(bi.Blocks[i].Facts) > 1 {
-			bad++
-		}
-	}
-	return float64(bad) / float64(len(bi.Blocks))
-}
-
 // SatisfiesKeys reports whether the given set of facts (as a sub-database
 // of db) is consistent, i.e. no two facts in the set fall in the same
 // block. The synopsis builder uses it to test h(Q) |= Σ.

@@ -174,17 +174,6 @@ func (db *Database) KeyValue(f FactRef) string {
 	return def.Name + "\x00" + encodeTuple(t, k)
 }
 
-// AllFacts returns every FactRef in deterministic order.
-func (db *Database) AllFacts() []FactRef {
-	out := make([]FactRef, 0, db.NumFacts())
-	for ri, tb := range db.Tables {
-		for row := range tb.Tuples {
-			out = append(out, FactRef{int32(ri), int32(row)})
-		}
-	}
-	return out
-}
-
 // Clone returns a deep copy of the database sharing the schema but with an
 // independent Dict-compatible state (the Dict itself is shared: Values are
 // stable identifiers, and clones only ever add facts, never constants that

@@ -70,12 +70,12 @@ func TestDictIntDirect(t *testing.T) {
 
 func TestDictLookup(t *testing.T) {
 	d := NewDict()
-	if _, ok := d.Lookup("x"); ok {
+	if _, ok := d.byStr["x"]; ok {
 		t.Fatal("lookup of absent string succeeded")
 	}
 	v := d.String("x")
-	got, ok := d.Lookup("x")
-	if !ok || got != v {
+	got, err := d.Of("x")
+	if err != nil || got != v || d.Size() != 1 {
 		t.Fatal("lookup of present string failed")
 	}
 }
@@ -104,7 +104,7 @@ func TestTupleOps(t *testing.T) {
 	if a[0] == 9 {
 		t.Fatal("Clone aliases")
 	}
-	if p := a.Project([]int{2, 0}); !p.Equal(Tuple{3, 1}) {
+	if p := project(a, []int{2, 0}); !p.Equal(Tuple{3, 1}) {
 		t.Fatalf("Project = %v", p)
 	}
 	if !c.Less(a) || a.Less(c) {
@@ -193,11 +193,11 @@ func TestInsertErrors(t *testing.T) {
 
 func TestContains(t *testing.T) {
 	db := exampleDB(t)
-	tup := Tuple{db.Dict.Int(1), db.Dict.MustOf("Bob"), db.Dict.MustOf("HR")}
+	tup := Tuple{db.Dict.Int(1), db.Dict.String("Bob"), db.Dict.String("HR")}
 	if !db.Contains("Employee", tup) {
 		t.Fatal("Contains missed present fact")
 	}
-	tup2 := Tuple{db.Dict.Int(9), db.Dict.MustOf("Bob"), db.Dict.MustOf("HR")}
+	tup2 := Tuple{db.Dict.Int(9), db.Dict.String("Bob"), db.Dict.String("HR")}
 	if db.Contains("Employee", tup2) {
 		t.Fatal("Contains found absent fact")
 	}
@@ -234,8 +234,8 @@ func TestBlocksExample(t *testing.T) {
 	if len(bi.NonSingletonBlocks()) != 2 {
 		t.Fatal("NonSingletonBlocks wrong")
 	}
-	if bi.NoiseFraction() != 1.0 {
-		t.Fatalf("NoiseFraction = %v, want 1", bi.NoiseFraction())
+	if n := len(bi.NonSingletonBlocks()); n != len(bi.Blocks) {
+		t.Fatalf("%d of %d blocks are non-singletons, want all", n, len(bi.Blocks))
 	}
 }
 
@@ -300,8 +300,8 @@ func TestConsistentDB(t *testing.T) {
 		t.Fatal("consistent DB reported inconsistent")
 	}
 	bi := BuildBlocks(db)
-	if bi.NoiseFraction() != 0 {
-		t.Fatal("noise fraction of consistent DB nonzero")
+	if len(bi.NonSingletonBlocks()) != 0 {
+		t.Fatal("consistent DB has a non-singleton block")
 	}
 	if bi.NumRepairs().Cmp(big.NewInt(1)) != 0 {
 		t.Fatal("consistent DB should have exactly one repair")
@@ -336,12 +336,12 @@ func TestRestrict(t *testing.T) {
 
 func TestAllFactsDeterministic(t *testing.T) {
 	db := exampleDB(t)
-	fs := db.AllFacts()
+	fs := allFacts(db)
 	if len(fs) != 4 {
-		t.Fatalf("AllFacts len = %d", len(fs))
+		t.Fatalf("allFacts len = %d", len(fs))
 	}
 	if !sort.SliceIsSorted(fs, func(i, j int) bool { return fs[i].Less(fs[j]) }) {
-		t.Fatal("AllFacts not sorted")
+		t.Fatal("allFacts not sorted")
 	}
 }
 
@@ -369,7 +369,7 @@ func TestBlockPartitionProperty(t *testing.T) {
 			return false
 		}
 		// Every fact's BlockOf contains it.
-		for _, fr := range db.AllFacts() {
+		for _, fr := range allFacts(db) {
 			b := bi.BlockOf(fr)
 			found := false
 			for _, g := range b.Facts {
@@ -462,7 +462,7 @@ func TestKeyValueBlockEquivalenceProperty(t *testing.T) {
 			db.MustInsert("R", int(r.A%3), int(r.B%3), int(r.V%5))
 		}
 		bi := BuildBlocks(db)
-		facts := db.AllFacts()
+		facts := allFacts(db)
 		for i := range facts {
 			for j := range facts {
 				sameBlock := bi.BlockID(facts[i]) == bi.BlockID(facts[j])
@@ -477,4 +477,24 @@ func TestKeyValueBlockEquivalenceProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// project returns the projection of t over positions (0-based).
+func project(t Tuple, positions []int) Tuple {
+	p := make(Tuple, len(positions))
+	for i, pos := range positions {
+		p[i] = t[pos]
+	}
+	return p
+}
+
+// allFacts returns every FactRef of db in table then row order.
+func allFacts(db *Database) []FactRef {
+	out := make([]FactRef, 0, db.NumFacts())
+	for ri, tb := range db.Tables {
+		for row := range tb.Tuples {
+			out = append(out, FactRef{int32(ri), int32(row)})
+		}
+	}
+	return out
 }

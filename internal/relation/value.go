@@ -54,13 +54,6 @@ func (d *Dict) Int(i int64) Value {
 	return d.String(strconv.FormatInt(i, 10))
 }
 
-// Lookup returns the Value of an already-interned string and whether it
-// exists, without interning it.
-func (d *Dict) Lookup(s string) (Value, bool) {
-	v, ok := d.byStr[s]
-	return v, ok
-}
-
 // Of converts a Go value (int, int64, string, or Value) into a Value.
 func (d *Dict) Of(x any) (Value, error) {
 	switch t := x.(type) {
@@ -77,16 +70,6 @@ func (d *Dict) Of(x any) (Value, error) {
 	default:
 		return 0, fmt.Errorf("relation: unsupported constant type %T", x)
 	}
-}
-
-// MustOf is Of but panics on unsupported types; intended for literals in
-// tests and examples.
-func (d *Dict) MustOf(x any) Value {
-	v, err := d.Of(x)
-	if err != nil {
-		panic(err)
-	}
-	return v
 }
 
 // Render formats a Value for display.
@@ -125,15 +108,6 @@ func (t Tuple) Clone() Tuple {
 	c := make(Tuple, len(t))
 	copy(c, t)
 	return c
-}
-
-// Project returns the projection of t over positions (0-based).
-func (t Tuple) Project(positions []int) Tuple {
-	p := make(Tuple, len(positions))
-	for i, pos := range positions {
-		p[i] = t[pos]
-	}
-	return p
 }
 
 // Less orders tuples lexicographically; used for deterministic output.

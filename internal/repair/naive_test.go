@@ -29,7 +29,7 @@ func TestNaiveNaturalFreqMatchesExact(t *testing.T) {
 func TestNaiveNaturalFreqNonBoolean(t *testing.T) {
 	db := employeeDB(t)
 	q := cq.MustParse("Q(n) :- Employee(2, n, d)", db.Dict)
-	r, err := NaiveNaturalFreq(db, q, relation.Tuple{db.Dict.MustOf("Alice")}, 0.1, 0.25, mt.New(2), estimator.Budget{})
+	r, err := NaiveNaturalFreq(db, q, relation.Tuple{db.Dict.String("Alice")}, 0.1, 0.25, mt.New(2), estimator.Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestNaiveNaturalFreqNonBoolean(t *testing.T) {
 func TestNaiveNaturalFreqZero(t *testing.T) {
 	db := employeeDB(t)
 	q := cq.MustParse("Q(n) :- Employee(2, n, d)", db.Dict)
-	_, err := NaiveNaturalFreq(db, q, relation.Tuple{db.Dict.MustOf("Zed")}, 0.1, 0.25, mt.New(3), estimator.Budget{})
+	_, err := NaiveNaturalFreq(db, q, relation.Tuple{db.Dict.String("Zed")}, 0.1, 0.25, mt.New(3), estimator.Budget{})
 	if !errors.Is(err, ErrFreqZero) {
 		t.Fatalf("err = %v, want ErrFreqZero", err)
 	}

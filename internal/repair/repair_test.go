@@ -130,7 +130,7 @@ func TestExampleRelativeFrequency(t *testing.T) {
 func TestExactRelativeFreqNonBoolean(t *testing.T) {
 	db := employeeDB(t)
 	q := cq.MustParse("Q(n) :- Employee(2, n, d)", db.Dict)
-	fAlice, err := ExactRelativeFreq(db, q, relation.Tuple{db.Dict.MustOf("Alice")}, 0)
+	fAlice, err := ExactRelativeFreq(db, q, relation.Tuple{db.Dict.String("Alice")}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestExactRelativeFreqNonBoolean(t *testing.T) {
 	}
 	// Bob works somewhere in every repair.
 	qb := cq.MustParse("Q(n) :- Employee(1, n, d)", db.Dict)
-	fBob, err := ExactRelativeFreq(db, qb, relation.Tuple{db.Dict.MustOf("Bob")}, 0)
+	fBob, err := ExactRelativeFreq(db, qb, relation.Tuple{db.Dict.String("Bob")}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestExactRelativeFreqNonBoolean(t *testing.T) {
 		t.Fatalf("freq(Bob) = %v, want 1", fBob)
 	}
 	// A name not in the database has frequency 0.
-	fZed, err := ExactRelativeFreq(db, qb, relation.Tuple{db.Dict.MustOf("Zed")}, 0)
+	fZed, err := ExactRelativeFreq(db, qb, relation.Tuple{db.Dict.String("Zed")}, 0)
 	if err != nil || fZed != 0 {
 		t.Fatalf("freq(Zed) = %v, %v; want 0", fZed, err)
 	}

@@ -75,13 +75,6 @@ func (q QuotaSpec) Normalized() QuotaSpec {
 	return q
 }
 
-// Unlimited reports whether the quota imposes no limit at all — every
-// field zero after normalization.
-func (q QuotaSpec) Unlimited() bool {
-	n := q.Normalized()
-	return n.Rate == 0 && n.Burst == 0 && n.WorkRate == 0 && n.WorkBurst == 0 && n.MaxConcurrent == 0
-}
-
 // MaxInstanceWeight bounds DRR weights; weights are small integers,
 // and the ceiling keeps deficit arithmetic far from overflow.
 const MaxInstanceWeight = 1 << 20

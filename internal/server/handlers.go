@@ -241,8 +241,8 @@ func (r *statusRecorder) WriteHeader(code int) {
 
 // instrument wraps a handler with the full request-scoped observability
 // substrate: a trace ID (generated, or accepted from a well-formed
-// inbound X-Request-ID) echoed as X-Trace-ID and carried on the context,
-// a root span the admission path and handlers hang children off
+// inbound X-Request-ID) echoed as X-Trace-ID and kept on the request's
+// state, a root span the admission path and handlers hang children off
 // (queue.wait, synopsis, estimate), the request counter and windowed
 // latency histogram — both labeled by the instance the request resolved
 // to ("none" before resolution) — one structured access-log line, and a
@@ -255,8 +255,7 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 			id = obs.NewTraceID()
 		}
 		st := &reqState{rec: RequestRecord{TraceID: id, Endpoint: endpoint, Start: start}}
-		ctx := obs.WithTraceID(r.Context(), id)
-		ctx = context.WithValue(ctx, reqStateKey{}, st)
+		ctx := context.WithValue(r.Context(), reqStateKey{}, st)
 		ctx, span := obs.StartSpan(ctx, "server."+endpoint)
 		st.span = span
 		w.Header().Set("X-Trace-ID", id)

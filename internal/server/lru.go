@@ -135,14 +135,6 @@ func (l *synopsisLRU) dropInstance(instance string) {
 	l.publish()
 }
 
-// residentBytes reports the currently charged bytes (for tests and the
-// instance listing).
-func (l *synopsisLRU) residentBytes() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.resident
-}
-
 // residentFor counts the resident entries of one instance.
 func (l *synopsisLRU) residentFor(instance string) (entries int, bytes int64) {
 	l.mu.Lock()

@@ -63,8 +63,8 @@ func TestSynopsisLRUEvictsUnderBudget(t *testing.T) {
 		if err := json.Unmarshal([]byte(respBody), &resp); err != nil {
 			t.Fatal(err)
 		}
-		if got := s.ResidentSynopsisBytes(); got > budget {
-			t.Fatalf("resident synopsis bytes %d exceed budget %d", got, budget)
+		if got := s.Registry().Gauge("synopsis_resident_bytes").Value(); got > float64(budget) {
+			t.Fatalf("resident synopsis bytes %v exceed budget %d", got, budget)
 		}
 		return resp
 	}
@@ -132,8 +132,8 @@ func TestSynopsisLRUOversizeEntry(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("estimate = %d: %s", status, body)
 	}
-	if got := s.ResidentSynopsisBytes(); got != 0 {
-		t.Fatalf("resident bytes = %d, want 0 for oversize entry", got)
+	if got := s.Registry().Gauge("synopsis_resident_bytes").Value(); got != 0 {
+		t.Fatalf("resident bytes = %v, want 0 for oversize entry", got)
 	}
 	if v := s.Registry().Counter("synopsis_oversize_total", obs.L("instance", "default")).Value(); v != 1 {
 		t.Fatalf("synopsis_oversize_total = %v, want 1", v)
@@ -158,8 +158,8 @@ func TestSynopsisLRUUnit(t *testing.T) {
 	if _, ok := l.get(lruKey{"b", "q1"}); ok {
 		t.Fatal("cold entry b/q1 survived over-budget insert")
 	}
-	if got := l.residentBytes(); got != 80 {
-		t.Fatalf("resident = %d, want 80", got)
+	if got := reg.Gauge("synopsis_resident_bytes").Value(); got != 80 {
+		t.Fatalf("resident = %v, want 80", got)
 	}
 
 	// A duplicate put keeps (and returns) the first stored set.
@@ -169,8 +169,8 @@ func TestSynopsisLRUUnit(t *testing.T) {
 	}
 
 	l.dropInstance("a")
-	if got := l.residentBytes(); got != 0 {
-		t.Fatalf("resident after dropInstance = %d, want 0", got)
+	if got := reg.Gauge("synopsis_resident_bytes").Value(); got != 0 {
+		t.Fatalf("resident after dropInstance = %v, want 0", got)
 	}
 	if n, _ := l.residentFor("a"); n != 0 {
 		t.Fatalf("instance a entries = %d, want 0", n)

@@ -129,8 +129,8 @@ func TestInstanceRegistryLifecycle(t *testing.T) {
 	if status, _, body := doJSON(t, "DELETE", ts.URL+"/v1/instances/tiny", ""); status != http.StatusOK {
 		t.Fatalf("delete = %d: %s", status, body)
 	}
-	if got := s.ResidentSynopsisBytes(); got != 0 {
-		t.Fatalf("resident bytes after delete = %d, want 0", got)
+	if got := s.Registry().Gauge("synopsis_resident_bytes").Value(); got != 0 {
+		t.Fatalf("resident bytes after delete = %v, want 0", got)
 	}
 	if status, code, _ := doJSON(t, "DELETE", ts.URL+"/v1/instances/tiny", ""); status != http.StatusNotFound || code != "unknown_instance" {
 		t.Fatalf("double delete = %d/%s, want 404/unknown_instance", status, code)

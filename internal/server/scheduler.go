@@ -393,15 +393,3 @@ func (s *scheduler) queued(name string) int {
 	}
 	return 0
 }
-
-// admittedTotal reports running + waiting requests across all tenants
-// (test accessor; the old single-queue admission counter equivalent).
-func (s *scheduler) admittedTotal() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := s.running
-	for _, t := range s.tenants {
-		n += len(t.waiters)
-	}
-	return int64(n)
-}

@@ -265,7 +265,19 @@ func TestSchedulerPatchGeneration(t *testing.T) {
 		t.Fatalf("conditional patch = (%d, %v), want (2, nil)", gen2, err)
 	}
 	// The empty quota cleared the limits.
-	if _, q, _ := s.policy("a"); q == nil || !q.Unlimited() {
+	if _, q, _ := s.policy("a"); q == nil || q.Normalized() != (scenario.QuotaSpec{}) {
 		t.Fatalf("cleared quota = %+v, want unlimited", q)
 	}
+}
+
+// admittedTotal reports running + waiting requests across all tenants
+// (the old single-queue admission counter equivalent).
+func (s *scheduler) admittedTotal() int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := s.running
+	for _, t := range s.tenants {
+		n += len(t.waiters)
+	}
+	return int64(n)
 }

@@ -384,10 +384,6 @@ func (s *Server) Registry() *obs.Registry { return s.reg }
 // Instances returns the registered instances, sorted by name.
 func (s *Server) Instances() []*Instance { return s.instances.list() }
 
-// ResidentSynopsisBytes reports the bytes currently charged against the
-// synopsis memory budget. Exposed for tests and capacity checks.
-func (s *Server) ResidentSynopsisBytes() int64 { return s.lru.residentBytes() }
-
 // refreshUptime recomputes server_uptime_seconds; the metrics handlers
 // call it per scrape so the gauge is current without a ticker goroutine.
 func (s *Server) refreshUptime() {

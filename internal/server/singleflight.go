@@ -115,14 +115,3 @@ func (g *flightGroup) do(ctx context.Context, key flightKey, fn func() *flightRe
 	close(call.done)
 	return call.result, false
 }
-
-// waitersFor reports how many followers are blocked on key right now;
-// test-only synchronization for deterministic coalescing tests.
-func (g *flightGroup) waitersFor(key flightKey) int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if call, ok := g.m[key]; ok {
-		return call.waiters
-	}
-	return 0
-}

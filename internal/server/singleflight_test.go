@@ -186,3 +186,14 @@ func TestFlightGroupFollowerDetach(t *testing.T) {
 		t.Fatal("completed flight was reused as a cache")
 	}
 }
+
+// waitersFor reports how many followers are blocked on key right now,
+// so coalescing tests can wait for them deterministically.
+func (g *flightGroup) waitersFor(key flightKey) int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if call, ok := g.m[key]; ok {
+		return call.waiters
+	}
+	return 0
+}

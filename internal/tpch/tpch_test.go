@@ -2,6 +2,7 @@ package tpch
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"cqabench/internal/cq"
@@ -120,7 +121,7 @@ func TestJoinsProduceAnswers(t *testing.T) {
 	q := cq.MustParse(
 		"Q(n) :- customer(c, n, a, nk, ph, b, seg, cm), orders(o, c, st, tp, d, pr, cl, sp, ocm)",
 		db.Dict)
-	n, err := ev.CountHomomorphisms(q)
+	n, _, err := ev.CountHomomorphismsUpTo(q, math.MaxInt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +132,7 @@ func TestJoinsProduceAnswers(t *testing.T) {
 	q3 := cq.MustParse(
 		"Q() :- orders(o, c, st, tp, d, pr, cl, sp, ocm), lineitem(o, ln, p, s, qy, ep, di, tx, rf, ls, sd, cd, rd, si, sm, lc), part(p, pn, mf, br, ty, sz, cn, rp, pc)",
 		db.Dict)
-	n3, err := ev.CountHomomorphisms(q3)
+	n3, _, err := ev.CountHomomorphismsUpTo(q3, math.MaxInt)
 	if err != nil {
 		t.Fatal(err)
 	}
