@@ -113,9 +113,9 @@ func registerBenchResult(b *testing.B, samplesPerOp float64) {
 	b.Helper()
 	b.ReportMetric(samplesPerOp, "samples/op")
 	lbl := obs.L("bench", b.Name())
-	obs.Set("bench_samples_per_op", samplesPerOp, lbl)
+	obs.Default().Gauge("bench_samples_per_op", lbl).Set(samplesPerOp)
 	if b.N > 0 {
-		obs.Set("bench_ns_per_op", float64(b.Elapsed().Nanoseconds())/float64(b.N), lbl)
+		obs.Default().Gauge("bench_ns_per_op", lbl).Set(float64(b.Elapsed().Nanoseconds()) / float64(b.N))
 	}
 }
 
@@ -200,7 +200,11 @@ func BenchmarkFig4_Joins(b *testing.B) {
 // Q12 (low balance: Natural expected to dominate) and Q10 (non-zero
 // balance: KLM expected to lead among the symbolic schemes).
 func BenchmarkFig5_Validation(b *testing.B) {
-	l := benchLab(b)
+	// benchLab's base database, as cqabench validate generates it.
+	base, err := scenario.GenerateDB("tpch", 0.0002, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
 	for _, id := range []int{12, 10} {
 		var vq scenario.ValidationQuery
 		for _, cand := range scenario.TPCHValidationQueries() {
@@ -208,7 +212,7 @@ func BenchmarkFig5_Validation(b *testing.B) {
 				vq = cand
 			}
 		}
-		w, err := scenario.ValidationScenario(l.Base(), vq, []float64{0.2, 0.6}, 2, 5, 1)
+		w, err := scenario.ValidationScenario(base, vq, []float64{0.2, 0.6}, 2, 5, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -216,103 +220,6 @@ func BenchmarkFig5_Validation(b *testing.B) {
 			benchmarkFamily(b, w)
 		})
 	}
-}
-
-// ablationPair returns a moderately sized admissible pair for the sampler
-// ablations. internal/estimator's estimator ablations build the same pair.
-func ablationPair() *synopsis.Admissible {
-	pair := &synopsis.Admissible{}
-	src := mt.New(7)
-	const nBlocks = 30
-	for i := 0; i < nBlocks; i++ {
-		pair.BlockSizes = append(pair.BlockSizes, int32(src.Intn(4))+2)
-	}
-	for i := 0; i < 40; i++ {
-		var img synopsis.Image
-		for bk := 0; bk < nBlocks; bk++ {
-			if src.Intn(6) == 0 {
-				img = append(img, synopsis.Member{Block: int32(bk), Fact: int32(src.Intn(int(pair.BlockSizes[bk])))})
-			}
-		}
-		if len(img) == 0 {
-			img = synopsis.Image{{Block: int32(i % nBlocks), Fact: 0}}
-		}
-		pair.Images = append(pair.Images, img)
-	}
-	pair.Canonicalize()
-	touched := make([]bool, nBlocks)
-	for _, img := range pair.Images {
-		for _, m := range img {
-			touched[m.Block] = true
-		}
-	}
-	for bk, ok := range touched {
-		if !ok {
-			pair.Images = append(pair.Images, synopsis.Image{{Block: int32(bk), Fact: 0}})
-		}
-	}
-	pair.Canonicalize()
-	if err := pair.Validate(); err != nil {
-		panic(err)
-	}
-	return pair
-}
-
-// BenchmarkAblation_KLvsKLM_SamplerCost isolates the per-sample cost gap
-// the paper discusses: KLM iterates over every image, KL stops at the
-// first witness.
-func BenchmarkAblation_KLvsKLM_SamplerCost(b *testing.B) {
-	pair := ablationPair()
-	b.Run("KL", func(b *testing.B) {
-		s := sampler.NewKL(pair)
-		src := mt.New(1)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_ = s.Sample(src)
-		}
-	})
-	b.Run("KLM", func(b *testing.B) {
-		s := sampler.NewKLM(pair)
-		src := mt.New(1)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_ = s.Sample(src)
-		}
-	})
-}
-
-// BenchmarkAblation_AliasVsLinear compares the Walker alias table used for
-// drawing images from the symbolic space against naive linear cumulative
-// search.
-func BenchmarkAblation_AliasVsLinear(b *testing.B) {
-	pair := ablationPair()
-	weights := make([]float64, pair.NumImages())
-	var total float64
-	for i := range weights {
-		weights[i] = pair.ImageWeight(i)
-		total += weights[i]
-	}
-	b.Run("Alias", func(b *testing.B) {
-		a := mt.NewAlias(weights)
-		src := mt.New(1)
-		for i := 0; i < b.N; i++ {
-			_ = a.Draw(src)
-		}
-	})
-	b.Run("Linear", func(b *testing.B) {
-		src := mt.New(1)
-		for i := 0; i < b.N; i++ {
-			x := src.Float64() * total
-			acc := 0.0
-			for j, w := range weights {
-				acc += w
-				if acc >= x {
-					_ = j
-					break
-				}
-			}
-		}
-	})
 }
 
 // BenchmarkAblation_SynopsisVsWholeDB quantifies what the synopsis of

@@ -129,14 +129,18 @@ func TestValidationConfirmsTakeHome1(t *testing.T) {
 	if testing.Short() {
 		t.Skip("headline experiment; skipped in -short mode")
 	}
-	l := experimentLab(t)
+	// experimentLab's base database, as cqabench validate generates it.
+	base, err := scenario.GenerateDB("tpch", 0.0002, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var vq scenario.ValidationQuery
 	for _, cand := range scenario.TPCHValidationQueries() {
 		if cand.TemplateID == 12 {
 			vq = cand
 		}
 	}
-	w, err := scenario.ValidationScenario(l.Base(), vq, []float64{0.2, 0.6}, 2, 5, 1)
+	w, err := scenario.ValidationScenario(base, vq, []float64{0.2, 0.6}, 2, 5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

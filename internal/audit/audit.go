@@ -53,12 +53,6 @@ type Config struct {
 	Registry *obs.Registry
 }
 
-// DefaultConfig returns the paper's guarantee (ε = 0.1, δ = 0.25) with a
-// small trial count suitable for smoke calibration.
-func DefaultConfig() Config {
-	return Config{Eps: 0.1, Delta: 0.25, Trials: 3, Seed: 5489}
-}
-
 func (c Config) validate() error {
 	if !(c.Eps > 0 && c.Eps < 1) || !(c.Delta > 0 && c.Delta < 1) {
 		return fmt.Errorf("audit: require 0 < eps < 1 and 0 < delta < 1 (got eps=%v delta=%v)", c.Eps, c.Delta)

@@ -38,9 +38,7 @@ func testWorkload(t testing.TB) *scenario.Workload {
 
 func TestRunCalibratesEveryScheme(t *testing.T) {
 	w := testWorkload(t)
-	cfg := DefaultConfig()
-	cfg.Trials = 4
-	cfg.Registry = obs.NewRegistry()
+	cfg := Config{Eps: 0.1, Delta: 0.25, Trials: 4, Seed: 5489, Registry: obs.NewRegistry()}
 	rep, err := Run(w, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -85,10 +83,7 @@ func TestRunCalibratesEveryScheme(t *testing.T) {
 
 func TestRunIsDeterministic(t *testing.T) {
 	w := testWorkload(t)
-	cfg := DefaultConfig()
-	cfg.Trials = 2
-	cfg.Schemes = []cqa.Scheme{cqa.Natural, cqa.KL}
-	cfg.Registry = obs.NewRegistry()
+	cfg := Config{Eps: 0.1, Delta: 0.25, Trials: 2, Seed: 5489, Schemes: []cqa.Scheme{cqa.Natural, cqa.KL}, Registry: obs.NewRegistry()}
 	a, err := Run(w, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -105,11 +100,8 @@ func TestRunIsDeterministic(t *testing.T) {
 
 func TestRunRecordsMetrics(t *testing.T) {
 	w := testWorkload(t)
-	cfg := DefaultConfig()
-	cfg.Trials = 2
-	cfg.Schemes = []cqa.Scheme{cqa.KLM}
 	reg := obs.NewRegistry()
-	cfg.Registry = reg
+	cfg := Config{Eps: 0.1, Delta: 0.25, Trials: 2, Seed: 5489, Schemes: []cqa.Scheme{cqa.KLM}, Registry: reg}
 	rep, err := Run(w, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -142,10 +134,7 @@ func TestConfigValidation(t *testing.T) {
 
 func TestReportJSONEnvelope(t *testing.T) {
 	w := testWorkload(t)
-	cfg := DefaultConfig()
-	cfg.Trials = 1
-	cfg.Schemes = []cqa.Scheme{cqa.Natural}
-	cfg.Registry = obs.NewRegistry()
+	cfg := Config{Eps: 0.1, Delta: 0.25, Trials: 1, Seed: 5489, Schemes: []cqa.Scheme{cqa.Natural}, Registry: obs.NewRegistry()}
 	rep, err := Run(w, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -14,11 +14,10 @@ import (
 // so estimates and sample counts are bit-identical with recording on or
 // off (see TestConvergenceRecordingPreservesAnswers).
 
-// DefaultConvergenceTuples bounds how many tuples of a run record a
-// trajectory when ConvergenceOptions.MaxTuples is zero. Trajectories are
-// per tuple, so an unbounded set-level run could otherwise carry
-// thousands of them.
-const DefaultConvergenceTuples = 16
+// ConvergenceTuples bounds how many tuples of a run, in answer order,
+// record a trajectory. Trajectories are per tuple, so an unbounded
+// set-level run could otherwise carry thousands of them.
+const ConvergenceTuples = 8
 
 // ConvergenceOptions opts an approximation run into convergence
 // recording. The zero value — recording off — is the default and adds no
@@ -30,33 +29,19 @@ type ConvergenceOptions struct {
 	// recorder halves its resolution (estimator.Recorder). 0 selects
 	// estimator.DefaultTrajectoryPoints.
 	MaxPoints int
-	// MaxTuples caps how many tuples (in answer order) record a
-	// trajectory. 0 selects DefaultConvergenceTuples.
-	MaxTuples int
 }
 
-// validate rejects negative caps; called from Options.Validate.
+// validate rejects a negative cap; called from Options.Validate.
 func (c ConvergenceOptions) validate() error {
 	if c.MaxPoints < 0 {
 		return fmt.Errorf("cqa: negative convergence point cap %d: %w", c.MaxPoints, ErrInvalidOptions)
 	}
-	if c.MaxTuples < 0 {
-		return fmt.Errorf("cqa: negative convergence tuple cap %d: %w", c.MaxTuples, ErrInvalidOptions)
-	}
 	return nil
-}
-
-// tupleCap resolves the effective MaxTuples.
-func (c ConvergenceOptions) tupleCap() int {
-	if c.MaxTuples > 0 {
-		return c.MaxTuples
-	}
-	return DefaultConvergenceTuples
 }
 
 // records reports whether tuple i (answer order) should record.
 func (c ConvergenceOptions) records(i int) bool {
-	return c.Enabled && i < c.tupleCap()
+	return c.Enabled && i < ConvergenceTuples
 }
 
 // TupleTrajectory is one tuple's recorded convergence trajectory.

@@ -31,12 +31,7 @@ func TestConvergenceOptionsValidate(t *testing.T) {
 		t.Fatalf("negative MaxPoints: err = %v", err)
 	}
 	opts = DefaultOptions()
-	opts.Convergence.MaxTuples = -1
-	if err := opts.Validate(); !errors.Is(err, ErrInvalidOptions) {
-		t.Fatalf("negative MaxTuples: err = %v", err)
-	}
-	opts = DefaultOptions()
-	opts.Convergence = ConvergenceOptions{Enabled: true, MaxPoints: 64, MaxTuples: 4}
+	opts.Convergence = ConvergenceOptions{Enabled: true, MaxPoints: 64}
 	if err := opts.Validate(); err != nil {
 		t.Fatalf("valid convergence options rejected: %v", err)
 	}
@@ -70,15 +65,23 @@ func TestConvergenceTrajectoriesRecorded(t *testing.T) {
 }
 
 func TestConvergenceMaxTuplesCap(t *testing.T) {
-	set := convergenceSet(t)
+	set := manySmallSet()
+	if len(set.Entries) <= ConvergenceTuples {
+		t.Fatalf("fixture has %d tuples, want more than %d", len(set.Entries), ConvergenceTuples)
+	}
 	opts := DefaultOptions()
-	opts.Convergence = ConvergenceOptions{Enabled: true, MaxTuples: 1}
+	opts.Convergence.Enabled = true
 	_, stats, err := ApxAnswersFromSetContext(context.Background(), set, Natural, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(stats.Convergence) != 1 || stats.Convergence[0].Tuple != 0 {
-		t.Fatalf("MaxTuples=1 recorded %+v", stats.Convergence)
+	if len(stats.Convergence) != ConvergenceTuples {
+		t.Fatalf("%d trajectories, want %d", len(stats.Convergence), ConvergenceTuples)
+	}
+	for i, tt := range stats.Convergence {
+		if tt.Tuple != i {
+			t.Fatalf("trajectory %d labeled tuple %d, want the first %d tuples", i, tt.Tuple, ConvergenceTuples)
+		}
 	}
 }
 

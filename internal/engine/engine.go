@@ -49,9 +49,6 @@ func NewEvaluator(db *relation.Database) *Evaluator {
 	return &Evaluator{db: db, indexes: make(map[indexKey]map[string][]int32)}
 }
 
-// Database exposes the evaluator's database.
-func (e *Evaluator) Database() *relation.Database { return e.db }
-
 // plan fixes an atom processing order and, per atom, the argument
 // positions that will be bound when the atom is processed.
 type plan struct {

@@ -40,16 +40,16 @@ func fixedSamples(ctx context.Context, s Sampler, eps, delta, meanLB float64, sr
 	}
 	bt := &budgetTracker{budget: budget, ctx: trackerCtx(ctx)}
 	n := int64(math.Ceil(upsilon(eps, delta) / meanLB))
-	est, err := fixedLoop(&seqStream{br: newBatcher(s), src: src}, n, bt, RecorderFrom(ctx), "fixed")
+	est, err := fixedLoop(&seqStream{br: newBatcher(s), src: src}, n, bt, RecorderFrom(ctx))
 	if err != nil {
 		return Result{Samples: bt.samples}, err
 	}
 	return Result{Estimate: est, Samples: bt.samples}, nil
 }
 
-// ablationPair returns the pair of the root package's sampler ablations,
-// built the same way from mt.New(7): 40 random images over 30 blocks of
-// 2–5 facts.
+// ablationPair returns the pair of the sampler and estimator ablations
+// below, built from mt.New(7): 40 random images over 30 blocks of 2–5
+// facts.
 func ablationPair() *synopsis.Admissible {
 	pair := &synopsis.Admissible{}
 	src := mt.New(7)
@@ -132,6 +132,63 @@ func BenchmarkAblation_StoppingRuleVsAA(b *testing.B) {
 			s := sampler.NewKLM(pair)
 			if _, err := MonteCarloContext(context.Background(), s, 0.2, 0.3, mt.New(uint64(i)), Budget{}); err != nil {
 				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkAblation_KLvsKLM_SamplerCost isolates the per-sample cost gap
+// the paper discusses: KLM iterates over every image, KL stops at the
+// first witness.
+func BenchmarkAblation_KLvsKLM_SamplerCost(b *testing.B) {
+	pair := ablationPair()
+	b.Run("KL", func(b *testing.B) {
+		s := sampler.NewKL(pair)
+		src := mt.New(1)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			_ = s.Sample(src)
+		}
+	})
+	b.Run("KLM", func(b *testing.B) {
+		s := sampler.NewKLM(pair)
+		src := mt.New(1)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			_ = s.Sample(src)
+		}
+	})
+}
+
+// BenchmarkAblation_AliasVsLinear compares the Walker alias table used for
+// drawing images from the symbolic space against naive linear cumulative
+// search.
+func BenchmarkAblation_AliasVsLinear(b *testing.B) {
+	pair := ablationPair()
+	weights := make([]float64, pair.NumImages())
+	var total float64
+	for i := range weights {
+		weights[i] = pair.ImageWeight(i)
+		total += weights[i]
+	}
+	b.Run("Alias", func(b *testing.B) {
+		a := mt.NewAlias(weights)
+		src := mt.New(1)
+		for i := 0; i < b.N; i++ {
+			_ = a.Draw(src)
+		}
+	})
+	b.Run("Linear", func(b *testing.B) {
+		src := mt.New(1)
+		for i := 0; i < b.N; i++ {
+			x := src.Float64() * total
+			acc := 0.0
+			for j, w := range weights {
+				acc += w
+				if acc >= x {
+					_ = j
+					break
+				}
 			}
 		}
 	})

@@ -31,7 +31,8 @@ type TrajectoryPoint struct {
 	// for fixed-count loops, and the step fraction for the coverage walk.
 	Progress float64 `json:"progress"`
 	// Phase names the loop that produced the point: "stopping",
-	// "variance", "final", "fixed" or "coverage".
+	// "variance" or "final" for the 𝒜𝒜 algorithm, which Natural, KL and
+	// KLM run, and "coverage" for Cover's walk.
 	Phase string `json:"phase"`
 }
 

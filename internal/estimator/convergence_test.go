@@ -152,7 +152,7 @@ func TestFixedSamplesTrajectory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkTrajectory(t, rec.Points(), res, "fixed")
+	checkTrajectory(t, rec.Points(), res, "final")
 }
 
 func TestCoverageTrajectory(t *testing.T) {

@@ -307,7 +307,7 @@ func monteCarloLoop(ctx context.Context, ds drawStream, eps, delta float64, budg
 
 	// Step 3: final run sized by ρ̂/μ̂².
 	n3 := int64(math.Ceil(ups2 * rhoHat / (muHat * muHat)))
-	est, err := fixedLoop(ds, n3, bt, rec, "final")
+	est, err := fixedLoop(ds, n3, bt, rec)
 	if err != nil {
 		return Result{Samples: bt.samples}, err
 	}
@@ -331,9 +331,9 @@ func recordMCMetrics(res Result) {
 }
 
 // fixedLoop draws max(n, 1) samples from ds in chunks and returns their
-// mean. It is the 𝒜𝒜 final phase; phase names the recorder's
-// checkpoints.
-func fixedLoop(ds drawStream, n int64, bt *budgetTracker, rec *Recorder, phase string) (float64, error) {
+// mean. It is the 𝒜𝒜 final phase, and it records its checkpoints as
+// "final".
+func fixedLoop(ds drawStream, n int64, bt *budgetTracker, rec *Recorder) (float64, error) {
 	n = max(n, 1)
 	var sum float64
 	for done := int64(0); done < n; {
@@ -348,14 +348,14 @@ func fixedLoop(ds drawStream, n int64, bt *budgetTracker, rec *Recorder, phase s
 		if rec != nil {
 			rec.observe(TrajectoryPoint{
 				Samples: bt.samples, Estimate: sum / float64(done),
-				Progress: float64(done) / float64(n), Phase: phase,
+				Progress: float64(done) / float64(n), Phase: "final",
 			})
 		}
 	}
 	est := sum / float64(n)
 	if rec != nil {
 		rec.final(TrajectoryPoint{
-			Samples: bt.samples, Estimate: est, Progress: 1, Phase: phase,
+			Samples: bt.samples, Estimate: est, Progress: 1, Phase: "final",
 		})
 	}
 	return est, nil

@@ -242,9 +242,13 @@ func TestBalanceStats(t *testing.T) {
 }
 
 func TestValidationRun(t *testing.T) {
-	l := testLab(t)
+	// testLab's base database, as cqabench validate generates it.
+	base, err := scenario.GenerateDB("tpch", 0.0002, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	vq := scenario.TPCHValidationQueries()[1] // Q4_H: 1 join
-	w, err := scenario.ValidationScenario(l.Base(), vq, []float64{0.2, 0.4}, 2, 5, 1)
+	w, err := scenario.ValidationScenario(base, vq, []float64{0.2, 0.4}, 2, 5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -73,9 +73,6 @@ func NewAlias(weights []float64) *Alias {
 	return a
 }
 
-// Len returns the number of outcomes.
-func (a *Alias) Len() int { return len(a.prob) }
-
 // Draw returns an index distributed according to the table's weights.
 func (a *Alias) Draw(src *Source) int {
 	i := a.bound.Draw(src)

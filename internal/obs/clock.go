@@ -5,12 +5,10 @@ import (
 	"time"
 )
 
-// The package clock: time-dependent subsystems that need deterministic
-// tests (quota token buckets, scheduler bookkeeping) read obs.Now()
-// instead of time.Now(), and tests swap the source with SetNowFunc.
-// The WindowedHistogram keeps its own per-histogram injection point so
-// concurrent histogram tests never interfere; SetNowFunc is for state
-// that has no natural per-object seam.
+// The package clock: time-dependent state that needs deterministic tests
+// (the server's quota token buckets, the rings of WindowedHistogram)
+// reads obs.Now() instead of time.Now(), and tests swap the source with
+// SetNowFunc.
 
 // nowFunc holds the process-wide clock as *func() time.Time; nil means
 // time.Now.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 )
@@ -112,28 +113,6 @@ func promFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-// promLabels renders a label set plus an optional extra label (used for
-// the histogram "le" bound) in exposition format.
-func promLabels(labels []Label, extraKey, extraVal string) string {
-	if len(labels) == 0 && extraKey == "" {
-		return ""
-	}
-	out := "{"
-	for i, l := range labels {
-		if i > 0 {
-			out += ","
-		}
-		out += fmt.Sprintf("%s=%q", l.Key, l.Value)
-	}
-	if extraKey != "" {
-		if len(labels) > 0 {
-			out += ","
-		}
-		out += fmt.Sprintf("%s=%q", extraKey, extraVal)
-	}
-	return out + "}"
-}
-
 // WritePrometheus emits every registered metric in the Prometheus text
 // exposition format (version 0.0.4). Histograms emit cumulative
 // non-empty buckets plus the +Inf bucket, _sum and _count.
@@ -147,23 +126,26 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			lastType[e.name] = true
 		}
 		var err error
+		labels := labelString(e.labels)
 		switch e.kind {
 		case counterKind:
-			_, err = fmt.Fprintf(w, "%s%s %d\n", e.name, promLabels(e.labels, "", ""), e.counter.Value())
+			_, err = fmt.Fprintf(w, "%s%s %d\n", e.name, labels, e.counter.Value())
 		case gaugeKind:
-			_, err = fmt.Fprintf(w, "%s%s %s\n", e.name, promLabels(e.labels, "", ""), promFloat(e.gauge.Value()))
+			_, err = fmt.Fprintf(w, "%s%s %s\n", e.name, labels, promFloat(e.gauge.Value()))
 		case histogramKind:
 			s := e.hist.Snapshot()
+			// The bucket bound goes last, after the sorted labels.
+			le := append(slices.Clip(e.labels), L("le", ""))
 			for _, b := range s.Buckets() {
-				if _, err = fmt.Fprintf(w, "%s_bucket%s %d\n",
-					e.name, promLabels(e.labels, "le", promFloat(b.UpperBound)), b.Count); err != nil {
+				le[len(le)-1].Value = promFloat(b.UpperBound)
+				if _, err = fmt.Fprintf(w, "%s_bucket%s %d\n", e.name, labelString(le), b.Count); err != nil {
 					return err
 				}
 			}
-			if _, err = fmt.Fprintf(w, "%s_sum%s %s\n", e.name, promLabels(e.labels, "", ""), promFloat(s.Sum)); err != nil {
+			if _, err = fmt.Fprintf(w, "%s_sum%s %s\n", e.name, labels, promFloat(s.Sum)); err != nil {
 				return err
 			}
-			if _, err = fmt.Fprintf(w, "%s_count%s %d\n", e.name, promLabels(e.labels, "", ""), s.Count); err != nil {
+			if _, err = fmt.Fprintf(w, "%s_count%s %d\n", e.name, labels, s.Count); err != nil {
 				return err
 			}
 			err = writePromWindows(w, e, lastType)

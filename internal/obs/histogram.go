@@ -4,7 +4,6 @@ import (
 	"math"
 	"sort"
 	"sync"
-	"time"
 )
 
 // The histogram covers (1e-9, 1e12] with logarithmic buckets, 20 per
@@ -44,12 +43,8 @@ func bucketIndex(v float64) int {
 // Histogram accumulates observations into fixed log-scale buckets and
 // tracks count, sum, min and max. It is safe for concurrent use.
 type Histogram struct {
-	mu     sync.Mutex
-	counts [histNumBounds + 1]uint64
-	count  uint64
-	sum    float64
-	min    float64
-	max    float64
+	mu sync.Mutex
+	s  HistSnapshot
 }
 
 func newHistogram() *Histogram { return &Histogram{} }
@@ -61,22 +56,12 @@ func (h *Histogram) Observe(v float64) {
 	}
 	i := bucketIndex(v)
 	h.mu.Lock()
-	h.counts[i]++
-	if h.count == 0 || v < h.min {
-		h.min = v
-	}
-	if h.count == 0 || v > h.max {
-		h.max = v
-	}
-	h.count++
-	h.sum += v
+	h.s.add(i, v)
 	h.mu.Unlock()
 }
 
-// ObserveDuration records a duration in seconds.
-func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
-
-// HistSnapshot is a consistent copy of a histogram's state.
+// HistSnapshot is a consistent copy of a histogram's state. It is also
+// the accumulator behind a Histogram and each slot of a window ring.
 type HistSnapshot struct {
 	Count  uint64
 	Sum    float64
@@ -85,11 +70,42 @@ type HistSnapshot struct {
 	counts [histNumBounds + 1]uint64
 }
 
+// add records v, which is not NaN, in bucket i.
+func (s *HistSnapshot) add(i int, v float64) {
+	s.counts[i]++
+	if s.Count == 0 || v < s.Min {
+		s.Min = v
+	}
+	if s.Count == 0 || v > s.Max {
+		s.Max = v
+	}
+	s.Count++
+	s.Sum += v
+}
+
+// merge adds o's observations to s.
+func (s *HistSnapshot) merge(o *HistSnapshot) {
+	if o.Count == 0 {
+		return
+	}
+	for i, c := range o.counts {
+		s.counts[i] += c
+	}
+	if s.Count == 0 || o.Min < s.Min {
+		s.Min = o.Min
+	}
+	if s.Count == 0 || o.Max > s.Max {
+		s.Max = o.Max
+	}
+	s.Count += o.Count
+	s.Sum += o.Sum
+}
+
 // Snapshot returns a consistent copy for reading quantiles and buckets.
 func (h *Histogram) Snapshot() HistSnapshot {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return HistSnapshot{Count: h.count, Sum: h.sum, Min: h.min, Max: h.max, counts: h.counts}
+	return h.s
 }
 
 // Mean returns Sum/Count (0 when empty).

@@ -7,8 +7,8 @@
 // safe for concurrent use. Metrics are identified by a name plus an
 // optional ordered-insensitive label set:
 //
-//	obs.Inc("harness_timeouts_total", obs.L("scheme", "KLM"))
-//	obs.Observe("synopsis_build_seconds", elapsed.Seconds())
+//	obs.Default().Counter("harness_timeouts_total", obs.L("scheme", "KLM")).Inc()
+//	obs.Default().Histogram("synopsis_build_seconds").Observe(elapsed.Seconds())
 //
 // Hot paths should hold on to the metric handle instead of resolving it
 // per event:
@@ -33,18 +33,6 @@ func L(key, value string) Label { return Label{Key: key, Value: value} }
 
 var std = NewRegistry()
 
-// Default returns the process-wide registry used by the package-level
-// helpers and by the instrumented pipeline packages.
+// Default returns the process-wide registry used by the instrumented
+// pipeline packages.
 func Default() *Registry { return std }
-
-// Inc adds 1 to a counter in the default registry.
-func Inc(name string, labels ...Label) { std.Counter(name, labels...).Inc() }
-
-// Add adds n to a counter in the default registry.
-func Add(name string, n int64, labels ...Label) { std.Counter(name, labels...).Add(n) }
-
-// Set sets a gauge in the default registry.
-func Set(name string, v float64, labels ...Label) { std.Gauge(name, labels...).Set(v) }
-
-// Observe records one histogram observation in the default registry.
-func Observe(name string, v float64, labels ...Label) { std.Histogram(name, labels...).Observe(v) }

@@ -85,24 +85,6 @@ func TestKindMismatchPanics(t *testing.T) {
 	r.Gauge("m")
 }
 
-func TestDefaultHelpers(t *testing.T) {
-	Default().Reset()
-	defer Default().Reset()
-	Inc("t_total")
-	Add("t_total", 2)
-	Set("t_gauge", 1.5)
-	Observe("t_hist", 0.25)
-	if got := Default().Counter("t_total").Value(); got != 3 {
-		t.Errorf("counter: got %d, want 3", got)
-	}
-	if got := Default().Gauge("t_gauge").Value(); got != 1.5 {
-		t.Errorf("gauge: got %g, want 1.5", got)
-	}
-	if got := Default().Histogram("t_hist").Snapshot().Count; got != 1 {
-		t.Errorf("histogram: got %d observations, want 1", got)
-	}
-}
-
 // Looking up a series that exists must not allocate: the pipeline asks
 // for several labeled series per answer tuple.
 func TestLookupHitDoesNotAllocate(t *testing.T) {

@@ -103,14 +103,6 @@ func (s *Span) clampTo(t time.Time) {
 	}
 }
 
-// Start returns the span's start time (zero on nil).
-func (s *Span) Start() time.Time {
-	if s == nil {
-		return time.Time{}
-	}
-	return s.start
-}
-
 // Name returns the span's stage name ("" on nil).
 func (s *Span) Name() string {
 	if s == nil {

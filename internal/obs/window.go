@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -20,8 +21,8 @@ import (
 // window always spans ~12 slots and a quantile is at most ~1/12 of the
 // window stale), sized to cover the longest window. A slot is reset
 // lazily the first time its interval comes around again, so idle series
-// cost nothing. Time comes from an injectable clock so tests can drive
-// slot expiry deterministically.
+// cost nothing. Time comes from the package clock (Now), so tests drive
+// slot expiry deterministically through SetNowFunc.
 
 // windowSlotsPerShortest fixes the slot granularity: the shortest window
 // is divided into this many ring slots.
@@ -38,12 +39,8 @@ func DefaultWindows() []time.Duration {
 // not match the interval being written or read is stale and treated as
 // empty.
 type winSlot struct {
-	index  int64
-	counts [histNumBounds + 1]uint64
-	count  uint64
-	sum    float64
-	min    float64
-	max    float64
+	index int64
+	s     HistSnapshot
 }
 
 // WindowedHistogram is a cumulative Histogram plus the rolling-window
@@ -58,7 +55,6 @@ type WindowedHistogram struct {
 	slotDur time.Duration
 	windows []time.Duration // ascending, deduplicated
 	slots   []winSlot
-	now     func() time.Time
 }
 
 // newWindowedHistogram builds the ring for the given windows (nil or
@@ -75,7 +71,7 @@ func newWindowedHistogram(hist *Histogram, windows []time.Duration) *WindowedHis
 		ws = DefaultWindows()
 	}
 	sort.Slice(ws, func(i, j int) bool { return ws[i] < ws[j] })
-	ws = slicesCompact(ws)
+	ws = slices.Compact(ws)
 	slotDur := ws[0] / windowSlotsPerShortest
 	if slotDur < time.Millisecond {
 		slotDur = time.Millisecond
@@ -87,27 +83,7 @@ func newWindowedHistogram(hist *Histogram, windows []time.Duration) *WindowedHis
 		slotDur: slotDur,
 		windows: ws,
 		slots:   make([]winSlot, n),
-		now:     time.Now,
 	}
-}
-
-// slicesCompact removes adjacent duplicates from a sorted slice.
-func slicesCompact(ws []time.Duration) []time.Duration {
-	out := ws[:1]
-	for _, w := range ws[1:] {
-		if w != out[len(out)-1] {
-			out = append(out, w)
-		}
-	}
-	return out
-}
-
-// SetNowFunc replaces the histogram's clock. Tests inject a fake clock
-// to drive slot expiry; production code never calls this.
-func (w *WindowedHistogram) SetNowFunc(now func() time.Time) {
-	w.mu.Lock()
-	w.now = now
-	w.mu.Unlock()
 }
 
 // Windows returns the configured rolling windows, ascending.
@@ -137,16 +113,7 @@ func (w *WindowedHistogram) Observe(v float64) {
 	w.hist.Observe(v)
 	i := bucketIndex(v)
 	w.mu.Lock()
-	sl := w.slotAt(w.now().UnixNano() / int64(w.slotDur))
-	sl.counts[i]++
-	sl.count++
-	sl.sum += v
-	if sl.count == 1 || v < sl.min {
-		sl.min = v
-	}
-	if sl.count == 1 || v > sl.max {
-		sl.max = v
-	}
+	w.slotAt(Now().UnixNano()/int64(w.slotDur)).s.add(i, v)
 	w.mu.Unlock()
 }
 
@@ -160,7 +127,7 @@ func (w *WindowedHistogram) ObserveDuration(d time.Duration) { w.Observe(d.Secon
 func (w *WindowedHistogram) WindowSnapshot(win time.Duration) HistSnapshot {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	idx := w.now().UnixNano() / int64(w.slotDur)
+	idx := Now().UnixNano() / int64(w.slotDur)
 	n := int64(win / w.slotDur)
 	if n < 1 {
 		n = 1
@@ -171,21 +138,9 @@ func (w *WindowedHistogram) WindowSnapshot(win time.Duration) HistSnapshot {
 	ringLen := int64(len(w.slots))
 	var s HistSnapshot
 	for k := idx - n + 1; k <= idx; k++ {
-		sl := &w.slots[int(((k%ringLen)+ringLen)%ringLen)]
-		if sl.index != k || sl.count == 0 {
-			continue
+		if sl := &w.slots[int(((k%ringLen)+ringLen)%ringLen)]; sl.index == k {
+			s.merge(&sl.s)
 		}
-		for i, c := range sl.counts {
-			s.counts[i] += c
-		}
-		if s.Count == 0 || sl.min < s.Min {
-			s.Min = sl.min
-		}
-		if s.Count == 0 || sl.max > s.Max {
-			s.Max = sl.max
-		}
-		s.Count += sl.count
-		s.Sum += sl.sum
 	}
 	return s
 }

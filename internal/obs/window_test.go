@@ -14,20 +14,23 @@ type fakeClock struct {
 	ns atomic.Int64
 }
 
-func newFakeClock(start time.Time) *fakeClock {
-	c := &fakeClock{}
-	c.ns.Store(start.UnixNano())
-	return c
-}
-
 func (c *fakeClock) Now() time.Time          { return time.Unix(0, c.ns.Load()) }
 func (c *fakeClock) Advance(d time.Duration) { c.ns.Add(int64(d)) }
+
+// useFakeClock installs a fake package clock reading start and restores
+// the real one when the test ends.
+func useFakeClock(t *testing.T, start time.Time) *fakeClock {
+	c := &fakeClock{}
+	c.ns.Store(start.UnixNano())
+	SetNowFunc(c.Now)
+	t.Cleanup(func() { SetNowFunc(nil) })
+	return c
+}
 
 func TestWindowedHistogramQuantilesAndDecay(t *testing.T) {
 	r := NewRegistry()
 	wh := r.WindowedHistogram("req_seconds", []time.Duration{time.Minute, 5 * time.Minute})
-	clock := newFakeClock(time.Unix(1_000_000, 0))
-	wh.SetNowFunc(clock.Now)
+	clock := useFakeClock(t, time.Unix(1_000_000, 0))
 
 	for i := 0; i < 100; i++ {
 		wh.Observe(0.1)
@@ -71,8 +74,7 @@ func TestWindowedHistogramQuantilesAndDecay(t *testing.T) {
 func TestWindowedHistogramSlidesAcrossSlots(t *testing.T) {
 	r := NewRegistry()
 	wh := r.WindowedHistogram("lat", []time.Duration{time.Minute})
-	clock := newFakeClock(time.Unix(5_000, 0))
-	wh.SetNowFunc(clock.Now)
+	clock := useFakeClock(t, time.Unix(5_000, 0))
 
 	wh.Observe(1.0)
 	clock.Advance(30 * time.Second)
@@ -145,8 +147,7 @@ func TestWindowedHistogramExportForms(t *testing.T) {
 func TestWindowedHistogramConcurrent(t *testing.T) {
 	r := NewRegistry()
 	wh := r.WindowedHistogram("conc_seconds", []time.Duration{100 * time.Millisecond, time.Second})
-	clock := newFakeClock(time.Unix(77, 0))
-	wh.SetNowFunc(clock.Now)
+	clock := useFakeClock(t, time.Unix(77, 0))
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -227,8 +228,7 @@ func TestWindowedHistogramWindowShorterThanSlot(t *testing.T) {
 	r := NewRegistry()
 	// 1m window → 5s slots; a 1s query is below one slot.
 	wh := r.WindowedHistogram("short_seconds", []time.Duration{time.Minute})
-	clock := newFakeClock(time.Unix(9_000, 0))
-	wh.SetNowFunc(clock.Now)
+	clock := useFakeClock(t, time.Unix(9_000, 0))
 	wh.Observe(0.5)
 	if s := wh.WindowSnapshot(time.Second); s.Count != 1 || s.Min != 0.5 {
 		t.Fatalf("sub-slot window snapshot = %+v, want the current slot", s)
@@ -242,8 +242,7 @@ func TestWindowedHistogramWindowShorterThanSlot(t *testing.T) {
 	// A 5ms window divides to a sub-millisecond slot; the constructor
 	// clamps to 1ms and the ring still works.
 	tiny := r.WindowedHistogram("tiny_seconds", []time.Duration{5 * time.Millisecond})
-	tclock := newFakeClock(time.Unix(10_000, 0))
-	tiny.SetNowFunc(tclock.Now)
+	tclock := useFakeClock(t, time.Unix(10_000, 0))
 	tiny.Observe(1)
 	if s := tiny.WindowSnapshot(5 * time.Millisecond); s.Count != 1 {
 		t.Fatalf("tiny-window snapshot = %+v, want count 1", s)
@@ -261,8 +260,7 @@ func TestWindowedHistogramWindowShorterThanSlot(t *testing.T) {
 func TestWindowedHistogramClockBackwards(t *testing.T) {
 	r := NewRegistry()
 	wh := r.WindowedHistogram("back_seconds", []time.Duration{time.Minute})
-	clock := newFakeClock(time.Unix(20_000, 0))
-	wh.SetNowFunc(clock.Now)
+	clock := useFakeClock(t, time.Unix(20_000, 0))
 
 	wh.Observe(1.0)
 	clock.Advance(-30 * time.Second)

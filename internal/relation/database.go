@@ -127,16 +127,6 @@ func (db *Database) MustInsert(rel string, vals ...any) {
 	}
 }
 
-// Contains reports whether the database holds the given fact.
-func (db *Database) Contains(rel string, t Tuple) bool {
-	ri := db.Schema.RelIndex(rel)
-	if ri < 0 || len(t) != db.Schema.Rels[ri].Arity() {
-		return false
-	}
-	_, ok := db.dedup[ri][encodeTuple(t, len(t))]
-	return ok
-}
-
 // Fact returns the tuple of a FactRef.
 func (db *Database) Fact(f FactRef) Tuple {
 	return db.Tables[f.Rel].Tuples[f.Row]

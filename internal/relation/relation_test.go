@@ -2,6 +2,7 @@ package relation
 
 import (
 	"math/big"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -54,7 +55,7 @@ func TestDictIntDirect(t *testing.T) {
 	if d.Render(Value(42)) != "42" {
 		t.Fatal("int render failed")
 	}
-	if d.Size() != 0 {
+	if len(d.strs) != 0 {
 		t.Fatal("small int should not intern")
 	}
 	// Negative and huge ints round-trip via interning.
@@ -75,7 +76,7 @@ func TestDictLookup(t *testing.T) {
 	}
 	v := d.String("x")
 	got, err := d.Of("x")
-	if err != nil || got != v || d.Size() != 1 {
+	if err != nil || got != v || len(d.strs) != 1 {
 		t.Fatal("lookup of present string failed")
 	}
 }
@@ -99,7 +100,7 @@ func TestTupleOps(t *testing.T) {
 	if !a.Equal(b) || a.Equal(c) || c.Equal(a) {
 		t.Fatal("Equal misbehaves")
 	}
-	cl := a.Clone()
+	cl := slices.Clone(a)
 	cl[0] = 9
 	if a[0] == 9 {
 		t.Fatal("Clone aliases")
@@ -191,18 +192,22 @@ func TestInsertErrors(t *testing.T) {
 	}
 }
 
+// TestContains checks membership through InsertTuple's duplicate check.
 func TestContains(t *testing.T) {
 	db := exampleDB(t)
 	tup := Tuple{db.Dict.Int(1), db.Dict.String("Bob"), db.Dict.String("HR")}
-	if !db.Contains("Employee", tup) {
-		t.Fatal("Contains missed present fact")
+	if fresh, err := db.InsertTuple("Employee", tup); err != nil || fresh {
+		t.Fatalf("present fact: fresh=%v err=%v", fresh, err)
 	}
 	tup2 := Tuple{db.Dict.Int(9), db.Dict.String("Bob"), db.Dict.String("HR")}
-	if db.Contains("Employee", tup2) {
-		t.Fatal("Contains found absent fact")
+	if fresh, err := db.InsertTuple("Employee", tup2); err != nil || !fresh {
+		t.Fatalf("absent fact: fresh=%v err=%v", fresh, err)
 	}
-	if db.Contains("Nope", tup) || db.Contains("Employee", tup[:2]) {
-		t.Fatal("Contains on bad input should be false")
+	if _, err := db.InsertTuple("Nope", tup); err == nil {
+		t.Fatal("unknown relation accepted")
+	}
+	if _, err := db.InsertTuple("Employee", tup[:2]); err == nil {
+		t.Fatal("short tuple accepted")
 	}
 }
 

@@ -84,9 +84,6 @@ func (d *Dict) Render(v Value) string {
 	return d.strs[idx]
 }
 
-// Size reports the number of interned strings.
-func (d *Dict) Size() int { return len(d.strs) }
-
 // Tuple is an ordered list of constants.
 type Tuple []Value
 
@@ -101,13 +98,6 @@ func (t Tuple) Equal(u Tuple) bool {
 		}
 	}
 	return true
-}
-
-// Clone returns an independent copy of the tuple.
-func (t Tuple) Clone() Tuple {
-	c := make(Tuple, len(t))
-	copy(c, t)
-	return c
 }
 
 // Less orders tuples lexicographically; used for deterministic output.

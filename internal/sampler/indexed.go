@@ -102,9 +102,6 @@ func (n *NaturalIndexed) SampleBatch(src *mt.Source, dst []float64) {
 	}
 }
 
-// GoodFactor returns 1: the sampler is 1-good like Natural.
-func (n *NaturalIndexed) GoodFactor() float64 { return 1 }
-
 // KLIndexed is the KL sampler accelerated by the first-member index: any
 // j < i with H_j ⊆ I must have its first member kept in I, so only the
 // candidate images of the chosen members are verified instead of
@@ -158,9 +155,6 @@ func (k *KLIndexed) SampleBatch(src *mt.Source, dst []float64) {
 	}
 }
 
-// GoodFactor returns |db(B)|/|S•|, as for KL.
-func (k *KLIndexed) GoodFactor() float64 { return 1 / k.weight }
-
 // KLMIndexed is the KLM sampler accelerated by the first-member index:
 // the covering count k = |{j : H_j ⊆ I}| is taken over the candidate
 // images of the chosen members — every covering image's first member is
@@ -213,6 +207,3 @@ func (k *KLMIndexed) SampleBatch(src *mt.Source, dst []float64) {
 		dst[i] = k.sample(src)
 	}
 }
-
-// GoodFactor returns |db(B)|/|S•|, as for KLM.
-func (k *KLMIndexed) GoodFactor() float64 { return 1 / k.weight }

@@ -24,8 +24,8 @@ func TestKLIndexedMatchesPlain(t *testing.T) {
 			t.Fatalf("draw %d: plain %v vs indexed %v", i, a, b)
 		}
 	}
-	if indexed.GoodFactor() != plain.GoodFactor() {
-		t.Fatal("indexed KL must share the plain kernel's goodness")
+	if indexed.Weight() != plain.Weight() {
+		t.Fatal("indexed KL must share the plain kernel's weight")
 	}
 }
 
@@ -41,8 +41,8 @@ func TestKLMIndexedMatchesPlain(t *testing.T) {
 			t.Fatalf("draw %d: plain %v vs indexed %v", i, a, b)
 		}
 	}
-	if indexed.GoodFactor() != plain.GoodFactor() {
-		t.Fatal("indexed KLM must share the plain kernel's goodness")
+	if indexed.Weight() != plain.Weight() {
+		t.Fatal("indexed KLM must share the plain kernel's weight")
 	}
 }
 

@@ -37,7 +37,6 @@ import (
 type Sampler interface {
 	Sample(src *mt.Source) float64
 	SampleBatch(src *mt.Source, dst []float64)
-	GoodFactor() float64
 	// Fork returns a sampler that draws identically and shares this
 	// one's compiled plan but owns its scratch, so it may run
 	// concurrently with this one.
@@ -147,9 +146,6 @@ func (n *Natural) SampleBatch(src *mt.Source, dst []float64) {
 		dst[i] = n.sample(src)
 	}
 }
-
-// GoodFactor returns the r for which the sampler is r-good: 1.
-func (n *Natural) GoodFactor() float64 { return 1 }
 
 // Symbolic holds the shared machinery for sampling (i, I) uniformly from
 // the symbolic space S• = {(i, I) : I ∈ I^i}: image i is drawn with
@@ -264,9 +260,6 @@ func (k *KL) SampleBatch(src *mt.Source, dst []float64) {
 	}
 }
 
-// GoodFactor returns |db(B)|/|S•|.
-func (k *KL) GoodFactor() float64 { return 1 / k.weight }
-
 // KLM is Sampler 3: SampleKLM.
 type KLM struct {
 	*Symbolic
@@ -303,6 +296,3 @@ func (k *KLM) SampleBatch(src *mt.Source, dst []float64) {
 		dst[i] = k.sample(src)
 	}
 }
-
-// GoodFactor returns |db(B)|/|S•|.
-func (k *KLM) GoodFactor() float64 { return 1 / k.weight }

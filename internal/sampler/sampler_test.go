@@ -60,9 +60,6 @@ func TestNaturalOutputsBinary(t *testing.T) {
 			t.Fatalf("Natural sample = %v", v)
 		}
 	}
-	if n.GoodFactor() != 1 {
-		t.Fatal("Natural must be 1-good")
-	}
 }
 
 func TestKLExpectedValue(t *testing.T) {
@@ -77,8 +74,8 @@ func TestKLExpectedValue(t *testing.T) {
 	if math.Abs(got-want) > 0.01 {
 		t.Fatalf("E[KL] = %.4f, want %.4f", got, want)
 	}
-	if math.Abs(kl.GoodFactor()*kl.Weight()-1) > 1e-12 {
-		t.Fatal("GoodFactor/Weight inconsistent")
+	if kl.Weight() != pair.SymbolicWeight() {
+		t.Fatal("KL's weight is not the pair's |S•|/|db(B)|")
 	}
 }
 
@@ -392,9 +389,6 @@ func TestNaturalIndexedMatchesPlain(t *testing.T) {
 		if a != b {
 			t.Fatalf("draw %d: plain %v vs indexed %v", i, a, b)
 		}
-	}
-	if indexed.GoodFactor() != 1 {
-		t.Fatal("indexed sampler must be 1-good")
 	}
 }
 

@@ -49,7 +49,7 @@ func dqgGoldenLab(t testing.TB) *Lab {
 func renderDQG(lab *Lab, res []qgen.DQGResult) string {
 	var b strings.Builder
 	for _, r := range res {
-		fmt.Fprintf(&b, "%s\t%v\t%016x\n", r.Query.Render(lab.Base().Dict), r.Target, math.Float64bits(r.Balance))
+		fmt.Fprintf(&b, "%s\t%v\t%016x\n", r.Query.Render(lab.base.Dict), r.Target, math.Float64bits(r.Balance))
 	}
 	return b.String()
 }

@@ -200,9 +200,6 @@ func NewLab(cfg Config) (*Lab, error) {
 	return l, nil
 }
 
-// Base returns the consistent base database D_H.
-func (l *Lab) Base() *relation.Database { return l.base }
-
 // BaseQuery returns the i-th SQG base query with j joins (2 occurrences of
 // constants, all attributes projected, non-empty over the base database).
 func (l *Lab) BaseQuery(j, i int) (*cq.Query, error) {

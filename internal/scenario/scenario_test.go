@@ -35,7 +35,7 @@ func TestLabBaseQueries(t *testing.T) {
 		if q.NumConstants() != 2 {
 			t.Fatalf("j=%d: query has %d constants", j, q.NumConstants())
 		}
-		ok, err := engine.NewEvaluator(l.Base()).HasAnswer(q.Boolean(), nil)
+		ok, err := engine.NewEvaluator(l.base).HasAnswer(q.Boolean(), nil)
 		if err != nil || !ok {
 			t.Fatalf("j=%d: base query empty over base DB (%v)", j, err)
 		}

@@ -91,9 +91,5 @@ func writeError(w http.ResponseWriter, status int, code, msg string) {
 // envelope. The handler-side error path in one call.
 func fail(w http.ResponseWriter, st *reqState, status int, code, msg string) {
 	st.setReason(code)
-	instance := ""
-	if st != nil {
-		instance = st.rec.Instance
-	}
-	writeAPIError(w, status, APIError{Code: code, Message: msg, Instance: instance})
+	writeAPIError(w, status, APIError{Code: code, Message: msg, Instance: st.rec.Instance})
 }

@@ -251,7 +251,7 @@ func TestQuota429HeadersAndEnvelope(t *testing.T) {
 		e.Error.Instance != "limited" || e.Error.RetryAfterMS <= 0 {
 		t.Fatalf("quota envelope = %+v", e.Error)
 	}
-	reg := s.Registry()
+	reg := s.reg
 	if v := reg.Counter("server_quota_rejections_total",
 		obs.L("instance", "limited"), obs.L("reason", "requests")).Value(); v != 1 {
 		t.Fatalf("server_quota_rejections_total = %v, want 1", v)
@@ -321,7 +321,7 @@ func TestSingleFlightFollowerChargesQuota(t *testing.T) {
 	if t.Failed() {
 		return
 	}
-	if v := s.Registry().Counter("server_estimate_runs_total", obs.L("instance", "default")).Value(); v != 1 {
+	if v := s.reg.Counter("server_estimate_runs_total", obs.L("instance", "default")).Value(); v != 1 {
 		t.Fatalf("estimator ran %v times, want 1 (coalesced)", v)
 	}
 	if !responses[0].Coalesced && !responses[1].Coalesced {

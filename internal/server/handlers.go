@@ -59,13 +59,11 @@ type EstimateRequest struct {
 	ConvergencePoints int `json:"convergence_points,omitempty"`
 }
 
-// Service-side caps on opt-in convergence recording: trajectories ride
-// in JSON responses and the debug ring, so their size is bounded here
-// rather than by whatever the client asks for.
-const (
-	maxConvergencePoints = 512
-	maxConvergenceTuples = 8
-)
+// maxConvergencePoints caps each trajectory of opt-in convergence
+// recording: trajectories ride in JSON responses and the debug ring, so
+// their size is bounded here rather than by whatever the client asks
+// for. cqa.ConvergenceTuples bounds how many tuples record one.
+const maxConvergencePoints = 512
 
 // Answer is one graded answer tuple.
 type Answer struct {
@@ -341,19 +339,24 @@ func (s *Server) resolveInstance(w http.ResponseWriter, st *reqState, name strin
 	in, err := s.instances.lookup(name)
 	if err != nil {
 		if errors.Is(err, ErrUnknownInstance) {
-			// The requested name rides in the envelope but not on the
-			// request record: metric labels stay bounded by real instances.
-			st.setReason(codeUnknownInst)
-			writeAPIError(w, http.StatusNotFound, APIError{
-				Code: codeUnknownInst, Message: err.Error(), Instance: name,
-			})
+			failUnknownInstance(w, st, name, err)
 		} else {
 			fail(w, st, http.StatusBadRequest, codeMissingInst, err.Error())
 		}
 		return nil, false
 	}
-	st.setInstance(in.Name)
+	st.rec.Instance = in.Name
 	return in, true
+}
+
+// failUnknownInstance writes the 404 for a name no instance holds. The
+// name rides in the envelope but not on the request record: metric
+// labels stay bounded by real instances.
+func failUnknownInstance(w http.ResponseWriter, st *reqState, name string, err error) {
+	st.setReason(codeUnknownInst)
+	writeAPIError(w, http.StatusNotFound, APIError{
+		Code: codeUnknownInst, Message: err.Error(), Instance: name,
+	})
 }
 
 // options assembles cqa.Options from a request, validating up front so
@@ -381,11 +384,7 @@ func (req *EstimateRequest) options(defaultSamplingWorkers int) (cqa.Options, er
 		if pts > maxConvergencePoints {
 			pts = maxConvergencePoints
 		}
-		opts.Convergence = cqa.ConvergenceOptions{
-			Enabled:   true,
-			MaxPoints: pts,
-			MaxTuples: maxConvergenceTuples,
-		}
+		opts.Convergence = cqa.ConvergenceOptions{Enabled: true, MaxPoints: pts}
 	}
 	if err := opts.Validate(); err != nil {
 		return cqa.Options{}, err
@@ -428,6 +427,17 @@ func writeRunError(w http.ResponseWriter, st *reqState, err error) {
 	fail(w, st, status, code, err.Error())
 }
 
+// writeSynopsisError maps a failed synopsis build: a cancellation or an
+// expired deadline as writeRunError does, anything else as a bad query.
+func writeSynopsisError(w http.ResponseWriter, st *reqState, err error) {
+	if errors.Is(err, cqaerr.ErrCanceled) || errors.Is(err, context.Canceled) ||
+		errors.Is(err, context.DeadlineExceeded) {
+		writeRunError(w, st, err)
+		return
+	}
+	fail(w, st, http.StatusBadRequest, codeBadQuery, err.Error())
+}
+
 func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	st := reqStateFrom(r.Context())
 	var req EstimateRequest
@@ -450,7 +460,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 			fail(w, st, http.StatusBadRequest, codeBadScheme, err.Error())
 			return
 		}
-		st.setScheme(scheme.String())
+		st.rec.Scheme = scheme.String()
 	}
 	q, err := parseQuery(req.Query, in.db)
 	if err != nil {
@@ -492,7 +502,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	})
 	if shared {
 		s.reg.Counter("estimate_coalesced_total", obs.L("instance", in.Name)).Inc()
-		st.setCoalesced()
+		st.rec.Coalesced = true
 	}
 	// Post-charge the sampling work against THIS caller's instance
 	// quota — leader and every coalesced follower alike. The flight key
@@ -507,20 +517,15 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		case flightStageAdmit:
 			s.writeAdmitError(w, st, res.err)
 		case flightStageSynopsis:
-			if errors.Is(res.err, cqaerr.ErrCanceled) || errors.Is(res.err, context.Canceled) ||
-				errors.Is(res.err, context.DeadlineExceeded) {
-				writeRunError(w, st, res.err)
-			} else {
-				fail(w, st, http.StatusBadRequest, codeBadQuery, res.err.Error())
-			}
+			writeSynopsisError(w, st, res.err)
 		default:
 			writeRunError(w, st, res.err)
 		}
 		return
 	}
-	st.setScheme(res.scheme.String())
-	st.setEstimate(res.stats.Samples, res.stats.GoodRatio)
-	st.setConvergence(res.stats.Convergence)
+	st.rec.Scheme = res.scheme.String()
+	st.rec.Samples, st.rec.GoodRatio = res.stats.Samples, res.stats.GoodRatio
+	st.rec.convergence = res.stats.Convergence
 	writeJSON(w, http.StatusOK, EstimateResponse{
 		Instance:    in.Name,
 		Scheme:      res.scheme.String(),
@@ -529,13 +534,13 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		Coalesced:   shared,
 		Convergence: res.stats.Convergence,
 		Stats: EstimateStats{
-			TraceID:         st.traceID(),
+			TraceID:         st.rec.TraceID,
 			Samples:         res.stats.Samples,
 			NumTuples:       res.stats.NumTuples,
 			GoodRatio:       res.stats.GoodRatio,
 			SamplingWorkers: res.stats.SamplingWorkers,
 			Chunks:          res.stats.Chunks,
-			QueueWaitMS:     st.queueWaitMS(),
+			QueueWaitMS:     st.rec.QueueWaitMS,
 			PrepMS:          ms(res.prep),
 			ElapsedMS:       ms(res.stats.Elapsed),
 		},
@@ -627,12 +632,7 @@ func (s *Server) handleSynopsis(w http.ResponseWriter, r *http.Request) {
 	set, source, err := s.synopsisFor(ctx, in, q, q.Render(in.db.Dict))
 	prepSpan.End()
 	if err != nil {
-		if errors.Is(err, cqaerr.ErrCanceled) || errors.Is(err, context.Canceled) ||
-			errors.Is(err, context.DeadlineExceeded) {
-			writeRunError(w, st, err)
-		} else {
-			fail(w, st, http.StatusBadRequest, codeBadQuery, err.Error())
-		}
+		writeSynopsisError(w, st, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, SynopsisResponse{
@@ -698,7 +698,7 @@ func (s *Server) handleInstanceRegister(w http.ResponseWriter, r *http.Request) 
 	}
 	if err := s.instances.reserve(spec.Name); err != nil {
 		if in, lerr := s.instances.lookup(spec.Name); lerr == nil {
-			st.setInstance(in.Name)
+			st.rec.Instance = in.Name
 		}
 		fail(w, st, http.StatusConflict, codeInstanceExists, err.Error())
 		return
@@ -717,12 +717,8 @@ func (s *Server) handleInstanceRegister(w http.ResponseWriter, r *http.Request) 
 		db:          db,
 		spec:        &spec,
 	}
-	s.instances.commit(in)
-	st.setInstance(in.Name)
-	s.sched.registerTenant(spec.Name, spec.Weight, spec.Quota)
-	s.instanceSeries(in)
-	s.log.Info("server: instance registered",
-		"instance", in.Name, "source", in.Source, "facts", db.NumFacts())
+	s.registerInstance(in, spec.Weight, spec.Quota)
+	st.rec.Instance = in.Name
 	writeJSON(w, http.StatusCreated, s.summarize(in))
 }
 
@@ -736,14 +732,10 @@ func (s *Server) handleInstanceDelete(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	in, err := s.instances.remove(name)
 	if err != nil {
-		// As in resolveInstance: an unknown name is not a metric label.
-		st.setReason(codeUnknownInst)
-		writeAPIError(w, http.StatusNotFound, APIError{
-			Code: codeUnknownInst, Message: err.Error(), Instance: name,
-		})
+		failUnknownInstance(w, st, name, err)
 		return
 	}
-	st.setInstance(in.Name)
+	st.rec.Instance = in.Name
 	st.dropSeries = true
 	s.lru.dropInstance(in.Name)
 	s.sched.dropTenant(in.Name)
@@ -768,13 +760,10 @@ func (s *Server) handleInstancePatch(w http.ResponseWriter, r *http.Request) {
 	}
 	in, err := s.instances.lookup(name)
 	if err != nil {
-		st.setReason(codeUnknownInst)
-		writeAPIError(w, http.StatusNotFound, APIError{
-			Code: codeUnknownInst, Message: err.Error(), Instance: name,
-		})
+		failUnknownInstance(w, st, name, err)
 		return
 	}
-	st.setInstance(in.Name)
+	st.rec.Instance = in.Name
 	if err := patch.validate(); err != nil {
 		fail(w, st, http.StatusBadRequest, codeBadRequest, err.Error())
 		return

@@ -63,7 +63,7 @@ func TestSynopsisLRUEvictsUnderBudget(t *testing.T) {
 		if err := json.Unmarshal([]byte(respBody), &resp); err != nil {
 			t.Fatal(err)
 		}
-		if got := s.Registry().Gauge("synopsis_resident_bytes").Value(); got > float64(budget) {
+		if got := s.reg.Gauge("synopsis_resident_bytes").Value(); got > float64(budget) {
 			t.Fatalf("resident synopsis bytes %v exceed budget %d", got, budget)
 		}
 		return resp
@@ -77,7 +77,7 @@ func TestSynopsisLRUEvictsUnderBudget(t *testing.T) {
 	// cold end (queries[0], then queries[1]) must be evicted.
 	estimate(queries[1])
 	estimate(queries[2])
-	if v := s.Registry().Counter("synopsis_evictions_total", obs.L("instance", "default")).Value(); v < 2 {
+	if v := s.reg.Counter("synopsis_evictions_total", obs.L("instance", "default")).Value(); v < 2 {
 		t.Fatalf("synopsis_evictions_total = %v, want >= 2", v)
 	}
 
@@ -110,7 +110,7 @@ func TestSynopsisLRUUnlimitedByDefault(t *testing.T) {
 		body, _ := json.Marshal(EstimateRequest{Query: q, Scheme: "KLM"})
 		post(t, ts.URL+"/v1/estimate", string(body))
 	}
-	if v := s.Registry().Counter("synopsis_evictions_total", obs.L("instance", "default")).Value(); v != 0 {
+	if v := s.reg.Counter("synopsis_evictions_total", obs.L("instance", "default")).Value(); v != 0 {
 		t.Fatalf("synopsis_evictions_total = %v, want 0 without a budget", v)
 	}
 	if entries, _ := s.lru.residentFor("default"); entries != 3 {
@@ -132,10 +132,10 @@ func TestSynopsisLRUOversizeEntry(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("estimate = %d: %s", status, body)
 	}
-	if got := s.Registry().Gauge("synopsis_resident_bytes").Value(); got != 0 {
+	if got := s.reg.Gauge("synopsis_resident_bytes").Value(); got != 0 {
 		t.Fatalf("resident bytes = %v, want 0 for oversize entry", got)
 	}
-	if v := s.Registry().Counter("synopsis_oversize_total", obs.L("instance", "default")).Value(); v != 1 {
+	if v := s.reg.Counter("synopsis_oversize_total", obs.L("instance", "default")).Value(); v != 1 {
 		t.Fatalf("synopsis_oversize_total = %v, want 1", v)
 	}
 }

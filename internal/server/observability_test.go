@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"testing"
 
+	"cqabench/internal/cqa"
 	"cqabench/internal/obs"
 )
 
@@ -41,8 +42,8 @@ func TestEstimateConvergenceOptIn(t *testing.T) {
 	if len(resp.Convergence) == 0 {
 		t.Fatal("convergence requested but response has no trajectories")
 	}
-	if len(resp.Convergence) > maxConvergenceTuples {
-		t.Fatalf("%d trajectories exceed the service cap %d", len(resp.Convergence), maxConvergenceTuples)
+	if len(resp.Convergence) > cqa.ConvergenceTuples {
+		t.Fatalf("%d trajectories exceed the service cap %d", len(resp.Convergence), cqa.ConvergenceTuples)
 	}
 	for _, tr := range resp.Convergence {
 		if len(tr.Points) == 0 {
@@ -149,19 +150,19 @@ func TestUptimeAndBuildInfoGauges(t *testing.T) {
 			t.Fatalf("metrics exposition missing %s:\n%s", want, body)
 		}
 	}
-	first := s.Registry().Gauge("server_uptime_seconds").Value()
+	first := s.reg.Gauge("server_uptime_seconds").Value()
 	if first < 0 {
 		t.Fatalf("uptime = %v, want >= 0", first)
 	}
 	get(t, ts.URL+"/metrics.json")
-	if second := s.Registry().Gauge("server_uptime_seconds").Value(); second < first {
+	if second := s.reg.Gauge("server_uptime_seconds").Value(); second < first {
 		t.Fatalf("uptime went backwards: %v -> %v", first, second)
 	}
 	sha := s.manifest.GitSHA
 	if sha == "" {
 		sha = "unknown"
 	}
-	info := s.Registry().Gauge("server_build_info",
+	info := s.reg.Gauge("server_build_info",
 		obs.L("git_sha", sha), obs.L("go_version", s.manifest.GoVersion))
 	if info.Value() != 1 {
 		t.Fatalf("server_build_info = %v, want 1", info.Value())

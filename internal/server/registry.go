@@ -44,9 +44,6 @@ type Instance struct {
 	estimates atomic.Int64
 }
 
-// DB returns the instance's database.
-func (in *Instance) DB() *relation.Database { return in.db }
-
 // Registry errors, mapped onto the HTTP error model by the handlers
 // (404 unknown_instance, 409 instance_exists, 400 missing_instance).
 var (
@@ -63,8 +60,8 @@ var (
 )
 
 // instanceRegistry is the concurrent name -> *Instance map plus the
-// server_instances gauge. Registration via spec is two-phase: the name
-// is reserved under the lock, the (potentially slow) database build
+// server_instances gauge. Registration is two-phase: the name is
+// reserved under the lock, a spec's (potentially slow) database build
 // runs outside it, and a failed build releases the reservation — so
 // concurrent duplicate registrations get an immediate 409 instead of
 // racing two builds.
@@ -91,23 +88,6 @@ func (r *instanceRegistry) publish() {
 	n := len(r.instances)
 	r.mu.RUnlock()
 	r.reg.Gauge("server_instances").Set(float64(n))
-}
-
-// add registers a fully built instance. Fails with ErrInstanceExists if
-// the name is taken or reserved.
-func (r *instanceRegistry) add(in *Instance) error {
-	if !scenario.ValidInstanceName(in.Name) {
-		return fmt.Errorf("server: invalid instance name %q", in.Name)
-	}
-	r.mu.Lock()
-	if r.instances[in.Name] != nil || r.pending[in.Name] {
-		r.mu.Unlock()
-		return fmt.Errorf("%w: %q", ErrInstanceExists, in.Name)
-	}
-	r.instances[in.Name] = in
-	r.mu.Unlock()
-	r.publish()
-	return nil
 }
 
 // reserve claims a name for an in-progress build; release undoes a

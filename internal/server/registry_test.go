@@ -129,7 +129,7 @@ func TestInstanceRegistryLifecycle(t *testing.T) {
 	if status, _, body := doJSON(t, "DELETE", ts.URL+"/v1/instances/tiny", ""); status != http.StatusOK {
 		t.Fatalf("delete = %d: %s", status, body)
 	}
-	if got := s.Registry().Gauge("synopsis_resident_bytes").Value(); got != 0 {
+	if got := s.reg.Gauge("synopsis_resident_bytes").Value(); got != 0 {
 		t.Fatalf("resident bytes after delete = %v, want 0", got)
 	}
 	if status, code, _ := doJSON(t, "DELETE", ts.URL+"/v1/instances/tiny", ""); status != http.StatusNotFound || code != "unknown_instance" {

@@ -153,8 +153,9 @@ func (l *requestLog) find(traceID string) (RequestRecord, bool) {
 
 // reqState is the per-request mutable record shared between the
 // instrument wrapper (which creates and finalizes it) and the handlers
-// and admission path (which fill in scheme, queue wait, stats and error
-// reasons). A request is handled by one goroutine at a time, so no lock.
+// and admission path (which write scheme, queue wait, stats and error
+// reasons into rec). A request is handled by one goroutine at a time, so
+// no lock.
 type reqState struct {
 	rec  RequestRecord
 	span *obs.Span // root server.<endpoint> span
@@ -165,61 +166,19 @@ type reqState struct {
 
 type reqStateKey struct{}
 
-// reqStateFrom returns the request's state, or nil outside an
-// instrumented handler.
+// reqStateFrom returns the request's state. Every handler that reads it
+// runs under instrument, which installs it, and the admission path's
+// context derives from the request's.
 func reqStateFrom(ctx context.Context) *reqState {
-	st, _ := ctx.Value(reqStateKey{}).(*reqState)
-	return st
+	return ctx.Value(reqStateKey{}).(*reqState)
 }
 
-// setReason records an error/rejection code; nil-safe, first code wins
-// (the earliest failure is the root cause).
+// setReason records an error/rejection code; the first code wins (the
+// earliest failure is the root cause).
 func (st *reqState) setReason(code string) {
-	if st == nil || st.rec.Reason != "" {
-		return
+	if st.rec.Reason == "" {
+		st.rec.Reason = code
 	}
-	st.rec.Reason = code
-}
-
-// setInstance records the instance the request resolved to; nil-safe.
-func (st *reqState) setInstance(name string) {
-	if st == nil {
-		return
-	}
-	st.rec.Instance = name
-}
-
-// setCoalesced marks the request a single-flight follower; nil-safe.
-func (st *reqState) setCoalesced() {
-	if st == nil {
-		return
-	}
-	st.rec.Coalesced = true
-}
-
-// setScheme records the scheme the request resolved to; nil-safe.
-func (st *reqState) setScheme(scheme string) {
-	if st == nil {
-		return
-	}
-	st.rec.Scheme = scheme
-}
-
-// setEstimate records estimator output stats; nil-safe.
-func (st *reqState) setEstimate(samples int64, goodRatio float64) {
-	if st == nil {
-		return
-	}
-	st.rec.Samples = samples
-	st.rec.GoodRatio = goodRatio
-}
-
-// setConvergence records opt-in convergence trajectories; nil-safe.
-func (st *reqState) setConvergence(traj []cqa.TupleTrajectory) {
-	if st == nil || traj == nil {
-		return
-	}
-	st.rec.convergence = traj
 }
 
 // SchedDecision is the admission scheduler's per-request decision as
@@ -235,38 +194,6 @@ type SchedDecision struct {
 	// admission.
 	Weight  int64 `json:"weight"`
 	Deficit int64 `json:"deficit,omitempty"`
-}
-
-// setSched records the scheduling decision; nil-safe.
-func (st *reqState) setSched(d SchedDecision) {
-	if st == nil {
-		return
-	}
-	st.rec.Sched = &d
-}
-
-// setQueueWait records the admission queue wait; nil-safe.
-func (st *reqState) setQueueWait(d time.Duration) {
-	if st == nil {
-		return
-	}
-	st.rec.QueueWaitMS = ms(d)
-}
-
-// traceID returns the request's trace ID ("" on nil).
-func (st *reqState) traceID() string {
-	if st == nil {
-		return ""
-	}
-	return st.rec.TraceID
-}
-
-// queueWaitMS returns the recorded queue wait (0 on nil).
-func (st *reqState) queueWaitMS() float64 {
-	if st == nil {
-		return 0
-	}
-	return st.rec.QueueWaitMS
 }
 
 // ms converts a duration to milliseconds with microsecond resolution,

@@ -383,13 +383,3 @@ func (s *scheduler) inflight() int64 {
 	defer s.mu.Unlock()
 	return int64(s.running)
 }
-
-// queued reports how many requests are waiting in name's FIFO.
-func (s *scheduler) queued(name string) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if t, ok := s.tenants[name]; ok {
-		return len(t.waiters)
-	}
-	return 0
-}

@@ -270,6 +270,16 @@ func TestSchedulerPatchGeneration(t *testing.T) {
 	}
 }
 
+// queued reports how many requests are waiting in name's FIFO.
+func (s *scheduler) queued(name string) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if t, ok := s.tenants[name]; ok {
+		return len(t.waiters)
+	}
+	return 0
+}
+
 // admittedTotal reports running + waiting requests across all tenants
 // (the old single-queue admission counter equivalent).
 func (s *scheduler) admittedTotal() int64 {

@@ -285,20 +285,24 @@ func New(cfg Config) (*Server, error) {
 				return nil, fmt.Errorf("server: instance %q: %w", ic.Name, err)
 			}
 		}
+		if !scenario.ValidInstanceName(ic.Name) {
+			return nil, fmt.Errorf("server: invalid instance name %q", ic.Name)
+		}
+		if err := s.instances.reserve(ic.Name); err != nil {
+			return nil, err
+		}
 		source := ic.Source
 		if source == "" {
 			source = "config"
 		}
-		if err := s.registerInstance(&Instance{
+		s.registerInstance(&Instance{
 			Name:        ic.Name,
 			Source:      source,
 			Created:     time.Now(),
 			Fingerprint: ic.KeyPrefix,
 			db:          ic.DB,
 			spec:        ic.Spec,
-		}, ic.Weight, ic.Quota); err != nil {
-			return nil, err
-		}
+		}, ic.Weight, ic.Quota)
 	}
 	// Register the instance-less windowed latency series eagerly so
 	// /metrics exposes them (at zero) from the first scrape; the
@@ -333,18 +337,15 @@ func New(cfg Config) (*Server, error) {
 // instance (rejected before routing, or unknown names).
 const noInstance = "none"
 
-// registerInstance adds in to the registry, installs its scheduling
-// policy (weight 0 and quota nil select the defaults), and eagerly
-// registers its per-instance windowed latency series.
-func (s *Server) registerInstance(in *Instance, weight int, quota *scenario.QuotaSpec) error {
-	if err := s.instances.add(in); err != nil {
-		return err
-	}
+// registerInstance commits in under the name reserved for it, installs
+// its scheduling policy (weight 0 and quota nil select the defaults),
+// and eagerly registers its per-instance windowed latency series.
+func (s *Server) registerInstance(in *Instance, weight int, quota *scenario.QuotaSpec) {
+	s.instances.commit(in)
 	s.sched.registerTenant(in.Name, weight, quota)
 	s.instanceSeries(in)
 	s.log.Info("server: instance registered",
 		"instance", in.Name, "source", in.Source, "facts", in.db.NumFacts())
-	return nil
 }
 
 // instanceSeries eagerly registers the per-instance windowed latency
@@ -377,12 +378,6 @@ func (s *Server) queueWaitSeconds(endpoint, instance string) *obs.WindowedHistog
 	return s.reg.WindowedHistogram("server_queue_wait_seconds", s.windows,
 		obs.L("endpoint", endpoint), obs.L("instance", instance))
 }
-
-// Registry returns the metrics registry the server reports into.
-func (s *Server) Registry() *obs.Registry { return s.reg }
-
-// Instances returns the registered instances, sorted by name.
-func (s *Server) Instances() []*Instance { return s.instances.list() }
 
 // refreshUptime recomputes server_uptime_seconds; the metrics handlers
 // call it per scrape so the gauge is current without a ticker goroutine.
@@ -452,24 +447,16 @@ func (s *Server) acquire(ctx context.Context, instance string) (release func(), 
 	release, out, err := s.sched.acquire(ctx, instance)
 	qspan.End()
 	wait := time.Since(waitStart)
-	st.setQueueWait(wait)
-	st.setSched(SchedDecision{
+	st.rec.QueueWaitMS = ms(wait)
+	st.rec.Sched = &SchedDecision{
 		Queued:      out.queued,
 		QueuedAhead: out.queuedAhead,
 		Weight:      out.weight,
 		Deficit:     out.deficit,
-	})
+	}
 	if !errors.Is(err, errQueueFull) {
 		// Queue-full rejections never waited; don't pollute the wait SLO.
-		endpoint := "unknown"
-		if st != nil {
-			endpoint = st.rec.Endpoint
-		}
-		name := instance
-		if name == "" {
-			name = noInstance
-		}
-		s.queueWaitSeconds(endpoint, name).ObserveDuration(wait)
+		s.queueWaitSeconds(st.rec.Endpoint, instance).ObserveDuration(wait)
 	}
 	if err != nil {
 		return nil, err
@@ -479,7 +466,7 @@ func (s *Server) acquire(ctx context.Context, instance string) (release func(), 
 
 // writeAdmitError maps an acquire failure onto the admission error
 // model (503 draining, 429 queue_full, 504 deadline), counts it, and
-// records the reason on the request's debug record (st may be nil).
+// records the reason on the request's debug record.
 func (s *Server) writeAdmitError(w http.ResponseWriter, st *reqState, err error) {
 	status, reason := http.StatusGatewayTimeout, codeDeadline
 	switch {
@@ -492,7 +479,7 @@ func (s *Server) writeAdmitError(w http.ResponseWriter, st *reqState, err error)
 }
 
 // reject writes an admission failure, counts it, and records the reason
-// on the request's debug record (st may be nil).
+// on the request's debug record.
 func (s *Server) reject(w http.ResponseWriter, st *reqState, status int, reason, msg string) {
 	s.reg.Counter("server_rejected_total", obs.L("reason", reason)).Inc()
 	var retryAfterMS int64
@@ -501,14 +488,10 @@ func (s *Server) reject(w http.ResponseWriter, st *reqState, status int, reason,
 		retryAfterMS = 1000
 	}
 	st.setReason(reason)
-	instance := ""
-	if st != nil {
-		instance = st.rec.Instance
-	}
 	writeAPIError(w, status, APIError{
 		Code:         reason,
 		Message:      msg,
-		Instance:     instance,
+		Instance:     st.rec.Instance,
 		RetryAfterMS: retryAfterMS,
 	})
 }

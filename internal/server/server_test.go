@@ -365,7 +365,7 @@ func TestQueueFullRejectsWith429(t *testing.T) {
 	if e.Error.Code != "queue_full" || !e.Error.Retryable || e.Error.Instance != "default" {
 		t.Fatalf("queue_full envelope = %+v", e.Error)
 	}
-	if reg := s.Registry(); reg.Counter("server_rejected_total", obs.L("reason", "queue_full")).Value() == 0 {
+	if reg := s.reg; reg.Counter("server_rejected_total", obs.L("reason", "queue_full")).Value() == 0 {
 		t.Fatal("rejection not counted")
 	}
 	cancel()
@@ -481,7 +481,7 @@ func TestNewValidatesConfig(t *testing.T) {
 	if err != nil {
 		t.Fatalf("zero-instance config rejected: %v", err)
 	}
-	if got := len(s.Instances()); got != 0 {
+	if got := len(s.instances.list()); got != 0 {
 		t.Fatalf("instances = %d, want 0", got)
 	}
 	if _, err := New(Config{Instances: defaultInstance(smallDB(t)), DefaultTimeout: time.Hour, MaxTimeout: time.Second}); err == nil {

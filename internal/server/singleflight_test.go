@@ -69,7 +69,7 @@ func TestEstimateSingleFlightCoalesces(t *testing.T) {
 		return
 	}
 
-	reg := s.Registry()
+	reg := s.reg
 	if v := reg.Counter("server_estimate_runs_total", obs.L("instance", "default")).Value(); v != 1 {
 		t.Fatalf("estimator ran %v times, want exactly 1", v)
 	}
@@ -115,7 +115,7 @@ func TestEstimateDifferentOptionsDoNotCoalesce(t *testing.T) {
 		}(body)
 	}
 	wg.Wait()
-	reg := s.Registry()
+	reg := s.reg
 	if v := reg.Counter("server_estimate_runs_total", obs.L("instance", "default")).Value(); v != 2 {
 		t.Fatalf("estimator ran %v times, want 2", v)
 	}

@@ -256,16 +256,13 @@ func promValue(t testing.TB, exposition, prefix string) float64 {
 }
 
 func TestWindowedLatencyExportsAndDrains(t *testing.T) {
-	s, ts := newTestServer(t, Config{Instances: defaultInstance(smallDB(t)), Workers: 1})
+	_, ts := newTestServer(t, Config{Instances: defaultInstance(smallDB(t)), Workers: 1})
 
-	// Pin the window ring to a controllable clock. The ring is the one
-	// New() registered; re-registering returns it, not a fresh one.
+	// Drive the window ring from a controllable package clock.
 	var now atomic.Int64
 	base := time.Now()
-	now.Store(0)
-	wh := s.reg.WindowedHistogram("server_request_seconds", nil,
-		obs.L("endpoint", "/v1/estimate"), obs.L("instance", "default"))
-	wh.SetNowFunc(func() time.Time { return base.Add(time.Duration(now.Load())) })
+	obs.SetNowFunc(func() time.Time { return base.Add(time.Duration(now.Load())) })
+	t.Cleanup(func() { obs.SetNowFunc(nil) })
 
 	post(t, ts.URL+"/v1/estimate", `{"query": "Q() :- Employee(1, 'Bob', d)", "scheme": "Natural"}`)
 

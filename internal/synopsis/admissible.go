@@ -212,11 +212,3 @@ func imageEqual(x, y Image) bool {
 	}
 	return true
 }
-
-// Size returns the paper's ||H,B|| = |H| + max_H ||H|| + ||B|| measure,
-// with image and block sizes as the size proxies.
-func (a *Admissible) Size() int {
-	total := len(a.Images) + a.MaxImageSize()
-	total += len(a.BlockSizes)
-	return total
-}

@@ -3,6 +3,7 @@ package synopsis
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"cqabench/internal/cq"
@@ -55,7 +56,7 @@ func TestStreamOrdered(t *testing.T) {
 		if prev != nil && !prev.Less(e.Tuple) {
 			t.Fatalf("entries out of order: %v then %v", prev, e.Tuple)
 		}
-		prev = e.Tuple.Clone()
+		prev = slices.Clone(e.Tuple)
 		return nil
 	}); err != nil {
 		t.Fatal(err)

@@ -480,7 +480,4 @@ func TestCoverHelpers(t *testing.T) {
 	if pair.MaxImageSize() != 2 {
 		t.Fatal("MaxImageSize wrong")
 	}
-	if pair.Size() <= 0 {
-		t.Fatal("Size wrong")
-	}
 }

@@ -134,11 +134,6 @@ type Config struct {
 	Seed        uint64
 }
 
-// DefaultConfig is a laptop-scale configuration.
-func DefaultConfig() Config {
-	return Config{ScaleFactor: 0.0005, Seed: mt.DefaultSeed}
-}
-
 // Base cardinalities at SF = 1, following the TPC-DS 1 GB profile.
 const (
 	baseItem         = 18000

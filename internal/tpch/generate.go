@@ -16,11 +16,6 @@ type Config struct {
 	Seed        uint64
 }
 
-// DefaultConfig is a laptop-scale configuration.
-func DefaultConfig() Config {
-	return Config{ScaleFactor: 0.001, Seed: mt.DefaultSeed}
-}
-
 // Official TPC-H base cardinalities at SF = 1. region and nation are fixed.
 const (
 	baseSupplier = 10000
