@@ -5,8 +5,8 @@
 #   bash .github/perfbench-gate-test.sh
 #
 # Each baseline must pass the gate against itself and fail it against a
-# copy doctored to be 4x faster, as a run marked incorrect, and as a run
-# missing one op kind.
+# copy doctored to be 4x faster, against one whose set-up alone is 4x
+# faster, as a run marked incorrect, and as a run missing one op kind.
 set -euo pipefail
 here="$(cd "$(dirname "${BASH_SOURCE[0]}")" && pwd)"
 gate="$here/perfbench-gate.sh"
@@ -36,6 +36,8 @@ for f in "${baselines[@]}"; do
 	expect "$f" "$f" pass "$name against itself"
 	jq '.result.metrics.op_ms.value /= 4 | .details.op_stats[].ms |= map(. / 4)' "$f" >"$tmp/fast.json"
 	expect "$tmp/fast.json" "$f" fail "$name against a 4x faster baseline"
+	jq '.result.metrics.setup_s.value /= 4' "$f" >"$tmp/fast-setup.json"
+	expect "$tmp/fast-setup.json" "$f" fail "$name against a baseline with a 4x faster set-up"
 	jq '.result.correct = false' "$f" >"$tmp/incorrect.json"
 	expect "$f" "$tmp/incorrect.json" fail "$name marked incorrect"
 	jq '.details.op_stats |= del(.[keys[0]])' "$f" >"$tmp/missing.json"

@@ -8,7 +8,7 @@
 # It prints one line per check and exits 1 when any fails:
 #   - the two files are of different workloads;
 #   - the current run is not correct, or it has failed ops;
-#   - its op_ms is more than 2x the baseline's;
+#   - its op_ms or its setup_s is more than 2x the baseline's;
 #   - an op kind's median latency (details.op_stats.<kind>.ms) is more
 #     than 2x the kind's baseline median;
 #   - an op kind of the baseline is missing from the current run.
@@ -24,6 +24,7 @@ lines=$(jq -n -r --slurpfile base "$1" --slurpfile cur "$2" '
 def median: if . == null then null else sort | length as $n | (.[($n - 1) / 2 | floor] + .[$n / 2 | floor]) / 2 end;
 def r3: . * 1000 | round / 1000;
 def check($name; $ok; $detail): "\(if $ok then "ok  " else "FAIL" end) \($name): \($detail)";
+def ms: if . == null then null else . * 1000 end;
 def slower($name; $c; $b):
   if $c == null then check($name; false; "missing from the current run")
   else check($name; $c <= 2 * $b; "\($c | r3) ms, baseline \($b | r3) ms (\($c / $b | r3)x, limit 2x)")
@@ -34,6 +35,7 @@ check("workload"; $c.manifest.config.workload == $b.manifest.config.workload;
 check("correct"; $c.result.correct == true; "\($c.result.correct)"),
 check("failed ops"; $c.result.failed == 0; "\($c.result.failed) of \($c.result.attempted)"),
 slower("op_ms"; $c.result.metrics.op_ms.value; $b.result.metrics.op_ms.value),
+slower("setup_s"; $c.result.metrics.setup_s.value | ms; $b.result.metrics.setup_s.value | ms),
 ($b.details.op_stats | keys[]) as $k |
   slower("\($k) median"; $c.details.op_stats[$k].ms | median; $b.details.op_stats[$k].ms | median)
 ')

@@ -107,9 +107,10 @@ func (b *Bound) Draw(src *Source) int {
 // the run would cross a refill, they read the run again from its first
 // word, word by word as Intn does.
 type Fill struct {
-	steps []fillStep
-	tail  int // size-1 bounds after the last step
-	width int // words a run reads when no bound rejects
+	steps   []fillStep
+	rejects []rejectStep // the steps whose bound can reject a word
+	tail    int          // size-1 bounds after the last step
+	width   int          // words a run reads when no bound rejects
 }
 
 // fillStep is one bound larger than 1, preceded by skip size-1 bounds.
@@ -117,6 +118,13 @@ type fillStep struct {
 	Bound
 	skip int32
 	dst  int32 // index into dst, and the word's fixed offset in a run
+}
+
+// rejectStep is what Advance reads of a step whose bound is not a
+// power of two: its rejection threshold and its word's fixed offset.
+type rejectStep struct {
+	max uint64
+	off int
 }
 
 // NewFill compiles the fill loop for sizes, which must all be ≥ 1.
@@ -133,7 +141,11 @@ func NewFill(sizes []int32) Fill {
 			f.tail++
 			continue
 		}
-		f.steps = append(f.steps, fillStep{Bound: NewBound(int(sz)), skip: int32(f.tail), dst: int32(b)})
+		st := fillStep{Bound: NewBound(int(sz)), skip: int32(f.tail), dst: int32(b)}
+		if st.max != 0 {
+			f.rejects = append(f.rejects, rejectStep{max: st.max, off: b})
+		}
+		f.steps = append(f.steps, st)
 		f.tail = 0
 	}
 	return f
@@ -176,8 +188,8 @@ func (s *Source) fillFixed(f *Fill, dst []int32) bool {
 }
 
 // Advance consumes n runs, each of pre words that are not read followed
-// by one run of f's words, rejections included, storing no value. At
-// fixed offsets it tempers only the words a bound can reject.
+// by one run of f's words, rejections included. It computes no value:
+// it tempers only the words a bound can reject.
 func (s *Source) Advance(f *Fill, pre, n int) {
 	for {
 		if n -= s.advanceFixed(f, pre, n); n == 0 {
@@ -185,7 +197,7 @@ func (s *Source) Advance(f *Fill, pre, n int) {
 		}
 		i := s.skip(s.index, pre)
 		for k := range f.steps {
-			_, i = s.draw(&f.steps[k], i)
+			i = s.pass(&f.steps[k], i)
 		}
 		s.index = s.skip(i, f.tail)
 		n--
@@ -196,15 +208,14 @@ func (s *Source) Advance(f *Fill, pre, n int) {
 // consumed, stopping before the first run that would cross a refill or
 // in which a bound rejects its word.
 func (s *Source) advanceFixed(f *Fill, pre, n int) int {
-	i, w, steps := s.index, pre+f.width, f.steps
+	i, w, rejects := s.index, pre+f.width, f.rejects
 	for r := 0; r < n; r++ {
 		if i+w > nn {
 			s.index = i
 			return r
 		}
-		for k := range steps {
-			st := &steps[k]
-			if st.max != 0 && temper(s.state[i+pre+int(st.dst)]) >= st.max {
+		for k := range rejects {
+			if temper(s.state[i+pre+rejects[k].off]) >= rejects[k].max {
 				s.index = i
 				return r
 			}
@@ -300,6 +311,27 @@ func (s *Source) draw(st *fillStep, i int) (uint64, int) {
 		i++
 		if ok {
 			return v, i
+		}
+	}
+}
+
+// pass is draw for a value that is not needed: it tempers words only
+// to find the one the bound accepts, and skips a power of two's word,
+// which the bound always accepts, untempered.
+func (s *Source) pass(st *fillStep, i int) int {
+	if st.max == 0 {
+		return s.skip(i, int(st.skip)+1)
+	}
+	i = s.skip(i, int(st.skip))
+	for {
+		if i >= nn {
+			s.refill()
+			i = 0
+		}
+		v := temper(s.state[i])
+		i++
+		if v < st.max {
+			return i
 		}
 	}
 }

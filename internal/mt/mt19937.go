@@ -44,10 +44,18 @@ func (s *Source) Seed(seed int64) {
 	s.index = nn
 }
 
+// arraySeed is the state Seed(19650218) leaves, which init_by_array64
+// starts every key from.
+var arraySeed = func() [nn]uint64 {
+	var s Source
+	s.Seed(19650218)
+	return s.state
+}()
+
 // SeedBySlice initializes the state from a key array, mirroring
 // init_by_array64. It allows seeding with more than 64 bits of entropy.
 func (s *Source) SeedBySlice(key []uint64) {
-	s.Seed(19650218)
+	s.state = arraySeed
 	i, j := 1, 0
 	k := len(key)
 	if nn > k {

@@ -90,7 +90,7 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 				P50: s.Quantile(0.50), P95: s.Quantile(0.95), P99: s.Quantile(0.99),
 			}
 			if wh := e.win.Load(); wh != nil {
-				for _, win := range wh.Windows() {
+				for _, win := range wh.windows {
 					ws := wh.WindowSnapshot(win)
 					h.Windows = append(h.Windows, jsonWindow{
 						Window: FormatWindow(win), Count: ws.Count,
@@ -180,7 +180,7 @@ func writePromWindows(w io.Writer, e *entry, lastType map[string]bool) error {
 		label string
 		q     float64
 	}{{"0.5", 0.50}, {"0.95", 0.95}, {"0.99", 0.99}}
-	for _, win := range wh.Windows() {
+	for _, win := range wh.windows {
 		s := wh.WindowSnapshot(win)
 		winLabel := L("window", FormatWindow(win))
 		for _, qs := range quantiles {

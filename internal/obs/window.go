@@ -49,12 +49,12 @@ type winSlot struct {
 // exported; the windowed quantiles export beside it as
 // <name>_window{window,quantile} series.
 type WindowedHistogram struct {
-	hist *Histogram
-
-	mu      sync.Mutex
+	hist    *Histogram
 	slotDur time.Duration
-	windows []time.Duration // ascending, deduplicated
-	slots   []winSlot
+	windows []time.Duration // ascending, deduplicated; never changed once built
+
+	mu    sync.Mutex
+	slots []winSlot
 }
 
 // newWindowedHistogram builds the ring for the given windows (nil or
@@ -84,13 +84,6 @@ func newWindowedHistogram(hist *Histogram, windows []time.Duration) *WindowedHis
 		windows: ws,
 		slots:   make([]winSlot, n),
 	}
-}
-
-// Windows returns the configured rolling windows, ascending.
-func (w *WindowedHistogram) Windows() []time.Duration {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return append([]time.Duration(nil), w.windows...)
 }
 
 // slotAt returns the ring slot for absolute interval idx, resetting it

@@ -35,7 +35,7 @@ func TestWindowedHistogramQuantilesAndDecay(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		wh.Observe(0.1)
 	}
-	for _, win := range wh.Windows() {
+	for _, win := range wh.windows {
 		s := wh.WindowSnapshot(win)
 		if s.Count != 100 {
 			t.Fatalf("window %v count = %d, want 100", win, s.Count)
@@ -93,7 +93,7 @@ func TestWindowedHistogramSlidesAcrossSlots(t *testing.T) {
 func TestWindowedHistogramDefaultsAndReuse(t *testing.T) {
 	r := NewRegistry()
 	wh := r.WindowedHistogram("x_seconds", nil)
-	ws := wh.Windows()
+	ws := wh.windows
 	if len(ws) != 2 || ws[0] != time.Minute || ws[1] != 5*time.Minute {
 		t.Fatalf("default windows = %v", ws)
 	}
@@ -191,7 +191,7 @@ func TestWindowedHistogramConcurrent(t *testing.T) {
 func TestWindowedHistogramEmptyWindowExport(t *testing.T) {
 	r := NewRegistry()
 	wh := r.WindowedHistogram("idle_seconds", nil, L("endpoint", "/x"))
-	for _, win := range wh.Windows() {
+	for _, win := range wh.windows {
 		s := wh.WindowSnapshot(win)
 		if s.Count != 0 || s.Sum != 0 || s.Min != 0 || s.Max != 0 {
 			t.Fatalf("idle snapshot for %v = %+v, want zero", win, s)

@@ -427,6 +427,213 @@ func TestKernelsMatchReferenceAcrossWords(t *testing.T) {
 	}
 }
 
+// dominatedByDefinition reports whether some image j < i of the pair has
+// every member in H_i or in a block of size 1.
+func dominatedByDefinition(pair *synopsis.Admissible, i int) bool {
+	for j := 0; j < i; j++ {
+		if !slices.ContainsFunc(pair.Images[j], func(m synopsis.Member) bool {
+			return pair.BlockSizes[m.Block] > 1 && !slices.Contains(pair.Images[i], m)
+		}) {
+			return true
+		}
+	}
+	return false
+}
+
+// sizeOnePair has an image wholly in size-1 blocks, which every
+// database contains: the six images before it are not dominated, and
+// every image after it is, another wholly size-1 image included.
+func sizeOnePair() *synopsis.Admissible {
+	pair := &synopsis.Admissible{BlockSizes: []int32{3, 1, 2, 1, 4, 1}}
+	add := func(ms ...synopsis.Member) { pair.Images = append(pair.Images, ms) }
+	for f := int32(0); f < 3; f++ {
+		for g := int32(0); g < 2; g++ {
+			add(synopsis.Member{Block: 0, Fact: f}, synopsis.Member{Block: 2, Fact: g})
+		}
+	}
+	add(synopsis.Member{Block: 1}, synopsis.Member{Block: 3})
+	add(synopsis.Member{Block: 3}, synopsis.Member{Block: 5})
+	for h := int32(0); h < 4; h++ {
+		add(synopsis.Member{Block: 1}, synopsis.Member{Block: 4, Fact: h})
+		for g := int32(0); g < 2; g++ {
+			add(synopsis.Member{Block: 2, Fact: g}, synopsis.Member{Block: 4, Fact: h})
+		}
+	}
+	pair.Canonicalize()
+	if err := pair.Validate(); err != nil {
+		panic(err)
+	}
+	return pair
+}
+
+// wordsPair has dominated images in each of its five 64-image words,
+// and its second word holds nothing else. Block 0 splits the images in
+// three groups. Groups 0 and 1 each start with (0, x) and block 1's
+// one fact, an image that dominates the 130 after it: (0, x) and a
+// fact of a block of size 5. So group 1's first image, 131, is the
+// dominator of the next 130, and the last undominated image before it
+// lies two words back. Group 2 has ten undominated images, (0, 2) and
+// a fact of block 2 or 3; a draw of one with block 3 is 0, as the drawn
+// fact of block 2 makes an earlier image.
+func wordsPair() *synopsis.Admissible {
+	pair := &synopsis.Admissible{BlockSizes: []int32{3, 1}}
+	for len(pair.BlockSizes) < 28 {
+		pair.BlockSizes = append(pair.BlockSizes, 5)
+	}
+	add := func(ms ...synopsis.Member) { pair.Images = append(pair.Images, ms) }
+	for x := int32(0); x < 2; x++ {
+		add(synopsis.Member{Block: 0, Fact: x}, synopsis.Member{Block: 1})
+		for b := int32(2); b < 28; b++ {
+			for f := int32(0); f < 5; f++ {
+				add(synopsis.Member{Block: 0, Fact: x}, synopsis.Member{Block: b, Fact: f})
+			}
+		}
+	}
+	for b := int32(2); b < 4; b++ {
+		for f := int32(0); f < 5; f++ {
+			add(synopsis.Member{Block: 0, Fact: 2}, synopsis.Member{Block: b, Fact: f})
+		}
+	}
+	pair.Canonicalize()
+	if err := pair.Validate(); err != nil {
+		panic(err)
+	}
+	return pair
+}
+
+// The plain KL kernel answers a draw of a dominated image without
+// drawing its database. On pairs where that applies, it must match the
+// reference draw for draw, one draw at a time and in batches, and leave
+// the stream where the reference does: on the wide Boolean shape, where
+// the dominating image's other members are in size-1 blocks, on a pair
+// with an image wholly in size-1 blocks, and on a pair with dominated
+// images in every word, one word holding nothing else. Each pair must
+// draw dominated images in every word, and undominated draws of 0 and
+// of 1. The flags must be the definition's.
+func TestKLDominatedMatchesReference(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		pair *synopsis.Admissible
+	}{
+		{"wide", widePair()},
+		{"size-1 image", sizeOnePair()},
+		{"every word", wordsPair()},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			pair := c.pair
+			kl, ref := NewKL(pair), newReference(pair)
+			for i := range pair.Images {
+				if kl.dominated[i] != dominatedByDefinition(pair, i) {
+					t.Fatalf("image %d: dominated %v, by the definition %v", i, kl.dominated[i], !kl.dominated[i])
+				}
+			}
+			words := (pair.NumImages() + 63) / 64
+			dominated := make([]int, words)
+			var undominated [2]int // draws of 0 and of 1
+			s1, s2 := mt.New(25), mt.New(25)
+			want := func() float64 {
+				i := ref.symbolic(s1)
+				v := 0.0
+				if ref.pair.FirstCover(ref.chosen) == i {
+					v = 1
+				}
+				if kl.dominated[i] {
+					dominated[i/64]++
+				} else {
+					undominated[int(v)]++
+				}
+				return v
+			}
+			d := 0
+			for ; d < 3000; d++ {
+				if w, got := want(), kl.Sample(s2); w != got {
+					t.Fatalf("draw %d: reference %v, kernel %v", d, w, got)
+				}
+			}
+			for _, sz := range []int{1, 7, 256, 3, 2000, 1, 733} {
+				batch := make([]float64, sz)
+				kl.SampleBatch(s2, batch)
+				for _, got := range batch {
+					if w := want(); w != got {
+						t.Fatalf("draw %d: reference %v, batched kernel %v", d, w, got)
+					}
+					d++
+				}
+			}
+			for i := 0; i < 4; i++ {
+				if a, b := s1.Uint64(), s2.Uint64(); a != b {
+					t.Fatalf("streams diverged after %d draws: %x vs %x", d, a, b)
+				}
+			}
+			if undominated[0] == 0 || undominated[1] == 0 || slices.Contains(dominated, 0) {
+				t.Fatalf("dominated draws per word %v, undominated draws of 0 and 1 %v", dominated, undominated)
+			}
+		})
+	}
+}
+
+// Property: on random pairs of up to 200 images over blocks of size 1
+// to 1000, the plain KL kernel's flags are the definition's: image i is
+// dominated iff some j < i has every member in H_i or in a size-1
+// block. Blocks of size 40 and 1000 split into several columns of the
+// sliced index, some of them far from fact 0.
+func TestKLDominatedProperty(t *testing.T) {
+	sizes := []int32{1, 1, 1, 2, 3, 4, 40, 1000}
+	var flags [2]int
+	f := func(seed uint64) bool {
+		src := mt.New(seed)
+		pair := &synopsis.Admissible{}
+		nb := 2 + src.Intn(10)
+		for b := 0; b < nb; b++ {
+			pair.BlockSizes = append(pair.BlockSizes, sizes[src.Intn(len(sizes))])
+		}
+		fact := func(b int) int32 {
+			// Mostly low facts, so that images share members.
+			if src.Intn(4) == 0 {
+				return int32(src.Intn(int(pair.BlockSizes[b])))
+			}
+			return int32(src.Intn(int(min(pair.BlockSizes[b], 3))))
+		}
+		for n := 2 + src.Intn(200); len(pair.Images) < n; {
+			var img synopsis.Image
+			for b := 0; b < nb; b++ {
+				if src.Intn(nb) < 2 {
+					img = append(img, synopsis.Member{Block: int32(b), Fact: fact(b)})
+				}
+			}
+			if len(img) > 0 {
+				pair.Images = append(pair.Images, img)
+			}
+		}
+		for b := 0; b < nb; b++ {
+			pair.Images = append(pair.Images, synopsis.Image{{Block: int32(b), Fact: pair.BlockSizes[b] - 1}})
+		}
+		pair.Canonicalize()
+		if err := pair.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		kl := NewKL(pair)
+		for i := range pair.Images {
+			if kl.dominated[i] != dominatedByDefinition(pair, i) {
+				t.Logf("seed %d, image %d of %d: dominated %v", seed, i, pair.NumImages(), kl.dominated[i])
+				return false
+			}
+			if kl.dominated[i] {
+				flags[1]++
+			} else {
+				flags[0]++
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+	if flags[0] == 0 || flags[1] == 0 {
+		t.Fatalf("undominated and dominated images: %v", flags)
+	}
+}
+
 // A one-image pair's plain kernels and symbolic draw store no database:
 // Natural matches the image while it draws, and the symbolic draw only
 // advances the stream. Every kernel, one draw at a time and then in

@@ -12,7 +12,9 @@
 //     higher per-sample cost (Lemma 4.7).
 //
 // Every sampler compiles its pair once into a plan: a draw plan for the
-// per-block choices (mt.Fill) and a coverage test. Every sampler exists
+// per-block choices (mt.Fill) and a coverage test. The plain KL kernel
+// also marks the images whose draws are 0 whatever the blocks draw, and
+// answers those draws without drawing the database. Every sampler exists
 // in two kernels with identical distribution and identical MT19937-64
 // stream consumption: the plain one (this file), which tests coverage on
 // a bit-sliced index of the images (sliced.go), and a first-member
@@ -28,6 +30,8 @@
 package sampler
 
 import (
+	"math/bits"
+
 	"cqabench/internal/mt"
 	"cqabench/internal/synopsis"
 )
@@ -61,6 +65,11 @@ type plan struct {
 	// drawing image i with probability |I^i|/|S•|, and |S•|/|db(B)|.
 	alias  *mt.Alias
 	weight float64
+	// dominated marks, for the plain KL kernel of a pair with more than
+	// one image, each image i with an earlier image j < i whose every
+	// member lies in H_i or in a block of size 1: every database of I^i
+	// contains H_j, so a draw of i is 0 before any block is drawn.
+	dominated []bool
 }
 
 // newPlan compiles the draw plan shared by every kernel. Plain kernels
@@ -82,6 +91,58 @@ func newPlan(pair *synopsis.Admissible) *plan {
 func (p *plan) withSliced(pair *synopsis.Admissible) *plan {
 	if p.one == nil {
 		p.sliced = newSliced(pair)
+	}
+	return p
+}
+
+// withDominated marks the dominated images of a plain KL kernel's
+// pair. Image i is dominated when some j < i is contained in db, the
+// database that holds H_i's facts, 0 (the one fact) in each size-1
+// block and -1 in every other block. A column of the sliced index
+// reads -1 as a fact it does not list, whatever its least fact, so
+// only the images whose members in blocks larger than 1 all lie in H_i
+// survive. (math.MinInt32 would not do: less a least fact near 2³¹, it
+// wraps into a listed fact's slot.) Only undominated images are tried
+// as j: if k dominates j and j dominates i, k's members in blocks
+// larger than 1 lie in H_j, so in H_i, and k dominates i. Images in a
+// row often share a dominator, so the last one found is tried first.
+func (p *plan) withDominated(pair *synopsis.Admissible) *plan {
+	s := p.sliced
+	if s == nil {
+		return p
+	}
+	p.dominated = make([]bool, len(p.images))
+	kept := make([]uint64, len(s.words)-1) // the undominated images so far
+	db := p.scratch()
+	for b, sz := range pair.BlockSizes {
+		if sz > 1 {
+			db[b] = -1
+		}
+	}
+	var last synopsis.Image // the last dominator found
+	for i, img := range p.images {
+		for _, m := range img {
+			db[m.Block] = m.Fact
+		}
+		if last == nil || !last.Within(db) {
+			last = nil
+			for w := 0; w <= i>>6 && last == nil; w++ {
+				if kept[w] == 0 {
+					continue
+				}
+				if acc := s.contained(w, kept[w], db); acc != 0 {
+					last = p.images[w<<6|bits.TrailingZeros64(acc)]
+				}
+			}
+		}
+		if p.dominated[i] = last != nil; !p.dominated[i] {
+			kept[i>>6] |= 1 << (i & 63)
+		}
+		for _, m := range img {
+			if pair.BlockSizes[m.Block] > 1 {
+				db[m.Block] = -1
+			}
+		}
 	}
 	return p
 }
@@ -182,11 +243,16 @@ func (s *Symbolic) Draw(src *mt.Source) int {
 		return 0
 	}
 	i := s.alias.Draw(src)
+	s.drawIn(src, i)
+	return i
+}
+
+// drawIn draws I uniformly from I^i into the current state.
+func (s *Symbolic) drawIn(src *mt.Source, i int) {
 	src.Fill(&s.fill, s.chosen)
 	for _, m := range s.images[i] {
 		s.chosen[m.Block] = m.Fact
 	}
-	return i
 }
 
 // oneAlias is the number of words a one-entry alias table reads: its
@@ -230,7 +296,7 @@ type KL struct {
 
 // NewKL returns the Karp–Luby sampler for the pair.
 func NewKL(pair *synopsis.Admissible) *KL {
-	return &KL{newSymbolic(newPlan(pair).withSymbolic(pair).withSliced(pair))}
+	return &KL{newSymbolic(newPlan(pair).withSymbolic(pair).withSliced(pair).withDominated(pair))}
 }
 
 // Fork returns a KL sampler sharing k's plan.
@@ -241,9 +307,20 @@ func (k *KL) Fork() Sampler { return &KL{k.fork()} }
 func (k *KL) Sample(src *mt.Source) float64 { return k.sample(src) }
 
 func (k *KL) sample(src *mt.Source) float64 {
-	i := k.Draw(src)
-	// A one-image pair has no sliced index, and no j < i = 0.
-	if k.sliced != nil && k.sliced.anyBelow(i, k.chosen) {
+	// A one-image pair has no j < i = 0.
+	if k.one != nil {
+		k.Draw(src)
+		return 1
+	}
+	i := k.alias.Draw(src)
+	if k.dominated[i] {
+		// The run's words are read, rejections included, but no block's
+		// value is needed: an earlier image is in every database of I^i.
+		src.Advance(&k.fill, 0, 1)
+		return 0
+	}
+	k.drawIn(src, i)
+	if k.sliced.anyBelow(i, k.chosen) {
 		return 0
 	}
 	return 1
