@@ -7,6 +7,8 @@
 # Each baseline must pass the gate against itself and fail it against a
 # copy doctored to be 4x faster, against one whose set-up alone is 4x
 # faster, as a run marked incorrect, and as a run missing one op kind.
+# The stream-kernel info line must not fail it: a baseline without the
+# field, or with another kernel, still passes.
 set -euo pipefail
 here="$(cd "$(dirname "${BASH_SOURCE[0]}")" && pwd)"
 gate="$here/perfbench-gate.sh"
@@ -42,4 +44,10 @@ for f in "${baselines[@]}"; do
 	expect "$f" "$tmp/incorrect.json" fail "$name marked incorrect"
 	jq '.details.op_stats |= del(.[keys[0]])' "$f" >"$tmp/missing.json"
 	expect "$f" "$tmp/missing.json" fail "$name missing an op kind"
+	jq 'del(.manifest.stream_kernel)' "$f" >"$tmp/no-kernel.json"
+	expect "$tmp/no-kernel.json" "$f" pass "$name against a baseline without a stream kernel"
+	grep -q '^info stream kernel: .*, baseline unknown$' "$tmp/out" ||
+		{ cat "$tmp/out"; echo "gate self-test: no stream-kernel info line for a baseline without one" >&2; exit 1; }
+	jq '.manifest.stream_kernel = "scalar"' "$f" >"$tmp/other-kernel.json"
+	expect "$tmp/other-kernel.json" "$f" pass "$name against a baseline of another stream kernel"
 done

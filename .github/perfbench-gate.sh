@@ -12,6 +12,9 @@
 #   - an op kind's median latency (details.op_stats.<kind>.ms) is more
 #     than 2x the kind's baseline median;
 #   - an op kind of the baseline is missing from the current run.
+# An info line, which never fails, names the stream kernel each run's
+# manifest records (manifest.stream_kernel: scalar, avx2 or avx512;
+# unknown for a file without one), since the kernel sets the timings.
 # The 2x limit catches gross regressions only: on the reference host a
 # kind's median moved up to 1.4x between two consecutive runs, and the
 # host's speed drifts over minutes (perfbench/README.md).
@@ -32,6 +35,7 @@ def slower($name; $c; $b):
 $base[0] as $b | $cur[0] as $c |
 check("workload"; $c.manifest.config.workload == $b.manifest.config.workload;
   "\($c.manifest.config.workload), baseline \($b.manifest.config.workload)"),
+"info stream kernel: \($c.manifest.stream_kernel // "unknown"), baseline \($b.manifest.stream_kernel // "unknown")",
 check("correct"; $c.result.correct == true; "\($c.result.correct)"),
 check("failed ops"; $c.result.failed == 0; "\($c.result.failed) of \($c.result.attempted)"),
 slower("op_ms"; $c.result.metrics.op_ms.value; $b.result.metrics.op_ms.value),

@@ -10,8 +10,9 @@ all: build vet test
 # race-sensitive subset, the benchmark module and docs consistency.
 check:
 	$(GO) vet ./...
-# internal/mt refills its state with AVX2 on amd64 and with the scalar
-# loop alone elsewhere: vet a build without the assembly too.
+# internal/mt refills its state and matches one-image draws with AVX-512
+# or AVX2 on amd64 and with the scalar loops alone elsewhere: vet a build
+# without the assembly too.
 	GOARCH=arm64 $(GO) vet ./...
 	@fmtout=$$(gofmt -l .); if [ -n "$$fmtout" ]; then \
 		echo "gofmt needed on:"; echo "$$fmtout"; exit 1; fi

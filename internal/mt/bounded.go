@@ -20,7 +20,7 @@ type Bound struct {
 	max uint64
 	m   uint64 // ⌊(2⁶⁴−1)/n⌋, the reciprocal rem multiplies by
 
-	// Match's AVX2 kernel (match_amd64.s) reads m and these. It decides
+	// Match's kernels (match_amd64.s) read m and these. They decide
 	// whether word v draws w < n without computing v's value: v − w is
 	// a multiple of n exactly when rotr((v − w)·inv, shr) ≤ m. That is
 	// Intn's verdict for every v in the window [n, max), and for every
@@ -232,14 +232,14 @@ func (s *Source) advanceFixed(f *Fill, pre, n int) int {
 // block's difference into one word instead of branching on each
 // compare.
 func (s *Source) Match(f *Fill, want []int32, dst []float64) {
-	s.match(f, want, dst, useAVX2)
+	s.match(f, want, dst, useKernel)
 }
 
-// match is Match, with avx2 choosing whether matchFixed starts with
-// the AVX2 kernel; both paths give the same values and stream.
-func (s *Source) match(f *Fill, want []int32, dst []float64, avx2 bool) {
+// match is Match, with k choosing the kernel matchFixed starts with;
+// every level gives the same values and stream.
+func (s *Source) match(f *Fill, want []int32, dst []float64, k kernel) {
 	for d := 0; ; d++ {
-		if d += s.matchFixed(f, want, dst[d:], avx2); d == len(dst) {
+		if d += s.matchFixed(f, want, dst[d:], k); d == len(dst) {
 			return
 		}
 		i, miss := s.index, uint64(0)
@@ -255,19 +255,30 @@ func (s *Source) match(f *Fill, want []int32, dst []float64, avx2 bool) {
 
 // matchFixed is Match at fixed offsets. It returns how many draws it
 // made, stopping before the first draw that would cross a refill or in
-// which a bound rejects its word. With avx2 set, matchAVX2 makes the
-// draws it can decide, four at a time, and the loop here the rest.
-func (s *Source) matchFixed(f *Fill, want []int32, dst []float64, avx2 bool) int {
+// which a bound rejects its word. At a vector level the kernel makes
+// the draws it can decide, four or eight at a time, and the loop here
+// the rest.
+func (s *Source) matchFixed(f *Fill, want []int32, dst []float64, k kernel) int {
 	i, w, steps := s.index, f.width, f.steps
 	d := 0
-	// A batch too short for a group skips the kernel's set-up, the
-	// divide included.
-	if avx2 && len(steps) > 0 && len(dst) >= 4 {
-		if groups := min(len(dst), (nn-i)/w) / 4; groups > 0 {
-			_ = want[w-1] // the kernel reads want unchecked
-			d = matchAVX2(&s.state, i, w, steps, want, dst, groups)
-			i += d * w
+	// A batch too short for a group of four skips the kernel's set-up,
+	// the divide included.
+	if k != scalar && len(steps) > 0 && len(dst) >= 4 {
+		_ = want[w-1] // the kernels read want unchecked
+		switch runs := min(len(dst), (nn-i)/w); {
+		case k == avx512 && runs > 0:
+			var p *matchPlan
+			if w < len(matchPlans) {
+				p = &matchPlans[w]
+			} else {
+				wide := newMatchPlan(w)
+				p = &wide
+			}
+			d = matchAVX512(&s.state, i, w, steps, want, dst[:runs], p)
+		case k == avx2 && runs >= 4:
+			d = matchAVX2(&s.state, i, w, steps, want, dst, runs/4)
 		}
+		i += d * w
 	}
 	for ; d < len(dst); d++ {
 		if i+w > nn {
@@ -289,6 +300,53 @@ func (s *Source) matchFixed(f *Fill, want []int32, dst []float64, avx2 bool) int
 	}
 	s.index = i
 	return len(dst)
+}
+
+// matchPlan is how matchAVX512 loads a group's eight words for one
+// step, for runs of one width w: lane r's word lies r·w words past the
+// step's word in the group's first run. A window is sixteen
+// consecutive words, read with two loads and picked from by one
+// VPERMI2Q. Each starts at the word of the first lane the windows
+// before it do not hold, so runs of w ≤ 2 words need one window per
+// group, of w ≤ 4 two, and of w ≥ 16 one per lane.
+type matchPlan struct {
+	idx  [8]uint64 // lane r's word in its window, 0 to 15
+	wins [8]window
+	// upto[n] is how many windows hold lanes 0 to n−1: a last group of
+	// n < 8 runs loads only those.
+	upto [9]int64
+}
+
+// window is one of matchPlan's windows.
+type window struct {
+	off   int64 // its first word, in bytes past the step's word in the group's first run
+	lanes uint8 // the lanes it holds
+}
+
+// matchPlans holds the plans of the widths below 16, which many draws
+// share; matchFixed plans a wider run per call.
+var matchPlans = func() (p [16]matchPlan) {
+	for w := 1; w < 16; w++ {
+		p[w] = newMatchPlan(w)
+	}
+	return p
+}()
+
+// newMatchPlan plans runs of w words.
+func newMatchPlan(w int) matchPlan {
+	var p matchPlan
+	n, start := 0, 0
+	for r := 0; r < 8; r++ {
+		if at := r * w; r == 0 || at-start >= 16 {
+			start = at
+			p.wins[n].off = int64(8 * at)
+			n++
+		}
+		p.idx[r] = uint64(r*w - start)
+		p.wins[n-1].lanes |= 1 << r
+		p.upto[r+1] = int64(n)
+	}
+	return p
 }
 
 // hit is Match's value for a draw whose blocks differ from want by

@@ -85,20 +85,52 @@ func (s *Source) SeedBySlice(key []uint64) {
 	s.index = nn
 }
 
-// useAVX2 selects the AVX2 refill, decided once from the CPU.
-var useAVX2 = hasAVX2()
+// kernel is a level of the stream kernels: the scalar loops, or the
+// AVX2 or AVX-512 refill and match. Every level gives the same words,
+// values and stream; only the speed differs.
+type kernel uint8
+
+const (
+	scalar kernel = iota
+	avx2
+	avx512
+)
+
+func (k kernel) String() string {
+	return [...]string{scalar: "scalar", avx2: "avx2", avx512: "avx512"}[k]
+}
+
+// useKernel is the highest level the CPU and the OS support, decided
+// once.
+var useKernel = func() kernel {
+	switch {
+	case hasAVX512():
+		return avx512
+	case hasAVX2():
+		return avx2
+	}
+	return scalar
+}()
+
+// Kernel names the stream kernels this process runs: "scalar", "avx2"
+// or "avx512". Every one gives the same stream.
+func Kernel() string { return useKernel.String() }
 
 func (s *Source) refill() {
-	refillState(&s.state, useAVX2)
+	refillState(&s.state, useKernel)
 	s.index = 0
 }
 
-// refillState computes the next nn state words in place. With avx2 set,
-// refillAVX2 computes words 0 to nn-5 and the scalar loop only the rest;
-// both paths give the same words.
-func refillState(st *[nn]uint64, avx2 bool) {
+// refillState computes the next nn state words in place. At a vector
+// level the kernel computes words 0 to nn-5 and the scalar loop only
+// the rest; every level gives the same words.
+func refillState(st *[nn]uint64, k kernel) {
 	i := 0
-	if avx2 {
+	switch k {
+	case avx512:
+		refillAVX512(st)
+		i = nn - 4
+	case avx2:
 		refillAVX2(st)
 		i = nn - 4
 	}

@@ -3,7 +3,7 @@
 // embedded in every figure JSON, metrics snapshot, trace file and bench
 // result so anything under results/ is attributable to an exact run —
 // git revision (with a dirty flag), Go toolchain, GOMAXPROCS, host,
-// start time, the full experiment configuration (ε/δ/seed/…) and the
+// start time, the stream kernel, the full experiment configuration (ε/δ/seed/…) and the
 // CLI arguments that launched it.
 package manifest
 
@@ -17,6 +17,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"cqabench/internal/mt"
 )
 
 // RunManifest identifies one run of the benchmark tooling. All fields
@@ -37,6 +39,10 @@ type RunManifest struct {
 	Host       string    `json:"host,omitempty"`
 	PID        int       `json:"pid"`
 	Start      time.Time `json:"start_time"`
+	// StreamKernel names the MT19937-64 refill and match kernels the
+	// process ran (mt.Kernel: "scalar", "avx2" or "avx512"), which set
+	// its sampling speed but not its draws.
+	StreamKernel string `json:"stream_kernel"`
 	// Args is the full command line of the producing process.
 	Args []string `json:"args,omitempty"`
 	// Config carries the run's experiment parameters (ε, δ, seed, scale
@@ -50,19 +56,20 @@ func Collect(tool string, config map[string]string) RunManifest {
 	sha, dirty := gitInfo()
 	host, _ := os.Hostname()
 	return RunManifest{
-		Tool:       tool,
-		GitSHA:     sha,
-		GitDirty:   dirty,
-		GoVersion:  runtime.Version(),
-		OS:         runtime.GOOS,
-		Arch:       runtime.GOARCH,
-		NumCPU:     runtime.NumCPU(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Host:       host,
-		PID:        os.Getpid(),
-		Start:      time.Now().UTC(),
-		Args:       append([]string(nil), os.Args...),
-		Config:     config,
+		Tool:         tool,
+		GitSHA:       sha,
+		GitDirty:     dirty,
+		GoVersion:    runtime.Version(),
+		OS:           runtime.GOOS,
+		Arch:         runtime.GOARCH,
+		NumCPU:       runtime.NumCPU(),
+		GOMAXPROCS:   runtime.GOMAXPROCS(0),
+		Host:         host,
+		PID:          os.Getpid(),
+		Start:        time.Now().UTC(),
+		StreamKernel: mt.Kernel(),
+		Args:         append([]string(nil), os.Args...),
+		Config:       config,
 	}
 }
 

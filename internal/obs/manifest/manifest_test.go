@@ -6,6 +6,8 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"cqabench/internal/mt"
 )
 
 func TestCollectPopulatesEnvironment(t *testing.T) {
@@ -33,6 +35,12 @@ func TestCollectPopulatesEnvironment(t *testing.T) {
 	}
 	if m.Config["eps"] != "0.1" {
 		t.Errorf("config passthrough: %v", m.Config)
+	}
+	if m.StreamKernel != mt.Kernel() {
+		t.Errorf("stream kernel %q, mt selected %q", m.StreamKernel, mt.Kernel())
+	}
+	if k := m.StreamKernel; k != "scalar" && k != "avx2" && k != "avx512" {
+		t.Errorf("stream kernel %q is none of scalar, avx2 and avx512", k)
 	}
 }
 
@@ -72,7 +80,7 @@ func TestManifestJSONRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(b, &back); err != nil {
 		t.Fatal(err)
 	}
-	if back.Tool != m.Tool || back.GoVersion != m.GoVersion || back.Config["seed"] != "1" {
+	if back.Tool != m.Tool || back.GoVersion != m.GoVersion || back.StreamKernel != m.StreamKernel || back.Config["seed"] != "1" {
 		t.Errorf("round trip lost fields: %+v", back)
 	}
 	if !back.Start.Equal(m.Start) {
