@@ -19,7 +19,7 @@ import (
 // The set golden file pins the multi-tuple answer loop's output bits:
 // every tuple's estimate, the run's sample and chunk counts, its tuple
 // count, sampling pool size and good-ratio bits, and its error kind, for
-// every scheme and tuple mode over two sets. The kernel and parallel
+// every scheme and tuple mode over four sets. The kernel and parallel
 // goldens run one pair on a fresh stream; this one covers what happens
 // between tuples — the shared sequential stream, per-tuple seeds, the
 // tuple pool's slot order and the index-order reduction. Regenerate (only
@@ -100,6 +100,59 @@ func manySmallSet() *synopsis.Set {
 	return set
 }
 
+// smallPair draws a pair over one to four blocks of one to five facts:
+// one image that touches every block, or (multi) two to four images,
+// drawn again until at least two survive Canonicalize.
+func smallPair(src *mt.Source, multi bool) *synopsis.Admissible {
+	for {
+		pair := &synopsis.Admissible{}
+		for b := 1 + src.Intn(4); b > 0; b-- {
+			pair.BlockSizes = append(pair.BlockSizes, int32(1+src.Intn(5)))
+		}
+		images := 1
+		if multi {
+			images = 2 + src.Intn(3)
+		}
+		for k := 0; k < images; k++ {
+			var img synopsis.Image
+			for b, sz := range pair.BlockSizes {
+				if !multi || src.Intn(2) == 0 {
+					img = append(img, synopsis.Member{Block: int32(b), Fact: int32(src.Intn(int(sz)))})
+				}
+			}
+			if len(img) > 0 {
+				pair.Images = append(pair.Images, img)
+			}
+		}
+		pair.Canonicalize()
+		if pair.Validate() == nil && (pair.NumImages() > 1) == multi {
+			return pair
+		}
+	}
+}
+
+// oneImageSet builds 48 tuples of one image each, the shape of every
+// answer tuple of a query without inconsistent keys.
+func oneImageSet() *synopsis.Set {
+	src := mt.New(2033)
+	set := &synopsis.Set{}
+	for t := 0; t < 48; t++ {
+		set.Entries = append(set.Entries, synopsis.Entry{Pair: smallPair(src, false)})
+	}
+	return set
+}
+
+// mixedSet puts runs of one-image tuples (o) before, between and after
+// multi-image ones (M).
+func mixedSet() *synopsis.Set {
+	src := mt.New(2034)
+	set := &synopsis.Set{}
+	for _, c := range "oooooMoooMMooooMoooooooooooo" {
+		set.Entries = append(set.Entries, synopsis.Entry{Pair: smallPair(src, c == 'M')})
+	}
+	return set
+}
+
 // setGoldenGrid runs the full set grid with the current implementation.
 func setGoldenGrid() []setGoldenCase {
 	sets := []struct {
@@ -108,6 +161,8 @@ func setGoldenGrid() []setGoldenCase {
 	}{
 		{"golden", goldenSet()},
 		{"many-small", manySmallSet()},
+		{"one-image", oneImageSet()},
+		{"mixed", mixedSet()},
 	}
 	var out []setGoldenCase
 	for _, s := range sets {
