@@ -108,6 +108,13 @@ type Options struct {
 	// of 1 draws the per-tuple streams too and results never depend on
 	// the host's core count. Values below -1 fail Validate.
 	//
+	// A tuple whose estimate reads no value of its stream (a one-image
+	// KL, KLM or Cover tuple, and in the parallel sampling mode every
+	// Natural, KL and KLM tuple) gets no stream in a pool, and none in
+	// the sequential loop once no later tuple reads the shared stream.
+	// No estimate changes: a one-image tuple before a reading one still
+	// advances the shared stream word for word.
+	//
 	// The two settings compose: in the parallel sampling mode each tuple's
 	// substreams are rooted at the same per-tuple seed in either tuple
 	// mode, so Natural, KL and KLM return the same estimates with or
@@ -159,6 +166,19 @@ func poolWorkers(requested int) int {
 // the tuple's own stream with it.
 func tupleSeed(seed uint64, i int) uint64 {
 	return seed + uint64(i)*0x9E3779B97F4A7C15
+}
+
+// readsStream reports whether a tuple's estimate reads values from the
+// stream the answer loop hands it. On a one-image pair Samplers 2 and 3
+// return 1 on every draw and every trial of Cover's walk ends after one
+// step, so only Natural's draws read values there; in the parallel
+// sampling mode Natural, KL and KLM draw from per-chunk substreams and
+// read no value of the tuple's stream at all.
+func readsStream(pair *synopsis.Admissible, scheme Scheme, parallel bool) bool {
+	if parallel && scheme != Cover {
+		return false
+	}
+	return scheme == Natural || pair.NumImages() > 1
 }
 
 // DefaultOptions returns the paper's experimental setting.
@@ -289,7 +309,9 @@ func newKernelSampler(pair *synopsis.Admissible, scheme Scheme, kernel sampler.K
 // rootSeed roots this tuple's substream schedule when opts select the
 // parallel sampling mode (the answer loop derives it per tuple via
 // tupleSeed so every tuple sees independent substreams); the sequential
-// mode and Cover draw from src and never read rootSeed.
+// mode and Cover draw from src and never read rootSeed. src is nil where
+// the answer loop hands the tuple no stream, as its draws read no value
+// of one (readsStream).
 func estimateTuple(ctx context.Context, pair *synopsis.Admissible, scheme Scheme, opts Options, src *mt.Source, rootSeed uint64, parent *obs.Span) tupleResult {
 	var rec *estimator.Recorder
 	if opts.Convergence.Enabled {
@@ -420,10 +442,25 @@ func ApxAnswersFromSetContext(ctx context.Context, set *synopsis.Set, scheme Sch
 		slots[i] = estimateTuple(ctx, set.Entries[i].Pair, scheme, o, src, tupleSeed(opts.Seed, i), parent)
 		return slots[i].err
 	}
+	workers, parallel := opts.samplingPool()
+	reads := func(i int) bool { return readsStream(set.Entries[i].Pair, scheme, parallel) }
 	ran := len(slots)
 	if opts.TupleWorkers == 0 {
-		src := mt.New(opts.Seed)
+		// The tuples after the last one that reads the shared stream
+		// get none: their estimates read no value, and no later tuple
+		// reads where they would have left the stream.
+		last := len(slots) - 1
+		for last >= 0 && !reads(last) {
+			last--
+		}
+		var src *mt.Source
+		if last >= 0 {
+			src = mt.New(opts.Seed)
+		}
 		for i := range slots {
+			if i > last {
+				src = nil
+			}
 			if estimate(i, src, root) != nil {
 				ran = i + 1
 				break
@@ -440,7 +477,11 @@ func ApxAnswersFromSetContext(ctx context.Context, set *synopsis.Set, scheme Sch
 			go func() {
 				defer wg.Done()
 				for i := range next {
-					estimate(i, mt.New(tupleSeed(opts.Seed, i)), nil)
+					var src *mt.Source
+					if reads(i) {
+						src = mt.New(tupleSeed(opts.Seed, i))
+					}
+					estimate(i, src, nil)
 				}
 			}()
 		}
@@ -453,8 +494,8 @@ func ApxAnswersFromSetContext(ctx context.Context, set *synopsis.Set, scheme Sch
 	root.End()
 
 	stats := Stats{Elapsed: root.Duration(), SamplingWorkers: 1}
-	if w, par := opts.samplingPool(); par && scheme != Cover {
-		stats.SamplingWorkers = w
+	if parallel && scheme != Cover {
+		stats.SamplingWorkers = workers
 	}
 	var goodSum float64 // per-tuple good ratios weighted by sample count
 	var kernels [2]int64

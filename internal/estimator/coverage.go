@@ -19,7 +19,8 @@ type SymbolicSpace interface {
 	NumImages() int
 	Weight() float64
 	// WalkOne consumes src as n steps of the walk over a one-image
-	// space: each step's Intn(1), then the Draw that follows it.
+	// space: each step's Intn(1), then the Draw that follows it. Over a
+	// one-image space, Draw and WalkOne read nothing from a nil src.
 	WalkOne(src *mt.Source, n int)
 }
 
@@ -35,7 +36,8 @@ type SymbolicSpace interface {
 // pessimistic but predictable, which is exactly the trade-off Section
 // 4.3 discusses. The walk charges one draw per step, and the context is
 // polled every ctxStride steps (the same latency as the batched loops'
-// chunk boundaries).
+// chunk boundaries). src may be nil when the space has one image: that
+// walk reads no value, as every trial ends after one step.
 func SelfAdjustingCoverageContext(ctx context.Context, space SymbolicSpace, eps, delta float64, src *mt.Source, budget Budget) (Result, error) {
 	if err := checkArgs(eps, delta); err != nil {
 		return Result{}, err
@@ -45,15 +47,15 @@ func SelfAdjustingCoverageContext(ctx context.Context, space SymbolicSpace, eps,
 	m := space.NumImages()
 	n := CoverageIterations(m, eps, delta)
 
-	bound := mt.NewBound(m) // the walk's Intn(m), compiled
 	var steps, total, trials int64
-	if m == 1 && rec == nil {
+	if m == 1 {
 		// Every step's InSet(0) holds, so every step ends a trial and
 		// only advances the stream: charge and advance a chunk at a
 		// time. Every chunk but the last spans ctxStride steps, so
-		// charge polls the context and the clock at the steps the unit
-		// charges would; at MaxSamples the chunk is cut short and the
-		// next is the single step whose charge fails, as in the loop.
+		// charge polls the context and the clock, and the recorder
+		// observes, at the steps the unit charges would; at MaxSamples
+		// the chunk is cut short and the next is the single step whose
+		// charge fails, as in the loop.
 		space.Draw(src)
 		for steps < n {
 			k := min(ctxStride, n-steps)
@@ -65,9 +67,15 @@ func SelfAdjustingCoverageContext(ctx context.Context, space SymbolicSpace, eps,
 			}
 			space.WalkOne(src, int(k))
 			steps += k
+			if rec != nil && steps%ctxStride == 0 {
+				// The step loop observes before the step's trial ends,
+				// after steps-1 trials of one step each.
+				rec.observe(coveragePoint(bt.samples, steps, n, steps-1, steps-1, m, space.Weight()))
+			}
 		}
 		total, trials = n, n
 	} else {
+		bound := mt.NewBound(m) // the walk's Intn(m), compiled
 	outer:
 		for {
 			space.Draw(src)
@@ -83,16 +91,7 @@ func SelfAdjustingCoverageContext(ctx context.Context, space SymbolicSpace, eps,
 				// land every ctxStride steps — the same cadence as the batched
 				// loops' chunk boundaries.
 				if rec != nil && steps%ctxStride == 0 {
-					tr, tot := trials, total
-					if tr == 0 {
-						tr, tot = 1, steps
-					}
-					rec.observe(TrajectoryPoint{
-						Samples:  bt.samples,
-						Estimate: float64(tot) * space.Weight() / (float64(m) * float64(tr)),
-						Progress: float64(steps) / float64(n),
-						Phase:    "coverage",
-					})
+					rec.observe(coveragePoint(bt.samples, steps, n, trials, total, m, space.Weight()))
 				}
 				j := bound.Draw(src)
 				if space.InSet(j) {
@@ -122,6 +121,20 @@ func SelfAdjustingCoverageContext(ctx context.Context, space SymbolicSpace, eps,
 	r.Counter("estimator_coverage_steps_total").Add(bt.samples)
 	r.Counter("estimator_coverage_trials_total").Add(trials)
 	return Result{Estimate: est, Samples: bt.samples}, nil
+}
+
+// coveragePoint is the walk's checkpoint at step steps of n, after
+// trials finished trials that took total steps in all.
+func coveragePoint(samples, steps, n, trials, total int64, m int, weight float64) TrajectoryPoint {
+	if trials == 0 {
+		trials, total = 1, steps
+	}
+	return TrajectoryPoint{
+		Samples:  samples,
+		Estimate: float64(total) * weight / (float64(m) * float64(trials)),
+		Progress: float64(steps) / float64(n),
+		Phase:    "coverage",
+	}
 }
 
 // CoverageIterations is the deterministic step bound

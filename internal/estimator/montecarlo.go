@@ -242,7 +242,8 @@ func stoppingRuleLoop(ctx context.Context, ds drawStream, eps, delta float64, bu
 // parameter to its squared mean). The context is polled at every chunk
 // boundary, so an abort is observed within one batchSize chunk of draws
 // and reported as an error wrapping ErrCanceled (and the context's own
-// sentinel).
+// sentinel). src may be nil when s reads no value from it: a one-image
+// pair's KL or KLM sampler, whose draws are all 1.
 func MonteCarloContext(ctx context.Context, s Sampler, eps, delta float64, src *mt.Source, budget Budget) (Result, error) {
 	if err := checkArgs(eps, delta); err != nil {
 		return Result{}, err

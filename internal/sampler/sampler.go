@@ -236,10 +236,14 @@ func (s *Symbolic) fork() *Symbolic { return newSymbolic(s.plan) }
 // Draw samples (i, I) uniformly from S•, leaving the drawn pair as the
 // sampler's current state, and returns i. Every block's choice is drawn,
 // H_i's included, before H_i's members are fixed: a one-image pair's
-// image fixes every block, so its draws only advance the stream.
+// image fixes every block, so its draws only advance the stream. src may
+// be nil for a one-image pair when nothing reads the stream after it;
+// the draw then reads no word.
 func (s *Symbolic) Draw(src *mt.Source) int {
 	if s.one != nil {
-		src.Advance(&s.fill, oneAlias, 1)
+		if src != nil {
+			src.Advance(&s.fill, oneAlias, 1)
+		}
 		return 0
 	}
 	i := s.alias.Draw(src)
@@ -261,17 +265,29 @@ const oneAlias = 2
 
 // WalkOne consumes src as n steps of the coverage walk over a one-image
 // pair: each step's Intn(1) word, which picks image 0, then the Draw
-// that follows it, as InSet(0) always holds.
+// that follows it, as InSet(0) always holds. A nil src reads nothing.
 func (s *Symbolic) WalkOne(src *mt.Source, n int) {
-	src.Advance(&s.fill, 1+oneAlias, n)
+	if src != nil {
+		src.Advance(&s.fill, 1+oneAlias, n)
+	}
 }
 
+// ones is one estimator chunk of one-image KL or KLM draws.
+var ones = func() (v [256]float64) {
+	for i := range v {
+		v[i] = 1
+	}
+	return v
+}()
+
 // drawOne fills dst with KL or KLM draws of a one-image pair, which are
-// all 1: image 0 is drawn, and it alone covers.
+// all 1: image 0 is drawn, and it alone covers. A nil src reads nothing.
 func (s *Symbolic) drawOne(src *mt.Source, dst []float64) {
-	src.Advance(&s.fill, oneAlias, len(dst))
-	for i := range dst {
-		dst[i] = 1
+	if src != nil {
+		src.Advance(&s.fill, oneAlias, len(dst))
+	}
+	for len(dst) > 0 {
+		dst = dst[copy(dst, ones[:]):]
 	}
 }
 
