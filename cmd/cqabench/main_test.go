@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -66,8 +67,8 @@ func TestGenNoiseAnswerPipeline(t *testing.T) {
 
 // TestAnswerExactTimeout: -timeout bounds the exact frequencies too. On
 // the README query at noise 1.0, whose exact count takes 0.5 s to more
-// than 10 s per tuple, -scheme exact fails past the deadline, and the
-// exact column of -scheme all reads timeout.
+// than 10 s per tuple, -scheme exact fails past the deadline, and every
+// column of -scheme all, the exact one and each scheme's, reads timeout.
 func TestAnswerExactTimeout(t *testing.T) {
 	dir := t.TempDir()
 	dbPath := filepath.Join(dir, "db.txt")
@@ -88,8 +89,10 @@ func TestAnswerExactTimeout(t *testing.T) {
 	if err != nil {
 		t.Fatalf("answer -scheme all -timeout 10ms: %v", err)
 	}
-	if !strings.Contains(out, "\nexact:     timeout\n") {
-		t.Fatalf("answer -scheme all -timeout 10ms printed no exact timeout:\n%s", out)
+	for _, col := range []string{"exact", "Natural", "KL", "KLM", "Cover"} {
+		if note := fmt.Sprintf("\n%-10s timeout\n", col+":"); !strings.Contains(out, note) {
+			t.Fatalf("answer -scheme all -timeout 10ms printed no %s timeout:\n%s", col, out)
+		}
 	}
 }
 

@@ -2,11 +2,14 @@ package harness
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"testing"
 	"time"
 
 	"cqabench/internal/cqa"
+	"cqabench/internal/estimator"
 	"cqabench/internal/obs"
 	"cqabench/internal/scenario"
 )
@@ -72,6 +75,59 @@ func TestTimedOutMeasurementsAreZeroed(t *testing.T) {
 	}
 	if after-before != timeouts {
 		t.Errorf("harness_timeouts_total advanced by %d, want %d", after-before, timeouts)
+	}
+}
+
+// TestCellTimeoutStopsEveryCell: a per-cell Timeout that passes before
+// any draw marks every (pair, scheme) cell timed out, with the "timeout"
+// reason and no samples, and counts each one in harness_timeouts_total.
+func TestCellTimeoutStopsEveryCell(t *testing.T) {
+	w := telemetryWorkload(t)
+	reg := obs.Default()
+	timeouts := func() (n int64) {
+		for _, s := range cqa.Schemes {
+			n += reg.Counter("harness_timeouts_total", obs.L("scheme", s.String())).Value()
+		}
+		return n
+	}
+	before := timeouts()
+	fig, err := Run(w, Config{Opts: cqa.DefaultOptions(), Timeout: time.Nanosecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := len(w.Pairs) * len(cqa.Schemes); len(fig.Raw) != want {
+		t.Fatalf("%d measurements, want %d", len(fig.Raw), want)
+	}
+	for _, m := range fig.Raw {
+		if !m.TimedOut || m.Reason != "timeout" || m.Samples != 0 {
+			t.Errorf("%s/%s: timed out %v, reason %q, %d samples; want a timeout with no samples",
+				m.Pair, m.Scheme, m.TimedOut, m.Reason, m.Samples)
+		}
+	}
+	if got := timeouts() - before; got != int64(len(fig.Raw)) {
+		t.Errorf("harness_timeouts_total advanced by %d, want %d", got, len(fig.Raw))
+	}
+}
+
+// TestRunContextCanceledMidRun: canceling Config.Context after the first
+// measurement fails Run with ErrCanceled. A per-cell Timeout does not turn
+// the abort into a timed-out cell.
+func TestRunContextCanceledMidRun(t *testing.T) {
+	w := telemetryWorkload(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cfg := fastConfig()
+	cfg.Context = ctx
+	measured := 0
+	cfg.Progress = func(Measurement) {
+		measured++
+		cancel()
+	}
+	if _, err := Run(w, cfg); !errors.Is(err, estimator.ErrCanceled) {
+		t.Fatalf("Run after cancel: err = %v, want ErrCanceled", err)
+	}
+	if measured != 1 {
+		t.Fatalf("%d measurements reported, want 1 before the abort", measured)
 	}
 }
 
