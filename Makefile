@@ -28,10 +28,11 @@ check:
 	$(GO) test -race -run 'TestBatched|TestReserve' ./internal/estimator/...
 	$(GO) test -race -run 'TestKernel|TestGolden' ./internal/cqa/...
 # Intra-query parallel sampling under race. The tuple pool writes result
-# slots from several goroutines, so its tests and the set golden run ten
-# times over.
+# slots from several goroutines and its workers read the run's context,
+# so its tests, the dead-context tests and the set golden run ten times
+# over.
 	$(GO) test -race -run 'TestSubstream|TestParallel' ./internal/mt ./internal/estimator ./internal/cqa ./internal/server
-	$(GO) test -race -count=10 -run 'TestParallel(Matches|Deterministic|Preserves|Budget|Default|Context)|TestConvergenceParallel|TestSetGolden' ./internal/cqa
+	$(GO) test -race -count=10 -run 'TestParallel(Matches|Deterministic|Preserves|Budget|Default|Context)|TestConvergenceParallel|TestSetGolden|TestPastDeadlineFailsEveryScheme|TestApxAnswersFromSetContextCanceled' ./internal/cqa
 # The guarantee audit under race.
 	$(GO) test -race ./internal/audit/...
 # perfbench is its own Go module, so the root go build ./... and go test

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"cqabench/internal/cqa"
-	"cqabench/internal/estimator"
 	"cqabench/internal/relation"
 	"cqabench/internal/scenario"
 	"cqabench/internal/synopsis"
@@ -95,13 +94,16 @@ func cmdAnswer(args []string) error {
 	return nil
 }
 
-// estimate runs one scheme over set with a deadline timeout after its
-// start (0 = none).
+// estimate runs one scheme over set under a context whose deadline is
+// timeout after its start (0 = none).
 func estimate(set *synopsis.Set, scheme cqa.Scheme, opts cqa.Options, timeout time.Duration) ([]cqa.TupleFreq, cqa.Stats, error) {
+	ctx := context.Background()
 	if timeout > 0 {
-		opts.Budget.Deadline = time.Now().Add(timeout)
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, timeout)
+		defer cancel()
 	}
-	return cqa.ApxAnswersFromSetContext(context.Background(), set, scheme, opts)
+	return cqa.ApxAnswersFromSetContext(ctx, set, scheme, opts)
 }
 
 func printAnswers(db *relation.Database, res []cqa.TupleFreq) {
@@ -124,7 +126,8 @@ func renderTuple(db *relation.Database, t relation.Tuple, sep string) string {
 // and under the table a note per column: the exact column's when it
 // exceeds its node bound or timeout, each scheme's time and samples or
 // timeout. timeout bounds the exact column and each scheme, each from its
-// own start.
+// own start, as a context deadline, so every column's timeout is the one
+// error context.DeadlineExceeded.
 func printAll(db *relation.Database, set *synopsis.Set, prep time.Duration, opts cqa.Options, timeout time.Duration) error {
 	fmt.Printf("synopses: %d tuples, %d images, balance %.3f (prep %s); recommended scheme: %v\n",
 		set.OutputSize(), set.HomomorphicSize, set.Balance(),
@@ -151,7 +154,7 @@ func printAll(db *relation.Database, set *synopsis.Set, prep time.Duration, opts
 		res, stats, err := estimate(set, scheme, opts, timeout)
 		c := column{name: scheme.String()}
 		switch {
-		case errors.Is(err, estimator.ErrBudget):
+		case errors.Is(err, context.DeadlineExceeded):
 			c.note = "timeout"
 		case err != nil:
 			return err

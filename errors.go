@@ -10,8 +10,9 @@ import (
 // situation detail (which tuple, which option, which phase).
 var (
 	// ErrBudget is wrapped by errors returned when an estimation
-	// exhausts its Options.Budget — the per-tuple sample cap or the
-	// deadline mirroring the paper's per-scenario timeout.
+	// exceeds its Options.Budget, the per-tuple sample cap. A run's time
+	// bound, like the paper's per-scenario timeout, is its context's
+	// deadline, which fails with ErrCanceled.
 	ErrBudget = estimator.ErrBudget
 
 	// ErrCanceled is wrapped by errors returned when the caller's

@@ -27,7 +27,6 @@ import (
 	"time"
 
 	"cqabench/internal/cqa"
-	"cqabench/internal/estimator"
 	"cqabench/internal/obs"
 	"cqabench/internal/obs/manifest"
 	"cqabench/internal/scenario"
@@ -46,8 +45,9 @@ type Config struct {
 	Seed uint64
 	// Schemes restricts the audit; nil audits all four.
 	Schemes []cqa.Scheme
-	// Timeout bounds each estimate; timed-out estimates are excluded from
-	// the distributions and counted per scheme.
+	// Timeout bounds each estimate, as a deadline on its context;
+	// timed-out estimates are excluded from the distributions and counted
+	// per scheme.
 	Timeout time.Duration
 	// Registry receives the calibration metrics (nil = obs.Default()).
 	Registry *obs.Registry
@@ -101,7 +101,7 @@ type SchemeCalibration struct {
 	Violations int `json:"violations"`
 	// ViolationRate is Violations/Estimates — the observed δ.
 	ViolationRate float64 `json:"violation_rate"`
-	// TimedOut counts estimates abandoned on the per-estimate budget.
+	// TimedOut counts estimates abandoned past the per-estimate Timeout.
 	TimedOut int        `json:"timed_out,omitempty"`
 	Error    ErrorDist  `json:"error"`
 	Samples  SampleDist `json:"samples"`
@@ -188,12 +188,14 @@ func Run(w *scenario.Workload, cfg Config) (*Report, error) {
 					// one-entry set, which draws from mt.New(opts.Seed).
 					opts := cqa.Options{Eps: cfg.Eps, Delta: cfg.Delta,
 						Seed: cfg.Seed + ord*0x9E3779B97F4A7C15 + uint64(trial)*0xBF58476D1CE4E5B9}
+					ctx, cancel := context.Background(), func() {}
 					if cfg.Timeout > 0 {
-						opts.Budget.Deadline = time.Now().Add(cfg.Timeout)
+						ctx, cancel = context.WithTimeout(ctx, cfg.Timeout)
 					}
-					res, stats, err := cqa.ApxAnswersFromSetContext(context.Background(), one, s, opts)
+					res, stats, err := cqa.ApxAnswersFromSetContext(ctx, one, s, opts)
+					cancel()
 					if err != nil {
-						if errors.Is(err, estimator.ErrBudget) {
+						if errors.Is(err, context.DeadlineExceeded) {
 							a.timedOut++
 							continue
 						}

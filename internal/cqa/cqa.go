@@ -78,11 +78,9 @@ type Options struct {
 	Eps   float64
 	Delta float64
 	Seed  uint64
-	// Budget applies per relative-frequency estimation (per tuple); its
-	// Deadline, if set, also bounds the run as a whole, mirroring the
-	// paper's per-scenario timeout: a tuple that starts after it fails
-	// with ErrBudget before its first draw, and a running tuple checks it
-	// every 256 draws, so it stops within one batch of them.
+	// Budget caps each relative-frequency estimation's (each tuple's)
+	// draws; a tuple past it fails with ErrBudget. The run's time bound
+	// is its context's deadline, as the paper's per-scenario timeout is.
 	Budget estimator.Budget
 	// SamplingWorkers selects the intra-query sampling mode: 0 or 1 run
 	// the classic sequential single-stream estimators (the default,
@@ -256,13 +254,12 @@ type Stats struct {
 }
 
 // tupleResult is one tuple's estimation outcome: the clamped frequency,
-// the draws performed, the raw sampler-space mean (the good-sample
-// ratio), and the error that ended the estimation, if any.
+// the estimator's Result (its draws, its raw sampler-space mean, which
+// is the good-sample ratio, and its phases, chunks and trials), and the
+// error that ended the estimation, if any.
 type tupleResult struct {
-	freq    float64
-	samples int64
-	good    float64
-	chunks  int64 // substream chunks consumed (parallel mode only)
+	freq float64
+	est  estimator.Result
 	// trajectory is the recorded convergence trajectory, nil unless
 	// opts.Convergence.Enabled was set for this tuple.
 	trajectory []estimator.TrajectoryPoint
@@ -364,7 +361,7 @@ func estimateTuple(ctx context.Context, pair *synopsis.Admissible, scheme Scheme
 	if est < 0 {
 		est = 0
 	}
-	res := tupleResult{freq: est, samples: r.Samples, good: r.Estimate, chunks: r.Chunks, kernel: kernel, err: err}
+	res := tupleResult{freq: est, est: r, kernel: kernel, err: err}
 	if rec != nil {
 		res.trajectory = rec.Points()
 	}
@@ -372,12 +369,41 @@ func estimateTuple(ctx context.Context, pair *synopsis.Admissible, scheme Scheme
 }
 
 // recordRunMetrics publishes one scheme run's telemetry into the default
-// registry. Called on both completed and failed (budget-exhausted) runs.
-// kernels counts the tuples that drew on each sampler.Kernel: one lookup
-// per kernel and run, where a lookup per tuple cost about as much as a
-// one-image tuple's estimation loop.
-func recordRunMetrics(scheme Scheme, stats Stats, kernels [2]int64, err error) {
+// registry: its Stats, the sampler.Kernel each tuple that drew used, and
+// the work of the estimations that completed, which the estimators
+// report but do not publish. Called on both completed and failed runs.
+// Each series takes one lookup per run, where a lookup per tuple cost
+// about as much as a one-image tuple's estimation loop.
+func recordRunMetrics(scheme Scheme, stats Stats, ran []tupleResult, err error) {
+	var kernels [2]int64
+	var done estimator.Result // the completed estimations' work, summed
+	var runs int64
+	for _, t := range ran {
+		if t.est.Samples > 0 {
+			kernels[t.kernel]++
+		}
+		if t.err == nil {
+			runs++
+			done.Samples += t.est.Samples
+			done.Trials += t.est.Trials
+			for p, n := range t.est.Phases {
+				done.Phases[p] += n
+			}
+		}
+	}
 	r := obs.Default()
+	switch {
+	case runs == 0:
+	case scheme == Cover:
+		r.Counter("estimator_coverage_runs_total").Add(runs)
+		r.Counter("estimator_coverage_steps_total").Add(done.Samples)
+		r.Counter("estimator_coverage_trials_total").Add(done.Trials)
+	default:
+		r.Counter("estimator_mc_runs_total").Add(runs)
+		for p, phase := range [...]string{"stopping", "variance", "final"} {
+			r.Counter("estimator_mc_samples_total", obs.L("phase", phase)).Add(done.Phases[p])
+		}
+	}
 	lbl := obs.L("scheme", scheme.String())
 	for k, n := range kernels {
 		if n > 0 {
@@ -404,11 +430,11 @@ func recordRunMetrics(scheme Scheme, stats Stats, kernels [2]int64, err error) {
 // This is the measured phase of the paper's experiments (preprocessing
 // excluded), and the package's only answer call.
 //
-// It validates opts and the scheme before any work starts. ctx is
-// polled at the estimators' chunk boundaries, so an abort is observed
-// within about one 256-draw chunk per running tuple and reported as an
-// error wrapping estimator.ErrCanceled; tuples a pool has not started
-// yet abort before their first draw. The run's span ("cqa.<Scheme>", with
+// It validates opts and the scheme before any work starts. ctx is the
+// run's only deadline: a tuple that starts on a canceled or expired
+// context fails before its first draw, and a running tuple stops within
+// about one 256-draw chunk, with an error wrapping estimator.ErrCanceled
+// and the context's own sentinel. The run's span ("cqa.<Scheme>", with
 // sampler.init.<kernel> / estimate children in the sequential loop)
 // becomes a child of the span ctx carries (obs.ContextWithSpan), which
 // is how the harness's traces and the estimation service's per-request
@@ -431,10 +457,10 @@ func ApxAnswersFromSetContext(ctx context.Context, set *synopsis.Set, scheme Sch
 	}
 	slots := make([]tupleResult, len(set.Entries))
 	estimate := func(i int, src *mt.Source, parent *obs.Span) error {
-		// Reading the clock draws no PRNG word, so a run that finishes
-		// is unchanged by the check.
-		if d := opts.Budget.Deadline; !d.IsZero() && time.Now().After(d) {
-			slots[i] = tupleResult{err: estimator.ErrBudget}
+		// No tuple starts drawing on a dead context. The check draws no
+		// PRNG word, so a run that finishes is unchanged by it.
+		if err := ctx.Err(); err != nil {
+			slots[i] = tupleResult{err: cqaerr.Canceled(err)}
 			return slots[i].err
 		}
 		o := opts
@@ -498,15 +524,11 @@ func ApxAnswersFromSetContext(ctx context.Context, set *synopsis.Set, scheme Sch
 		stats.SamplingWorkers = workers
 	}
 	var goodSum float64 // per-tuple good ratios weighted by sample count
-	var kernels [2]int64
 	var err error
 	for i, r := range slots[:ran] {
-		if r.samples > 0 {
-			kernels[r.kernel]++
-		}
-		stats.Samples += r.samples
-		stats.Chunks += r.chunks
-		goodSum += r.good * float64(r.samples)
+		stats.Samples += r.est.Samples
+		stats.Chunks += r.est.Chunks
+		goodSum += r.est.Estimate * float64(r.est.Samples)
 		if r.trajectory != nil {
 			stats.Convergence = append(stats.Convergence, TupleTrajectory{Tuple: i, Points: r.trajectory})
 		}
@@ -525,7 +547,7 @@ func ApxAnswersFromSetContext(ctx context.Context, set *synopsis.Set, scheme Sch
 	if opts.TupleWorkers == 0 {
 		stats.Stages = root.Stages()
 	}
-	recordRunMetrics(scheme, stats, kernels, err)
+	recordRunMetrics(scheme, stats, slots[:ran], err)
 	if err != nil {
 		return nil, stats, err
 	}

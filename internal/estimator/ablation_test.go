@@ -24,7 +24,12 @@ func stoppingRule(ctx context.Context, s Sampler, eps, delta float64, src *mt.So
 	if err := checkArgs(eps, delta); err != nil {
 		return Result{}, err
 	}
-	return stoppingRuleLoop(ctx, &seqStream{br: newBatcher(s), src: src}, eps, delta, budget)
+	bt := newTracker(ctx, budget)
+	est, err := stoppingRuleLoop(&seqStream{br: newBatcher(s), src: src}, eps, delta, &bt, RecorderFrom(ctx))
+	if err != nil {
+		return Result{Samples: bt.samples}, err
+	}
+	return Result{Estimate: est, Samples: bt.samples}, nil
 }
 
 // fixedSamples draws N = ⌈Υ/meanLB⌉ samples, the generalized zero-one
@@ -38,9 +43,9 @@ func fixedSamples(ctx context.Context, s Sampler, eps, delta, meanLB float64, sr
 	if !(meanLB > 0) {
 		return Result{}, fmt.Errorf("estimator: require a positive mean lower bound, got %v: %w", meanLB, ErrInvalidOptions)
 	}
-	bt := &budgetTracker{budget: budget, ctx: trackerCtx(ctx)}
+	bt := newTracker(ctx, budget)
 	n := int64(math.Ceil(upsilon(eps, delta) / meanLB))
-	est, err := fixedLoop(&seqStream{br: newBatcher(s), src: src}, n, bt, RecorderFrom(ctx))
+	est, err := fixedLoop(&seqStream{br: newBatcher(s), src: src}, n, &bt, RecorderFrom(ctx))
 	if err != nil {
 		return Result{Samples: bt.samples}, err
 	}

@@ -1,20 +1,6 @@
 package estimator
 
-import (
-	"context"
-
-	"cqabench/internal/mt"
-)
-
-// trackerCtx normalizes a caller context for the budgetTracker: the
-// never-canceled contexts (nil, Background, TODO) collapse to nil so the
-// hot loops skip cancellation polling entirely.
-func trackerCtx(ctx context.Context) context.Context {
-	if ctx == nil || ctx == context.Background() || ctx == context.TODO() {
-		return nil
-	}
-	return ctx
-}
+import "cqabench/internal/mt"
 
 // BatchSampler is a Sampler that can fill a whole slice of draws in one
 // call. All kernels in internal/sampler implement it. The contract is

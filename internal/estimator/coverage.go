@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"cqabench/internal/mt"
-	"cqabench/internal/obs"
 )
 
 // SymbolicSpace is the view of the symbolic sampling space S• that the
@@ -36,13 +35,14 @@ type SymbolicSpace interface {
 // pessimistic but predictable, which is exactly the trade-off Section
 // 4.3 discusses. The walk charges one draw per step, and the context is
 // polled every ctxStride steps (the same latency as the batched loops'
-// chunk boundaries). src may be nil when the space has one image: that
+// chunk boundaries). Result.Trials reports the trials the estimate
+// divides by. src may be nil when the space has one image: that
 // walk reads no value, as every trial ends after one step.
 func SelfAdjustingCoverageContext(ctx context.Context, space SymbolicSpace, eps, delta float64, src *mt.Source, budget Budget) (Result, error) {
 	if err := checkArgs(eps, delta); err != nil {
 		return Result{}, err
 	}
-	bt := &budgetTracker{budget: budget, ctx: trackerCtx(ctx)}
+	bt := newTracker(ctx, budget)
 	rec := RecorderFrom(ctx)
 	m := space.NumImages()
 	n := CoverageIterations(m, eps, delta)
@@ -116,11 +116,7 @@ func SelfAdjustingCoverageContext(ctx context.Context, space SymbolicSpace, eps,
 			Samples: bt.samples, Estimate: est, Progress: 1, Phase: "coverage",
 		})
 	}
-	r := obs.Default()
-	r.Counter("estimator_coverage_runs_total").Inc()
-	r.Counter("estimator_coverage_steps_total").Add(bt.samples)
-	r.Counter("estimator_coverage_trials_total").Add(trials)
-	return Result{Estimate: est, Samples: bt.samples}, nil
+	return Result{Estimate: est, Samples: bt.samples, Trials: trials}, nil
 }
 
 // coveragePoint is the walk's checkpoint at step steps of n, after

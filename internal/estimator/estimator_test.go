@@ -186,12 +186,19 @@ func TestBudgetMaxSamples(t *testing.T) {
 	}
 }
 
+// TestBudgetDeadline: a context whose deadline passed before the run
+// stops it before its first draw, with ErrCanceled wrapping
+// context.DeadlineExceeded.
 func TestBudgetDeadline(t *testing.T) {
-	// Tiny mean forces enough samples to cross the deadline-check stride.
-	_, err := MonteCarloContext(context.Background(), bernoulli{1e-5}, 0.1, 0.25, mt.New(10),
-		Budget{Deadline: time.Now().Add(-time.Second)})
-	if !errors.Is(err, ErrBudget) {
-		t.Fatalf("err = %v, want ErrBudget", err)
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	// A tiny mean would take the run past many polls.
+	r, err := MonteCarloContext(ctx, bernoulli{1e-5}, 0.1, 0.25, mt.New(10), Budget{})
+	if !errors.Is(err, ErrCanceled) || !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want ErrCanceled wrapping context.DeadlineExceeded", err)
+	}
+	if r.Samples != 0 {
+		t.Fatalf("the run drew %d samples past its deadline, want 0", r.Samples)
 	}
 }
 
@@ -212,18 +219,40 @@ func (n *napper) SampleBatch(_ *mt.Source, dst []float64) {
 	clear(dst)
 }
 
-// TestDeadlineWithinTwoChunks: a run whose first batch sleeps past the
-// deadline fails with ErrBudget at the next chunk's charge, within 512
-// draws.
+// lateTimer is a live context whose deadline has passed while its Err
+// is still nil, as a context's is until the runtime fires its timer.
+type lateTimer struct {
+	context.Context
+	deadline time.Time
+}
+
+func (c lateTimer) Deadline() (time.Time, bool) { return c.deadline, true }
+
+// TestDeadlineWithinTwoChunks: a run whose first batch sleeps past its
+// context's deadline fails with ErrCanceled wrapping
+// context.DeadlineExceeded within 512 draws. The bound rests on the
+// tracker's clock read, not on the context's timer: it holds too under a
+// context whose deadline passes during that batch but whose Err stays
+// nil. The sample cap only ends a run that never stops on its deadline,
+// as napper's zeros would keep the stopping rule going.
 func TestDeadlineWithinTwoChunks(t *testing.T) {
-	r, err := MonteCarloContext(context.Background(), &napper{nap: 20 * time.Millisecond}, 0.1, 0.25, mt.New(12),
-		Budget{Deadline: time.Now().Add(5 * time.Millisecond)})
-	if !errors.Is(err, ErrBudget) {
-		t.Fatalf("err = %v, want ErrBudget", err)
+	run := func(name string, ctx context.Context) {
+		t.Helper()
+		r, err := MonteCarloContext(ctx, &napper{nap: 20 * time.Millisecond}, 0.1, 0.25, mt.New(12),
+			Budget{MaxSamples: 1 << 16})
+		if !errors.Is(err, ErrCanceled) || !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("%s: err = %v, want ErrCanceled wrapping context.DeadlineExceeded", name, err)
+		}
+		if r.Samples > 2*batchSize {
+			t.Fatalf("%s: the run drew %d samples past its deadline, want at most %d", name, r.Samples, 2*batchSize)
+		}
 	}
-	if r.Samples > 2*batchSize {
-		t.Fatalf("the run drew %d samples past its deadline, want at most %d", r.Samples, 2*batchSize)
-	}
+	timed, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
+	defer cancel()
+	run("timer", timed)
+	live, stop := context.WithCancel(context.Background())
+	defer stop()
+	run("late timer", lateTimer{Context: live, deadline: time.Now().Add(5 * time.Millisecond)})
 }
 
 func TestFixedSamples(t *testing.T) {

@@ -20,9 +20,13 @@
 // seed every estimate and sample count matches the unbatched reference
 // exactly (see the kernel-equivalence tests).
 //
-// Every call accepts a Budget so the harness can impose the paper's
-// per-scenario timeouts, and a context it polls at chunk boundaries. A
-// context that is never canceled (context.Background) skips the polls.
+// Every call takes a context, the run's only deadline: a canceled
+// context, or one whose deadline has passed, stops the run within one
+// chunk of draws (the harness's per-cell timeouts, the paper's
+// per-scenario cap, are context deadlines). A Budget caps the draws. A
+// context that can never be canceled (context.Background) skips the
+// polls. The calls write no metrics: their Result reports the work, and
+// the caller publishes it.
 package estimator
 
 import (
@@ -34,7 +38,6 @@ import (
 
 	"cqabench/internal/cqaerr"
 	"cqabench/internal/mt"
-	"cqabench/internal/obs"
 )
 
 // Sampler produces one random draw in [0, 1]. All samplers in
@@ -44,13 +47,14 @@ type Sampler interface {
 	Sample(src *mt.Source) float64
 }
 
-// Budget bounds an estimation run. Zero values mean "unlimited".
+// Budget caps an estimation run's draws. Zero means "unlimited". A run's
+// time bound is its context's deadline.
 type Budget struct {
 	MaxSamples int64
-	Deadline   time.Time
 }
 
-// ErrBudget is wrapped by errors returned when a budget is exhausted.
+// ErrBudget is wrapped by errors returned when a run's draws exceed
+// Budget.MaxSamples.
 var ErrBudget = errors.New("estimator: budget exhausted")
 
 // ErrCanceled is wrapped by errors returned when the caller's context is
@@ -72,34 +76,58 @@ type Result struct {
 	// Chunks counts the substream chunks consumed by the parallel
 	// sampling path (see parallel.go). Zero for sequential runs.
 	Chunks int64
+	// Trials counts the coverage walk's trials, the count its estimate
+	// divides by. Zero for other estimators.
+	Trials int64
 }
 
-// budgetTracker meters samples against a budget, reading the wall clock
-// every ctxStride draws. When ctx is non-nil, cancellation is polled at
-// chunk boundaries (every reserve call) and, for unbatched unit-charge
-// loops like the coverage walk, every ctxStride draws — so a deadline
-// or a cancellation stops a run within about one batchSize chunk. The
-// checks never touch the PRNG: for a run that is not stopped, every
-// estimate, sample count and stream position is byte-identical to a run
-// under context.Background with no deadline, which polls nothing.
+// budgetTracker meters one estimation call's draws against its budget
+// and its context. A context that can be canceled is polled at chunk
+// boundaries (every reserve call) and, for loops that charge draws one
+// at a time like the coverage walk, every ctxStride draws, so a
+// cancellation or a deadline stops a run within about one batchSize
+// chunk. The checks never touch the PRNG: for a run that is not stopped,
+// every estimate, sample count and stream position is byte-identical to
+// a run under context.Background, which polls nothing.
 type budgetTracker struct {
-	budget  Budget
-	ctx     context.Context // nil: no cancellation checks
-	samples int64
+	budget   Budget
+	ctx      context.Context // nil: never canceled, no polls
+	deadline time.Time       // ctx's deadline; zero: none
+	samples  int64
 }
 
-// ctxStride is how many draws pass between two readings of the clock,
-// and of the context in loops that charge draws one at a time (the
-// coverage walk): the batched loops' one-chunk latency.
+// newTracker builds the one tracker of an estimation call, by value so
+// that it stays on the call's stack. A context whose Done is nil
+// (Background, TODO, and values on them) can never be canceled, so its
+// run polls nothing.
+func newTracker(ctx context.Context, budget Budget) budgetTracker {
+	bt := budgetTracker{budget: budget}
+	if ctx != nil && ctx.Done() != nil {
+		bt.ctx = ctx
+		bt.deadline, _ = ctx.Deadline()
+	}
+	return bt
+}
+
+// ctxStride is how many draws pass between two polls in loops that
+// charge draws one at a time (the coverage walk): the batched loops'
+// one-chunk latency.
 const ctxStride = batchSize
 
-// checkCtx reports cancellation as an error wrapping both ErrCanceled
-// and the context's own sentinel.
-func (b *budgetTracker) checkCtx() error {
-	if b.ctx != nil {
-		if err := b.ctx.Err(); err != nil {
-			return fmt.Errorf("estimator: %w", cqaerr.Canceled(err))
-		}
+// poll reports a dead context as an error wrapping both ErrCanceled and
+// the context's own sentinel. It reads the clock against the deadline
+// too: the context's timer fires asynchronously, so its Err can still
+// be nil for a while after the deadline has passed.
+func (b *budgetTracker) poll() error {
+	if b.ctx == nil {
+		return nil
+	}
+	err := b.ctx.Err()
+	if err == nil && !b.deadline.IsZero() && time.Now().After(b.deadline) {
+		err = context.DeadlineExceeded
+	}
+	if err != nil {
+		return fmt.Errorf("estimator: %w", cqaerr.Canceled(err))
 	}
 	return nil
 }
@@ -111,14 +139,7 @@ func (b *budgetTracker) charge(n int64) error {
 		return ErrBudget
 	}
 	if b.ctx != nil && prev/ctxStride != b.samples/ctxStride {
-		if err := b.checkCtx(); err != nil {
-			return err
-		}
-	}
-	if !b.budget.Deadline.IsZero() && prev/ctxStride != b.samples/ctxStride {
-		if time.Now().After(b.budget.Deadline) {
-			return ErrBudget
-		}
+		return b.poll()
 	}
 	return nil
 }
@@ -131,9 +152,9 @@ func (b *budgetTracker) charge(n int64) error {
 // (overshooting MaxSamples by exactly one iteration) stays byte-identical
 // to the unbatched reference. want must be ≥ 1.
 func (b *budgetTracker) reserve(want, unit int64) (int64, error) {
-	// A reserve call is a chunk boundary: poll cancellation here so an
-	// aborted run stops within one in-flight chunk.
-	if err := b.checkCtx(); err != nil {
+	// A reserve call is a chunk boundary: poll here so an aborted run
+	// stops within one in-flight chunk.
+	if err := b.poll(); err != nil {
 		return 0, err
 	}
 	if max := b.budget.MaxSamples; max > 0 {
@@ -177,9 +198,10 @@ func checkArgs(eps, delta float64) error {
 // first phase of monteCarloLoop: it draws samples until their running
 // sum reaches Υ1 = 1 + (1+ε)Υ and returns Υ1/N, an (ε, δ)-approximation
 // of the mean provided the mean is positive. It draws from the stream
-// monteCarloLoop was given (a chunkScheduler under MonteCarloParallel);
-// budget accounting, cancellation polling and convergence-recorder
-// points are identical either way.
+// monteCarloLoop was given (a chunkScheduler under MonteCarloParallel)
+// and charges the call's tracker, so budget accounting, cancellation
+// polling and convergence-recorder points are identical either way; it
+// records its checkpoints as "stopping".
 //
 // Draws are consumed in chunks bounded by ⌊Υ1 − sum⌋: samples lie in
 // [0, 1], so the running sum cannot cross Υ1 before that many further
@@ -188,9 +210,7 @@ func checkArgs(eps, delta float64) error {
 // the same stream order — as the one-at-a-time loop. The context is
 // polled at every chunk boundary, so an abort is observed within one
 // batchSize chunk of draws.
-func stoppingRuleLoop(ctx context.Context, ds drawStream, eps, delta float64, budget Budget) (Result, error) {
-	bt := &budgetTracker{budget: budget, ctx: trackerCtx(ctx)}
-	rec := RecorderFrom(ctx)
+func stoppingRuleLoop(ds drawStream, eps, delta float64, bt *budgetTracker, rec *Recorder) (float64, error) {
 	upsilon1 := 1 + (1+eps)*upsilon(eps, delta)
 	sum := 0.0
 	var n int64
@@ -204,7 +224,7 @@ func stoppingRuleLoop(ctx context.Context, ds drawStream, eps, delta float64, bu
 		}
 		granted, err := bt.reserve(chunk, 1)
 		if err != nil {
-			return Result{Samples: bt.samples}, err
+			return 0, err
 		}
 		for _, v := range ds.fill(int(granted)) {
 			sum += v
@@ -224,13 +244,13 @@ func stoppingRuleLoop(ctx context.Context, ds drawStream, eps, delta float64, bu
 			})
 		}
 	}
-	res := Result{Estimate: upsilon1 / float64(n), Samples: bt.samples}
+	est := upsilon1 / float64(n)
 	if rec != nil {
 		rec.final(TrajectoryPoint{
-			Samples: bt.samples, Estimate: res.Estimate, Progress: 1, Phase: "stopping",
+			Samples: bt.samples, Estimate: est, Progress: 1, Phase: "stopping",
 		})
 	}
-	return res, nil
+	return est, nil
 }
 
 // MonteCarloContext implements the 𝒜𝒜 algorithm of [8]: an optimal
@@ -254,21 +274,17 @@ func MonteCarloContext(ctx context.Context, s Sampler, eps, delta float64, src *
 // monteCarloLoop is the 𝒜𝒜 core, parameterized by the draw supply. All
 // three phases consume the same stream, continuing where the previous
 // phase stopped — exactly the shared-source behavior of the sequential
-// algorithm.
+// algorithm — and charge one tracker and record into one recorder.
 func monteCarloLoop(ctx context.Context, ds drawStream, eps, delta float64, budget Budget) (Result, error) {
-	bt := &budgetTracker{budget: budget, ctx: trackerCtx(ctx)}
+	bt := newTracker(ctx, budget)
 	rec := RecorderFrom(ctx)
 
 	// Step 1: rough estimate via the stopping rule at accuracy
 	// min(1/2, √ε) and confidence δ/3.
-	eps1 := math.Min(0.5, math.Sqrt(eps))
-	r1, err := stoppingRuleLoop(ctx, ds, eps1, delta/3, budget)
-	bt.samples = r1.Samples
+	muHat, err := stoppingRuleLoop(ds, math.Min(0.5, math.Sqrt(eps)), delta/3, &bt, rec)
 	if err != nil {
 		return Result{Samples: bt.samples}, err
 	}
-	muHat := r1.Estimate
-
 	phase1 := bt.samples
 
 	// Step 2: estimate the variance parameter ρ = max(Var, ε·μ). The
@@ -308,27 +324,15 @@ func monteCarloLoop(ctx context.Context, ds drawStream, eps, delta float64, budg
 
 	// Step 3: final run sized by ρ̂/μ̂².
 	n3 := int64(math.Ceil(ups2 * rhoHat / (muHat * muHat)))
-	est, err := fixedLoop(ds, n3, bt, rec)
+	est, err := fixedLoop(ds, n3, &bt, rec)
 	if err != nil {
 		return Result{Samples: bt.samples}, err
 	}
-	res := Result{
+	return Result{
 		Estimate: est,
 		Samples:  bt.samples,
 		Phases:   [3]int64{phase1, phase2, bt.samples - phase1 - phase2},
-	}
-	recordMCMetrics(res)
-	return res, nil
-}
-
-// recordMCMetrics publishes one completed 𝒜𝒜 run's per-phase sample
-// counts (the Monte-Carlo iteration telemetry).
-func recordMCMetrics(res Result) {
-	r := obs.Default()
-	r.Counter("estimator_mc_runs_total").Inc()
-	r.Counter("estimator_mc_samples_total", obs.L("phase", "stopping")).Add(res.Phases[0])
-	r.Counter("estimator_mc_samples_total", obs.L("phase", "variance")).Add(res.Phases[1])
-	r.Counter("estimator_mc_samples_total", obs.L("phase", "final")).Add(res.Phases[2])
+	}, nil
 }
 
 // fixedLoop draws max(n, 1) samples from ds in chunks and returns their

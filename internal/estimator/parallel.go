@@ -93,9 +93,9 @@ type parChunk struct {
 // bounded by the same amount.
 //
 // fill is called from exactly one goroutine (the estimation loop);
-// only claim, results and quit are shared with workers.
+// only claim, results, quit and done are shared with workers.
 type chunkScheduler struct {
-	ctx     context.Context // nil when never-canceled (trackerCtx)
+	done    <-chan struct{} // the context's Done; nil when never canceled
 	quit    chan struct{}
 	results chan parChunk
 	claim   atomic.Int64
@@ -115,11 +115,13 @@ type chunkScheduler struct {
 
 func newChunkScheduler(ctx context.Context, p Parallel) *chunkScheduler {
 	cs := &chunkScheduler{
-		ctx:     trackerCtx(ctx),
 		quit:    make(chan struct{}),
 		results: make(chan parChunk, p.Workers),
 		pending: make(map[int64][]float64),
 		out:     make([]float64, batchSize),
+	}
+	if ctx != nil {
+		cs.done = ctx.Done()
 	}
 	cs.pool.New = func() any { return make([]float64, batchSize) }
 	for w := 0; w < p.Workers; w++ {
@@ -138,10 +140,9 @@ func (cs *chunkScheduler) worker(p Parallel) {
 		select {
 		case <-cs.quit:
 			return
-		default:
-		}
-		if cs.ctx != nil && cs.ctx.Err() != nil {
+		case <-cs.done:
 			return
+		default:
 		}
 		k := cs.claim.Add(1) - 1
 		src.Substream(p.Seed, uint64(k))
@@ -198,14 +199,10 @@ func (cs *chunkScheduler) advance() {
 			cs.chunks++
 			return
 		}
-		var done <-chan struct{}
-		if cs.ctx != nil {
-			done = cs.ctx.Done()
-		}
 		select {
 		case c := <-cs.results:
 			cs.pending[c.idx] = c.vals
-		case <-done:
+		case <-cs.done:
 			if cs.zeros == nil {
 				cs.zeros = make([]float64, batchSize)
 			}

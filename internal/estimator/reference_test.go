@@ -22,7 +22,7 @@ import (
 // sample counts, phase breakdowns and errors.
 
 func seqStoppingRule(s Sampler, eps, delta float64, src *mt.Source, budget Budget) (Result, error) {
-	bt := &budgetTracker{budget: budget}
+	bt := newTracker(nil, budget)
 	upsilon1 := 1 + (1+eps)*upsilon(eps, delta)
 	sum := 0.0
 	var n int64
@@ -40,7 +40,7 @@ func seqMonteCarlo(s Sampler, eps, delta float64, src *mt.Source, budget Budget)
 	if eps <= 0 || eps >= 1 || delta <= 0 || delta >= 1 {
 		return Result{}, errors.New("estimator: require 0 < eps < 1 and 0 < delta < 1")
 	}
-	bt := &budgetTracker{budget: budget}
+	bt := newTracker(nil, budget)
 
 	eps1 := math.Min(0.5, math.Sqrt(eps))
 	sub := budget
@@ -95,7 +95,7 @@ func seqFixedSamples(s Sampler, eps, delta, meanLB float64, src *mt.Source, budg
 	if meanLB <= 0 {
 		return Result{}, errors.New("estimator: FixedSamples requires a positive mean lower bound")
 	}
-	bt := &budgetTracker{budget: budget}
+	bt := newTracker(nil, budget)
 	n := int64(math.Ceil(upsilon(eps, delta) / meanLB))
 	if n < 1 {
 		n = 1
@@ -111,7 +111,7 @@ func seqFixedSamples(s Sampler, eps, delta, meanLB float64, src *mt.Source, budg
 }
 
 func seqCoverage(ctx context.Context, space SymbolicSpace, eps, delta float64, src *mt.Source, budget Budget) (Result, error) {
-	bt := &budgetTracker{budget: budget, ctx: trackerCtx(ctx)}
+	bt := newTracker(ctx, budget)
 	rec := RecorderFrom(ctx)
 	m := space.NumImages()
 	n := int64(math.Ceil(8 * (1 + eps) * float64(m) * math.Log(3/delta) /
@@ -315,7 +315,7 @@ func TestBatchedFallbackSampler(t *testing.T) {
 // exhaustion must leave samples exactly one unit past MaxSamples.
 func TestReserveAccounting(t *testing.T) {
 	for _, unit := range []int64{1, 2} {
-		bt := &budgetTracker{budget: Budget{MaxSamples: 10}}
+		bt := newTracker(nil, Budget{MaxSamples: 10})
 		var total int64
 		for {
 			got, err := bt.reserve(4, unit)
@@ -371,21 +371,27 @@ func TestBatchedCoverageMatchesStepLoop(t *testing.T) {
 	defer stop()
 	canceled, cancel := context.WithCancel(bg)
 	cancel()
+	expired, stopExpired := context.WithDeadline(bg, time.Now().Add(-time.Second))
+	defer stopExpired()
 	type run struct {
 		name   string
 		ctx    context.Context
 		eps    float64
 		budget Budget
-		fails  bool
+		fails  error // the sentinel the step loop's error wraps; nil: none
 	}
 	runs := []run{
-		{"unlimited", bg, eps, Budget{}, false},
-		{"live context", live, eps, Budget{}, false},
-		{"deadline passed", bg, 0.05, Budget{Deadline: time.Now().Add(-time.Second)}, true},
-		{"canceled", canceled, eps, Budget{}, true},
+		{"unlimited", bg, eps, Budget{}, nil},
+		{"live context", live, eps, Budget{}, nil},
+		{"deadline passed", expired, 0.05, Budget{}, context.DeadlineExceeded},
+		{"canceled", canceled, eps, Budget{}, context.Canceled},
 	}
 	for _, max := range []int64{1, 255, 256, 257, n - 1, n} {
-		runs = append(runs, run{fmt.Sprintf("MaxSamples %d", max), live, eps, Budget{MaxSamples: max}, max < n})
+		r := run{fmt.Sprintf("MaxSamples %d", max), live, eps, Budget{MaxSamples: max}, nil}
+		if max < n {
+			r.fails = ErrBudget
+		}
+		runs = append(runs, r)
 	}
 	for pname, pair := range pairs {
 		for _, r := range runs {
@@ -394,8 +400,8 @@ func TestBatchedCoverageMatchesStepLoop(t *testing.T) {
 				s1, s2 := mt.New(seed), mt.New(seed)
 				want, wantErr := seqCoverage(r.ctx, sampler.NewSymbolic(pair), r.eps, delta, s1, r.budget)
 				got, gotErr := SelfAdjustingCoverageContext(r.ctx, sampler.NewSymbolic(pair), r.eps, delta, s2, r.budget)
-				if (wantErr != nil) != r.fails {
-					t.Fatalf("%s: the step loop returns %v", tag, wantErr)
+				if !errors.Is(wantErr, r.fails) {
+					t.Fatalf("%s: the step loop returns %v, want %v", tag, wantErr, r.fails)
 				}
 				sameCoverage(t, tag, want, got, wantErr, gotErr, s1, s2)
 				got, gotErr = SelfAdjustingCoverageContext(r.ctx, sampler.NewSymbolic(pair), r.eps, delta, nil, r.budget)
@@ -425,10 +431,13 @@ func TestBatchedCoverageMatchesStepLoop(t *testing.T) {
 // unless s1 is nil, stream position.
 func sameCoverage(t *testing.T, tag string, want, got Result, wantErr, gotErr error, s1, s2 *mt.Source) {
 	t.Helper()
-	if (wantErr == nil) != (gotErr == nil) ||
-		errors.Is(wantErr, ErrBudget) != errors.Is(gotErr, ErrBudget) ||
-		errors.Is(wantErr, ErrCanceled) != errors.Is(gotErr, ErrCanceled) {
+	if (wantErr == nil) != (gotErr == nil) {
 		t.Fatalf("%s: errors differ: step loop %v, walk %v", tag, wantErr, gotErr)
+	}
+	for _, kind := range []error{ErrBudget, ErrCanceled, context.DeadlineExceeded} {
+		if errors.Is(wantErr, kind) != errors.Is(gotErr, kind) {
+			t.Fatalf("%s: errors differ: step loop %v, walk %v", tag, wantErr, gotErr)
+		}
 	}
 	if want.Samples != got.Samples {
 		t.Fatalf("%s: Samples differ: step loop %d, walk %d", tag, want.Samples, got.Samples)

@@ -32,7 +32,9 @@ import (
 type Config struct {
 	// Opts carries ε, δ and the seed (paper: ε = 0.1, δ = 0.25).
 	Opts cqa.Options
-	// Timeout bounds each (pair, scheme) run; 0 means none.
+	// Timeout bounds each (pair, scheme) run, as a deadline on the
+	// context of that run; 0 means none. A run past it, or past its
+	// Opts.Budget sample cap, is reported timed out.
 	Timeout time.Duration
 	// Progress, if set, is called after every (pair, scheme) measurement;
 	// the CLI's -progress flag uses it to stream status lines to stderr.
@@ -209,13 +211,14 @@ func Run(w *scenario.Workload, cfg Config) (*Figure, error) {
 		fig.Balances = append(fig.Balances, pair.Balance)
 		lv := w.Axis.Level(pair)
 		for _, s := range cqa.Schemes {
-			opts := cfg.Opts
+			ctx, cancel := cfg.context(), func() {}
 			if cfg.Timeout > 0 {
-				opts.Budget.Deadline = time.Now().Add(cfg.Timeout)
+				ctx, cancel = context.WithTimeout(ctx, cfg.Timeout)
 			}
 			start := time.Now()
-			_, stats, err := cqa.ApxAnswersFromSetContext(obs.ContextWithSpan(cfg.context(), pairSpan), set, s, opts)
+			_, stats, err := cqa.ApxAnswersFromSetContext(obs.ContextWithSpan(ctx, pairSpan), set, s, cfg.Opts)
 			elapsed := time.Since(start)
+			cancel()
 			m := Measurement{
 				Pair:       pair.Name,
 				Scheme:     s,
@@ -227,7 +230,11 @@ func Run(w *scenario.Workload, cfg Config) (*Figure, error) {
 				PrepSource: string(preps[i].source),
 			}
 			if err != nil {
-				if !errors.Is(err, estimator.ErrBudget) {
+				// The cell's own deadline or sample cap times it out; an
+				// abort of the run's context fails the run.
+				timedOut := errors.Is(err, estimator.ErrBudget) ||
+					errors.Is(err, context.DeadlineExceeded) && cfg.context().Err() == nil
+				if !timedOut {
 					for _, ps := range pairSpans[i:] {
 						ps.End()
 					}
