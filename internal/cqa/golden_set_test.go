@@ -63,6 +63,15 @@ var setGoldenModes = []setGoldenMode{
 	{"tuple-pool-3-sampling-3", 3, 3},
 }
 
+// fourModes crosses both tuple modes with both sampling modes, with
+// pools of 2: the grid of the series golden and the dead-context tests.
+var fourModes = []setGoldenMode{
+	{"sequential", 0, 0},
+	{"sampling-2", 0, 2},
+	{"tuple-pool-2", 2, 0},
+	{"tuple-pool-2-sampling-2", 2, 2},
+}
+
 // manySmallSet builds 64 tuples of one to three small blocks each, so a
 // tuple pool interleaves its workers over many short estimations. The
 // construction draws from its own MT stream and is fully deterministic.
